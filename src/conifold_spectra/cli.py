@@ -81,6 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_report(args) -> int:
+    if args.max_roots is not None and args.max_roots < 0:
+        raise SchemaError(f"--max-roots must be non-negative, got {args.max_roots}")
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             document = json.load(fh)

@@ -107,6 +107,8 @@ class Scalar:
         if isinstance(text, int):
             return Scalar(text)
         if isinstance(text, float):
+            if not math.isfinite(text):
+                raise ValueError(f"non-finite number {text!r}")
             return Scalar(_to_mpf(text), exact=False)
         raise ValueError(f"unsupported numeric literal: {text!r}")
 

@@ -125,7 +125,7 @@ def _positive_lambdas(link: LinkSpectrum):
     return out
 
 
-def box1_spectrum(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[TangentialEigenvalue]:
+def box1_spectrum(link: LinkSpectrum) -> List[TangentialEigenvalue]:
     """spec(box_1): mu_i + 1, eta(xi_pm(lambda_i) - 1) and the radial n-1.
 
     The constant function only contributes through its minus branch, giving
@@ -304,15 +304,16 @@ def _roots_for(entry: TangentialEigenvalue, n: int) -> List[IndicialRoot]:
     raise AssertionError(f"unhandled family {fam}")
 
 
-def indicial_set_full(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:
-    """E_L: all indicial roots of the Lichnerowicz Laplacian on the cone."""
-    roots: List[IndicialRoot] = []
-    for entry in boxL_spectrum(link, eps):
-        if entry.dropped:
-            continue
-        roots.extend(_roots_for(entry, link.n))
+def indicial_roots(table: List[TangentialEigenvalue], n: int) -> List[IndicialRoot]:
+    """The sorted indicial roots of the kept entries of a box_L table."""
+    roots = [root for entry in table if not entry.dropped for root in _roots_for(entry, n)]
     roots.sort(key=IndicialRoot.sort_key)
     return roots
+
+
+def indicial_set_full(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:
+    """E_L: all indicial roots of the Lichnerowicz Laplacian on the cone."""
+    return indicial_roots(boxL_spectrum(link, eps), link.n)
 
 
 def indicial_set_bianchi(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:

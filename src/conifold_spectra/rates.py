@@ -18,17 +18,28 @@ Window membership is tested exactly on the rational path.  On the float
 path, values within the global epsilon of the resonance threshold are
 coerced to exactly resonant and the coercion is flagged, since the
 logarithmic branch is an equality phenomenon.
+
+All of this is computed by ``LinkAnalysis``, one lazy pass per link; the
+module-level functions are views of its stages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .core import DEFAULT_EPSILON, Scalar, check_dimension, critical_eigenvalue, resonance_pair
 from .errors import EmptyRateSet, InsufficientSpectrum, NonTerminating
-from .indicial import BoxLFamily, IndicialRoot, boxL_spectrum, indicial_set_essential
+from .indicial import (
+    BoxLFamily,
+    IndicialRoot,
+    TangentialEigenvalue,
+    box1_spectrum,
+    boxL_spectrum,
+    indicial_roots,
+)
 from .links import EndKind, LinkSpectrum, SpectrumMode
 
 
@@ -94,19 +105,6 @@ class ResonanceAnalysis:
     tangential_warnings: Tuple[str, ...]
 
 
-def _kappas(link: LinkSpectrum) -> List[Scalar]:
-    return link.tt_einstein.values()
-
-
-def _require_kappa_negatives_known(link: LinkSpectrum) -> None:
-    if link.tt_einstein.complete_below < 0:
-        raise InsufficientSpectrum(
-            "the TT-Einstein list must be certified complete below 0 "
-            "(all negative kappa are needed)",
-            required=Scalar(0),
-        )
-
-
 def _classify_kappa(kappa: Scalar, n: int, eps: float) -> Tuple[str, bool]:
     """Position of kappa relative to [-(n-2)^2/4, 0): below/at/inside/above."""
     threshold = critical_eigenvalue(n)
@@ -121,96 +119,8 @@ def _classify_kappa(kappa: Scalar, n: int, eps: float) -> Tuple[str, bool]:
     return "above", False
 
 
-def e_plus_set(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> RateSet:
-    """E_plus: positive real parts of the essential set.
-
-    The paper filters the kappa branch by kappa > 0; filtering uniformly by
-    Re > 0 is equivalent (xi_plus(kappa) > 0 iff kappa > 0, and complex
-    roots have negative real part).
-    """
-    roots = indicial_set_essential(link, eps)
-    elements = []
-    for root in roots:
-        if not root.weight.is_real:
-            continue
-        if root.weight.real > 0:
-            elements.append(RateElement(root.weight.real, "xi-plus", root))
-    elements.sort(key=RateElement.sort_key)
-    if elements:
-        needed = _eta_value(link.n, elements[0].value)
-        for lst, label in ((link.tt_einstein, "tt_einstein"), (link.scalar, "scalar")):
-            if lst.complete_below < needed:
-                raise InsufficientSpectrum(
-                    f"{label} list certified below {lst.complete_below}, but the "
-                    f"E_plus minimum {elements[0].value} needs completeness below "
-                    f"{needed}",
-                    required=needed,
-                )
-    return RateSet("plus", tuple(elements))
-
-
 def _eta_value(n: int, x: Scalar) -> Scalar:
     return x * (x + (n - 2))
-
-
-def e_minus_set(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> RateSet:
-    """E_minus as the tagged three-part union from the essential set."""
-    n = link.n
-    check_dimension(n)
-    _require_kappa_negatives_known(link)
-    roots = indicial_set_essential(link, eps)
-    by_source = {}
-    for root in roots:
-        by_source.setdefault((root.family, root.source_index), {})[root.branch] = root
-
-    elements: List[RateElement] = []
-    half = Scalar(Fraction(n - 2, 2))
-    for (family, _index), branches in sorted(
-        by_source.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-    ):
-        minus = branches.get("-")
-        plus = branches.get("+")
-        source = (minus or plus).source_value
-        if family is BoxLFamily.LAMBDA_DIRECT:
-            elements.append(RateElement(-minus.weight.real, "minus-branch", minus))
-            continue
-        position, coerced = _classify_kappa(source, n, eps)
-        if position == "below":
-            elements.append(RateElement(half, "below-window", minus))
-            continue
-        elements.append(RateElement(-minus.weight.real, "minus-branch", minus, coerced))
-        if position in ("at", "inside"):
-            elements.append(RateElement(-plus.weight.real, "window", plus, coerced))
-
-    elements.sort(key=RateElement.sort_key)
-
-    # Completeness: every negative kappa is already certified listed; the
-    # minus branches additionally need the bottom of each list certified.
-    if not link.tt_einstein.entries:
-        raise InsufficientSpectrum(
-            "no TT-Einstein eigenvalue listed; the kappa part of E_minus is "
-            "unknown",
-        )
-    kappa_min = link.tt_einstein.min_value()
-    if kappa_min > 0 and link.tt_einstein.complete_below < kappa_min:
-        raise InsufficientSpectrum(
-            "cannot certify the smallest TT-Einstein eigenvalue: completeness "
-            f"below {kappa_min} required",
-            required=kappa_min,
-        )
-    positive_lams = [v for v in link.scalar.values() if v > 0]
-    if not positive_lams:
-        raise InsufficientSpectrum(
-            "no positive scalar eigenvalue listed; the lambda part of E_minus "
-            "is unknown",
-        )
-    if link.scalar.complete_below < positive_lams[0]:
-        raise InsufficientSpectrum(
-            "cannot certify the smallest positive scalar eigenvalue: "
-            f"completeness below {positive_lams[0]} required",
-            required=positive_lams[0],
-        )
-    return RateSet("minus", tuple(elements))
 
 
 @dataclass(frozen=True)
@@ -219,129 +129,328 @@ class Rates:
     xi_minus: RateElement
 
 
+@dataclass(frozen=True)
+class LinkAnalysis:
+    """One analysis pass over a link at one epsilon.
+
+    The stages follow the chain spec(box_L) -> E_L ⊇ E_B ⊇ E -> E± ->
+    verdicts.  Each is computed on first use and kept for the life of the
+    analysis, so box_L and the indicial sets are built once however many
+    verdicts are read.  A stage that raises keeps nothing and raises again
+    when asked again.  The module-level functions are views of one stage.
+    """
+
+    link: LinkSpectrum
+    eps: float = DEFAULT_EPSILON
+
+    @cached_property
+    def box1(self) -> List[TangentialEigenvalue]:
+        return box1_spectrum(self.link)
+
+    @cached_property
+    def boxL(self) -> List[TangentialEigenvalue]:
+        return boxL_spectrum(self.link, self.eps)
+
+    @cached_property
+    def full(self) -> List[IndicialRoot]:
+        return indicial_roots(self.boxL, self.link.n)
+
+    @cached_property
+    def bianchi(self) -> List[IndicialRoot]:
+        return [r for r in self.full if r.bianchi_compatible]
+
+    @cached_property
+    def essential(self) -> List[IndicialRoot]:
+        return [r for r in self.bianchi if not r.lie_derivative]
+
+    @cached_property
+    def kappas(self) -> List[Scalar]:
+        """The TT-Einstein values, once every negative one is certified listed."""
+        tt = self.link.tt_einstein
+        if tt.complete_below < 0:
+            raise InsufficientSpectrum(
+                "the TT-Einstein list must be certified complete below 0 "
+                "(all negative kappa are needed)",
+                required=Scalar(0),
+            )
+        return tt.values()
+
+    @cached_property
+    def e_plus(self) -> RateSet:
+        """E_plus: positive real parts of the essential set.
+
+        The paper filters the kappa branch by kappa > 0; filtering uniformly
+        by Re > 0 is equivalent (xi_plus(kappa) > 0 iff kappa > 0, and
+        complex roots have negative real part).
+        """
+        link = self.link
+        elements = [
+            RateElement(root.weight.real, "xi-plus", root)
+            for root in self.essential
+            if root.weight.is_real and root.weight.real > 0
+        ]
+        elements.sort(key=RateElement.sort_key)
+        if elements:
+            needed = _eta_value(link.n, elements[0].value)
+            for lst, label in ((link.tt_einstein, "tt_einstein"), (link.scalar, "scalar")):
+                if lst.complete_below < needed:
+                    raise InsufficientSpectrum(
+                        f"{label} list certified below {lst.complete_below}, but the "
+                        f"E_plus minimum {elements[0].value} needs completeness below "
+                        f"{needed}",
+                        required=needed,
+                    )
+        return RateSet("plus", tuple(elements))
+
+    @cached_property
+    def e_minus(self) -> RateSet:
+        """E_minus as the tagged three-part union from the essential set."""
+        link, n, eps = self.link, self.link.n, self.eps
+        check_dimension(n)
+        kappas = self.kappas
+        by_source = {}
+        for root in self.essential:
+            by_source.setdefault((root.family, root.source_index), {})[root.branch] = root
+
+        elements: List[RateElement] = []
+        half = Scalar(Fraction(n - 2, 2))
+        for (family, _index), branches in sorted(
+            by_source.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
+        ):
+            minus = branches.get("-")
+            plus = branches.get("+")
+            source = (minus or plus).source_value
+            if family is BoxLFamily.LAMBDA_DIRECT:
+                elements.append(RateElement(-minus.weight.real, "minus-branch", minus))
+                continue
+            position, coerced = _classify_kappa(source, n, eps)
+            if position == "below":
+                elements.append(RateElement(half, "below-window", minus))
+                continue
+            elements.append(RateElement(-minus.weight.real, "minus-branch", minus, coerced))
+            if position in ("at", "inside"):
+                elements.append(RateElement(-plus.weight.real, "window", plus, coerced))
+
+        elements.sort(key=RateElement.sort_key)
+
+        # Completeness: every negative kappa is already certified listed; the
+        # minus branches additionally need the bottom of each list certified.
+        if not kappas:
+            raise InsufficientSpectrum(
+                "no TT-Einstein eigenvalue listed; the kappa part of E_minus is "
+                "unknown",
+            )
+        kappa_min = link.tt_einstein.min_value()
+        if kappa_min > 0 and link.tt_einstein.complete_below < kappa_min:
+            raise InsufficientSpectrum(
+                "cannot certify the smallest TT-Einstein eigenvalue: completeness "
+                f"below {kappa_min} required",
+                required=kappa_min,
+            )
+        positive_lams = [v for v in link.scalar.values() if v > 0]
+        if not positive_lams:
+            raise InsufficientSpectrum(
+                "no positive scalar eigenvalue listed; the lambda part of E_minus "
+                "is unknown",
+            )
+        if link.scalar.complete_below < positive_lams[0]:
+            raise InsufficientSpectrum(
+                "cannot certify the smallest positive scalar eigenvalue: "
+                f"completeness below {positive_lams[0]} required",
+                required=positive_lams[0],
+            )
+        return RateSet("minus", tuple(elements))
+
+    @cached_property
+    def rates(self) -> Rates:
+        """(xi_plus, xi_minus) = (min E_plus, min E_minus), with witnesses."""
+        plus, minus = self.e_plus, self.e_minus
+        return Rates(plus.minimum(), minus.minimum())
+
+    @cached_property
+    def resonance(self) -> ResonanceAnalysis:
+        """Test {kappa} ∩ [-(n-2)^2/4, 0) == {-(n-2)^2/4} on the kappa list only.
+
+        A warning is emitted if any non-kappa tangential eigenvalue lands in
+        the window, which is possible only at the n = 4 Obata boundary.
+        """
+        n, eps = self.link.n, self.eps
+        check_dimension(n)
+        window: List[Scalar] = []
+        coercions: List[Scalar] = []
+        resonant = False
+        for kappa in self.kappas:
+            position, coerced = _classify_kappa(kappa, n, eps)
+            if position in ("at", "inside"):
+                window.append(kappa)
+                if coerced:
+                    coercions.append(kappa)
+                if position == "at":
+                    resonant = True
+        dominated = resonant and len(window) == 1
+        warnings = []
+        if n >= 4:
+            threshold = critical_eigenvalue(n)
+            for entry in self.boxL:
+                if entry.dropped or entry.family is BoxLFamily.TT_KAPPA:
+                    continue
+                if (
+                    entry.value.compare_threshold(threshold, eps) >= 0
+                    and entry.value.compare_threshold(0, eps) < 0
+                ):
+                    warnings.append(
+                        f"non-TT tangential eigenvalue {entry.value} "
+                        f"({entry.family.value}[{entry.source_index}]) lies in the "
+                        "resonance window"
+                    )
+        return ResonanceAnalysis(
+            dominated=dominated,
+            resonant_present=resonant,
+            window_values=tuple(window),
+            coercions=tuple(coercions),
+            tangential_warnings=tuple(warnings),
+        )
+
+    @cached_property
+    def stability(self) -> StabilityReport:
+        """Stable iff every TT-Einstein eigenvalue is >= -(n-2)^2/4.
+
+        The inequality is non-strict: the boundary case is stable.  All other
+        tangential families are cross-checked against the same bound;
+        equality there is reported as a warning (it can occur only at the
+        n = 4 Obata boundary).
+        """
+        n, eps = self.link.n, self.eps
+        check_dimension(n)
+        kappas = self.kappas
+        threshold = critical_eigenvalue(n)
+        witness = None
+        boundary = []
+        for kappa in kappas:
+            cmp_res = kappa.compare_threshold(threshold, eps)
+            if cmp_res < 0 and witness is None:
+                witness = kappa
+            if cmp_res == 0:
+                boundary.append(kappa)
+        warnings = []
+        if n >= 4:
+            for entry in self.boxL:
+                if entry.dropped or entry.family is BoxLFamily.TT_KAPPA:
+                    continue
+                cmp_res = entry.value.compare_threshold(threshold, eps)
+                if cmp_res < 0:
+                    warnings.append(
+                        f"tangential eigenvalue {entry.value} of {entry.family.value} "
+                        "falls below the stability bound"
+                    )
+                elif cmp_res == 0:
+                    warnings.append(
+                        f"tangential eigenvalue of {entry.family.value}"
+                        f"[{entry.source_index}] sits exactly at the stability bound"
+                    )
+        return StabilityReport(
+            stable=witness is None,
+            witness=witness,
+            boundary=tuple(boundary),
+            warnings=tuple(warnings),
+        )
+
+    @cached_property
+    def adm(self) -> AdmMassReport:
+        """Vanishing-mass verdict for AC manifolds over this cone.
+
+        All kappa positive forces xi_minus > n-2, so the mass vanishes; when
+        kappa_1 = 0 the leading term of the expansion is transverse-traceless
+        and the mass vanishes too.  A negative kappa permits decay slower
+        than the fundamental solution and the verdict is unknown.
+        """
+        kappas = self.kappas
+        tt = self.link.tt_einstein
+        if not kappas:
+            if tt.complete_below > 0:
+                return AdmMassReport(
+                    "vanishes",
+                    "every TT-Einstein eigenvalue exceeds the positive "
+                    "completeness certificate",
+                )
+            raise InsufficientSpectrum("no TT-Einstein eigenvalue listed")
+        kappa_min = tt.min_value()
+        cmp_zero = kappa_min.compare_threshold(0, self.eps)
+        if cmp_zero > 0:
+            return AdmMassReport(
+                "vanishes", "all TT-Einstein eigenvalues are positive, so xi_minus > n-2"
+            )
+        if cmp_zero == 0:
+            return AdmMassReport(
+                "vanishes",
+                "kappa_1 = 0: the leading term of the expansion is transverse-traceless",
+            )
+        return AdmMassReport(
+            "unknown",
+            f"kappa_1 = {kappa_min} < 0 permits decay slower than r^(2-n)",
+        )
+
+    def end_order(self, kind: EndKind) -> EndOrderReport:
+        """Optimal-order verdict for one end.
+
+        CS ends converge at rate xi_plus.  AC ends converge at rate
+        xi_minus, except in the resonance-dominated case where the order is
+        weakly (n-2)/2 with a logarithmic factor.  Bounded-mode inputs flag
+        the order as a lower bound.
+        """
+        kind = EndKind(kind)
+        link, n = self.link, self.link.n
+        rate_modes = (link.tt_einstein.mode, link.scalar.mode)
+        bound_only = SpectrumMode.UPPER_BOUND in rate_modes
+        if kind is EndKind.CS:
+            element = self.e_plus.minimum()
+            return EndOrderReport(kind, element.value, False, element, bound_only)
+        if self.resonance.dominated:
+            order = Scalar(Fraction(n - 2, 2))
+            witness = resonance_pair(n)[1]
+            kappa_bound = link.tt_einstein.mode is SpectrumMode.UPPER_BOUND
+            return EndOrderReport(kind, order, True, witness, kappa_bound)
+        element = self.e_minus.minimum()
+        return EndOrderReport(kind, element.value, False, element, bound_only)
+
+
+def e_plus_set(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> RateSet:
+    """E_plus: positive real parts of the essential set."""
+    return LinkAnalysis(link, eps).e_plus
+
+
+def e_minus_set(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> RateSet:
+    """E_minus as the tagged three-part union from the essential set."""
+    return LinkAnalysis(link, eps).e_minus
+
+
 def xi_rates(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> Rates:
     """(xi_plus, xi_minus) = (min E_plus, min E_minus), with witnesses."""
-    plus = e_plus_set(link, eps)
-    minus = e_minus_set(link, eps)
-    return Rates(plus.minimum(), minus.minimum())
+    return LinkAnalysis(link, eps).rates
 
 
 def resonance_analysis(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> ResonanceAnalysis:
-    """Test {kappa} ∩ [-(n-2)^2/4, 0) == {-(n-2)^2/4} on the kappa list only.
-
-    A warning is emitted if any non-kappa tangential eigenvalue lands in the
-    window, which is possible only at the n = 4 Obata boundary.
-    """
-    n = link.n
-    check_dimension(n)
-    _require_kappa_negatives_known(link)
-    window: List[Scalar] = []
-    coercions: List[Scalar] = []
-    resonant = False
-    for kappa in _kappas(link):
-        position, coerced = _classify_kappa(kappa, n, eps)
-        if position in ("at", "inside"):
-            window.append(kappa)
-            if coerced:
-                coercions.append(kappa)
-            if position == "at":
-                resonant = True
-    dominated = resonant and len(window) == 1
-    warnings = []
-    if link.n >= 4:
-        threshold = critical_eigenvalue(n)
-        for entry in boxL_spectrum(link, eps):
-            if entry.dropped or entry.family is BoxLFamily.TT_KAPPA:
-                continue
-            if (
-                entry.value.compare_threshold(threshold, eps) >= 0
-                and entry.value.compare_threshold(0, eps) < 0
-            ):
-                warnings.append(
-                    f"non-TT tangential eigenvalue {entry.value} "
-                    f"({entry.family.value}[{entry.source_index}]) lies in the "
-                    "resonance window"
-                )
-    return ResonanceAnalysis(
-        dominated=dominated,
-        resonant_present=resonant,
-        window_values=tuple(window),
-        coercions=tuple(coercions),
-        tangential_warnings=tuple(warnings),
-    )
+    """Test {kappa} ∩ [-(n-2)^2/4, 0) == {-(n-2)^2/4} on the kappa list only."""
+    return LinkAnalysis(link, eps).resonance
 
 
 def is_resonance_dominated(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> bool:
-    return resonance_analysis(link, eps).dominated
+    return LinkAnalysis(link, eps).resonance.dominated
 
 
 def linear_stability(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> StabilityReport:
-    """Stable iff every TT-Einstein eigenvalue is >= -(n-2)^2/4.
-
-    The inequality is non-strict: the boundary case is stable.  All other
-    tangential families are cross-checked against the same bound; equality
-    there is reported as a warning (it can occur only at the n = 4 Obata
-    boundary).
-    """
-    n = link.n
-    check_dimension(n)
-    _require_kappa_negatives_known(link)
-    threshold = critical_eigenvalue(n)
-    witness = None
-    boundary = []
-    for kappa in _kappas(link):
-        cmp_res = kappa.compare_threshold(threshold, eps)
-        if cmp_res < 0 and witness is None:
-            witness = kappa
-        if cmp_res == 0:
-            boundary.append(kappa)
-    warnings = []
-    if n >= 4:
-        for entry in boxL_spectrum(link, eps):
-            if entry.dropped or entry.family is BoxLFamily.TT_KAPPA:
-                continue
-            cmp_res = entry.value.compare_threshold(threshold, eps)
-            if cmp_res < 0:
-                warnings.append(
-                    f"tangential eigenvalue {entry.value} of {entry.family.value} "
-                    "falls below the stability bound"
-                )
-            elif cmp_res == 0:
-                warnings.append(
-                    f"tangential eigenvalue of {entry.family.value}"
-                    f"[{entry.source_index}] sits exactly at the stability bound"
-                )
-    return StabilityReport(
-        stable=witness is None,
-        witness=witness,
-        boundary=tuple(boundary),
-        warnings=tuple(warnings),
-    )
+    """Stable iff every TT-Einstein eigenvalue is >= -(n-2)^2/4."""
+    return LinkAnalysis(link, eps).stability
 
 
 def end_order(link: LinkSpectrum, kind: EndKind, eps: float = DEFAULT_EPSILON) -> EndOrderReport:
-    """Optimal-order verdict for one end.
+    """Optimal-order verdict for one end (see ``LinkAnalysis.end_order``)."""
+    return LinkAnalysis(link, eps).end_order(kind)
 
-    CS ends converge at rate xi_plus.  AC ends converge at rate xi_minus,
-    except in the resonance-dominated case where the order is weakly
-    (n-2)/2 with a logarithmic factor.  Bounded-mode inputs flag the order
-    as a lower bound.
-    """
-    kind = EndKind(kind)
-    n = link.n
-    rate_modes = (link.tt_einstein.mode, link.scalar.mode)
-    bound_only = SpectrumMode.UPPER_BOUND in rate_modes
-    if kind is EndKind.CS:
-        element = e_plus_set(link, eps).minimum()
-        return EndOrderReport(kind, element.value, False, element, bound_only)
-    analysis = resonance_analysis(link, eps)
-    if analysis.dominated:
-        order = Scalar(Fraction(n - 2, 2))
-        witness = resonance_pair(n)[1]
-        kappa_bound = link.tt_einstein.mode is SpectrumMode.UPPER_BOUND
-        return EndOrderReport(kind, order, True, witness, kappa_bound)
-    element = e_minus_set(link, eps).minimum()
-    return EndOrderReport(kind, element.value, False, element, bound_only)
+
+def adm_mass_verdict(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> AdmMassReport:
+    """Vanishing-mass verdict for AC manifolds over this cone."""
+    return LinkAnalysis(link, eps).adm
 
 
 def bootstrap_decay(alpha0, epsilon, target) -> List[Scalar]:
@@ -364,37 +473,3 @@ def bootstrap_decay(alpha0, epsilon, target) -> List[Scalar]:
     while out[-1] < t:
         out.append(out[-1] * 2 - e * 2)
     return out
-
-
-def adm_mass_verdict(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> AdmMassReport:
-    """Vanishing-mass verdict for AC manifolds over this cone.
-
-    All kappa positive forces xi_minus > n-2, so the mass vanishes; when
-    kappa_1 = 0 the leading term of the expansion is transverse-traceless
-    and the mass vanishes too.  A negative kappa permits decay slower than
-    the fundamental solution and the verdict is unknown.
-    """
-    _require_kappa_negatives_known(link)
-    if not link.tt_einstein.entries:
-        if link.tt_einstein.complete_below > 0:
-            return AdmMassReport(
-                "vanishes",
-                "every TT-Einstein eigenvalue exceeds the positive "
-                "completeness certificate",
-            )
-        raise InsufficientSpectrum("no TT-Einstein eigenvalue listed")
-    kappa_min = link.tt_einstein.min_value()
-    cmp_zero = kappa_min.compare_threshold(0, eps)
-    if cmp_zero > 0:
-        return AdmMassReport(
-            "vanishes", "all TT-Einstein eigenvalues are positive, so xi_minus > n-2"
-        )
-    if cmp_zero == 0:
-        return AdmMassReport(
-            "vanishes",
-            "kappa_1 = 0: the leading term of the expansion is transverse-traceless",
-        )
-    return AdmMassReport(
-        "unknown",
-        f"kappa_1 = {kappa_min} < 0 permits decay slower than r^(2-n)",
-    )

@@ -17,27 +17,15 @@ from typing import Dict, List, Optional
 
 from .core import DEFAULT_EPSILON, Scalar, Weight
 from .errors import EmptyRateSet, InsufficientSpectrum
-from .indicial import (
-    IndicialRoot,
-    TangentialEigenvalue,
-    box1_spectrum,
-    boxL_spectrum,
-    indicial_set_bianchi,
-    indicial_set_essential,
-    indicial_set_full,
-)
+from .indicial import IndicialRoot, TangentialEigenvalue
 from .links import LinkSpectrum
 from .rates import (
     AdmMassReport,
     EndOrderReport,
+    LinkAnalysis,
     Rates,
     ResonanceAnalysis,
     StabilityReport,
-    adm_mass_verdict,
-    end_order,
-    linear_stability,
-    resonance_analysis,
-    xi_rates,
 )
 
 
@@ -111,20 +99,21 @@ _STANDING_NOTES = [
 
 def build_report(link: LinkSpectrum, options: Optional[ReportOptions] = None) -> Report:
     opts = options or ReportOptions()
-    eps = opts.epsilon
-    box1 = box1_spectrum(link, eps)
-    boxL = boxL_spectrum(link, eps)
-    full = indicial_set_full(link, eps)
-    bianchi = indicial_set_bianchi(link, eps)
-    essential = indicial_set_essential(link, eps)
-    resonance = resonance_analysis(link, eps)
-    stability = linear_stability(link, eps)
-    adm = adm_mass_verdict(link, eps)
-    ends = [end_order(link, kind, eps) for kind in link.ends]
+    analysis = LinkAnalysis(link, opts.epsilon)
+    # Stages are read in chain order: the first one that raises decides the error.
+    box1 = analysis.box1
+    boxL = analysis.boxL
+    full = analysis.full
+    bianchi = analysis.bianchi
+    essential = analysis.essential
+    resonance = analysis.resonance
+    stability = analysis.stability
+    adm = analysis.adm
+    ends = [analysis.end_order(kind) for kind in link.ends]
     rates: Optional[Rates] = None
     rate_error: Optional[str] = None
     try:
-        rates = xi_rates(link, eps)
+        rates = analysis.rates
     except (InsufficientSpectrum, EmptyRateSet) as exc:
         rate_error = str(exc)
 
@@ -391,9 +380,8 @@ def render_json(report: Report) -> str:
 
 def render_csv(report: Report) -> str:
     rows = [("section", "key", "value")]
-    d = report_dict(report)
-    rows.append(("link", "name", d["link"]["name"]))
-    rows.append(("link", "dim_cone", str(d["link"]["dim_cone"])))
+    rows.append(("link", "name", report.link.name))
+    rows.append(("link", "dim_cone", str(report.link.n)))
     if report.rates is not None:
         rows.append(("rates", "xi_plus", csv_number(report.rates.xi_plus.value)))
         rows.append(("rates", "xi_minus", csv_number(report.rates.xi_minus.value)))

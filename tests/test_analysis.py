@@ -1,0 +1,80 @@
+"""The single analysis pass: every stage is built once per LinkAnalysis."""
+
+from dataclasses import replace
+
+import pytest
+
+from conifold_spectra import (
+    InsufficientSpectrum,
+    LinkAnalysis,
+    Scalar,
+    SpectrumList,
+    adm_mass_verdict,
+    box1_spectrum,
+    end_order,
+    indicial_set_full,
+    linear_stability,
+    resonance_analysis,
+    sphere_link,
+    sphere_quotient_link,
+    xi_rates,
+)
+from conifold_spectra import indicial, rates
+from conifold_spectra.report import build_report
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_build_report_computes_branches_once(monkeypatch):
+    link = sphere_link(6, count=16)
+    calls = _count_calls(monkeypatch, indicial, "xi_pair")
+    box1_spectrum(link)
+    indicial_set_full(link)
+    one_pass = len(calls)
+    calls.clear()
+    build_report(link)
+    assert 0 < len(calls) <= one_pass
+
+
+def test_stages_are_built_once(monkeypatch):
+    boxL_calls = _count_calls(monkeypatch, rates, "boxL_spectrum")
+    link = sphere_quotient_link(6, True)
+    analysis = LinkAnalysis(link)
+    for _ in range(2):
+        analysis.rates
+        analysis.resonance
+        analysis.stability
+        analysis.end_order("AC")
+        analysis.end_order("CS")
+    assert len(boxL_calls) == 1
+    assert analysis.full is analysis.full
+    assert analysis.essential == [r for r in analysis.bianchi if not r.lie_derivative]
+
+
+def test_public_functions_are_views():
+    link = sphere_quotient_link(6, True)
+    analysis = LinkAnalysis(link)
+    assert xi_rates(link) == analysis.rates
+    assert resonance_analysis(link) == analysis.resonance
+    assert linear_stability(link) == analysis.stability
+    assert adm_mass_verdict(link) == analysis.adm
+    assert end_order(link, "AC") == analysis.end_order("AC")
+
+
+def test_failed_stage_raises_again():
+    link = sphere_link(6)
+    shallow = replace(link, tt_einstein=SpectrumList((), Scalar(-1)))
+    analysis = LinkAnalysis(shallow)
+    for _ in range(2):
+        with pytest.raises(InsufficientSpectrum):
+            analysis.stability

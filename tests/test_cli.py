@@ -188,6 +188,45 @@ def test_exit_code_schema_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_negative_max_roots(capsys):
+    code, out, err = run_cli(
+        capsys, "report", "--builtin", "sphere", "--n", "6", "--max-roots", "-1"
+    )
+    assert code == 3
+    assert out == ""
+    assert "--max-roots must be non-negative" in err
+
+
+def test_exit_code_nan_kappa(tmp_path, capsys):
+    doc = {
+        "dim_cone": 6,
+        "name": "nan kappa",
+        "scalar": {
+            "entries": [{"value": 0, "multiplicity": 1}, {"value": "12", "multiplicity": None}],
+            "complete_below": "12",
+            "mode": "exact",
+        },
+        "coclosed_one_form": {
+            "entries": [{"value": 4, "multiplicity": None}],
+            "complete_below": 4,
+            "mode": "exact",
+        },
+        "tt_einstein": {
+            "entries": [{"value": float("nan"), "multiplicity": None}],
+            "complete_below": 12,
+            "mode": "exact",
+        },
+        "has_killing_fields": True,
+        "ends": [{"kind": "AC"}],
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # writes the literal NaN
+    code, out, err = run_cli(capsys, "report", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_plot_data_rows(capsys):
     code, out, _ = run_cli(
         capsys, "plot-data", "--n", "4", "--nu-min", "-2", "--nu-max", "0",

@@ -1,0 +1,125 @@
+"""Byte-level golden digests of the rendered reports.
+
+The digests pin text, JSON and CSV output for every builtin and for the
+float document of ``test_report``.  A refactor must leave them unchanged;
+a deliberate output change updates them in the same commit and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from conifold_spectra import builtin_link, load_spectrum
+from conifold_spectra.report import ReportOptions, build_report, render_csv, render_json, render_text
+
+from test_report import _float_document
+
+# case -> sha256 of (render_text, render_json, render_csv)
+GOLDEN = {
+    "sphere-4-trivial": (
+        "4a0e3fb1248292ede0b7a2a6e4c52eaf0ea190ad1c6f4fa54ffcacf37cd51ad2",
+        "919d115f7708798c3e0b3524d39c06c8335056a3823129c9f965f53b560abaa5",
+        "0a61a8a7a1d2c95c8588495ce17ee00f1c09745ff1d8ed47ec5d18cbd1eab22f",
+    ),
+    "sphere-4-nontrivial": (
+        "86b2721d48147cd9583a9a84c72ee12f273d52a8326eaf8948cd0f75cb52b919",
+        "1fffab36ca3271b9a802f1048f695c31e441c517ddd07a28ff1e9c1e59a2f653",
+        "6d76d70033c79b9fb87af6da1dd0aa1514b3bc312c49b45cf09b73a886d4a427",
+    ),
+    "sphere-5-trivial": (
+        "1b8b67a0bbb4ebdf2bd6d4346c66f2f47c5ad83c8bce3944f6b2a7284fe5dd82",
+        "45f5f5d38eea0bf3ed3a7a5801cecc035c5e9bb45bc8934e9a55d42e521d1761",
+        "070a6f34a0f254fadfbfbe491fa607389a68763e97c725a1213af89c3efc7af6",
+    ),
+    "sphere-5-nontrivial": (
+        "b941425ce17633d0f4c64fd1c13316874e7f0364badf022c4375614a4b21d9e9",
+        "531b299b06c454520bf3f338f4f3b0163f731de343136f46ae2894f43f737184",
+        "a0924850c2a774341c1a0a8a879f1f9ac610d66a1676ed967091d36f56f71d15",
+    ),
+    "sphere-6-trivial": (
+        "2e67db932a7b01780dfa0b8e40f7468d6241af6ba912e8c69a9e6893644dad9b",
+        "9f1820aee4a2ca34fbd8269dfbed203e4fd0908c6cd80bf8b72a827baaf1e9c7",
+        "bbe7245720c2e399719950393ec4a7ede8b6cc6263006997e48ede96fc5468d6",
+    ),
+    "sphere-6-nontrivial": (
+        "b3a4a8c815a1cb4536f912b43d509ec586aaf95a66f4aa64837855621731a561",
+        "344c4487ecc96dc33fe724ca2689dac44531ef72bf788d33cdec7f63822d9eaf",
+        "6ec8f1899e91e6e96f874a4061e5b49d6112e273b0c1b875eba4737e188c9e83",
+    ),
+    "sphere-7-trivial": (
+        "6f3d81075a551760188c52f65295edb9a6c278ed5ee019f698d81082f05b17c5",
+        "ee1c6b3f6ababf8590fbb7cffc46adc8f02efa09198e141a7b8349ed7fef57b3",
+        "6aa8e1f5e6c7a4d8108d5f291487a93b533a7b98b53998fa1133ecce1d2bc160",
+    ),
+    "sphere-7-nontrivial": (
+        "2ab7959666a31a233b073e00ef4f0e30f5f5de1e968e4483a29f60e320cb1aaa",
+        "a31dc9ea6f97dea07531199718a282200899e690462c5de056a759498fa9a8a4",
+        "1887ba82dae62b5ebff8f12404f96ae449b28f11f42993f568d2731d8e77cded",
+    ),
+    "sphere-8-trivial": (
+        "4c71300cfde8c864d543c84382170c6c8998611e159f538603a239f6df0d3e2e",
+        "73d5eb0ebdb2e3d075c52d790b004884d7f2cb78dbd398a514234cffaaf7bc83",
+        "85e3abe9cffc5cc3dbec2948265a64ea58aaae8d49cb79c20c6b51f83ee30750",
+    ),
+    "sphere-8-nontrivial": (
+        "03bea1eb18c52f7c1d0ff6e9268e92be2dab5b46268c9bf1e218dbf036cdf9a1",
+        "fb1ab2be6bd91b1428935c18255dd2caaa0a47fcfb4ee32e10bd693420155daf",
+        "fad0add2cd3af9d424bcf5ebfec850ab6f08e46bd177a2402fbe44032eacd992",
+    ),
+    "sphere-9-trivial": (
+        "504c19c560a037a90b4a2ec1a35fb48d297f0f0c8f2f133e311696b8ffaf3930",
+        "82ffcd15ff6e8502c0fb041316686ae344f5ae233847d60e733eb0c8d73d21c6",
+        "d9013c57ac2be28c1206e49d9253edd1b1e8519a1ba072a99512f622ab1749a7",
+    ),
+    "sphere-9-nontrivial": (
+        "a0d0f8c0581ca69b128f6a1b92cf6142125c7dc6732c89c425cbb3b9e4aed846",
+        "7aacf02e03be2c20f1c67a8fa3b6bc00a1701a01d6f9c071074d24446a645714",
+        "ec03edba745ca35183cbd4151b471683d1f5a5a76999a9b2aa9c4d437e486d2a",
+    ),
+    "sphere-10-trivial": (
+        "a5dd2163a7019a359057ae8de85f620d5316b75de1a5e74ad1b2d5cbeae28881",
+        "4981705a395c5ace6c7bab15b5f8215cf9c0d15ace69da5b8ecaec9cbaeb8392",
+        "d7606cec4eee346037cbb836637c954228d71a6f51db4b9e220ad053cc140ce5",
+    ),
+    "sphere-10-nontrivial": (
+        "a1f05a6f40d87c8278452f607d540920afcd4c2c20a494eb62ea23790391f23b",
+        "fccdcaf3f7ae5301d08276aa2bcb8521364d631512bdbbf88de34da103cb9fe9",
+        "ab5cf6c0717f42a00c58361e46a5fdf5ead615bb146232a2c30e32d1bbe25f5b",
+    ),
+    "sphere-quotient": (
+        "86b2721d48147cd9583a9a84c72ee12f273d52a8326eaf8948cd0f75cb52b919",
+        "1fffab36ca3271b9a802f1048f695c31e441c517ddd07a28ff1e9c1e59a2f653",
+        "6d76d70033c79b9fb87af6da1dd0aa1514b3bc312c49b45cf09b73a886d4a427",
+    ),
+    "product-einstein-10": (
+        "7a073d0e7eed330da4ad0795b49d7eb5e1024cb2e5b8bd1d807307aa152e115c",
+        "f87d29454b9356f1082542a74306b6cbade01499b3d0805c08c0c5657ebd4f84",
+        "38fb30f08724327671068c0f2ba19bb0028d02320120af908f3b7e7c27e83892",
+    ),
+    "float-document": (
+        "faf4ff85a6089449078a8ab541dd912dd3801dbc4cc48607f5b36a819bd49cfd",
+        "2c657386dcc71791e9d144000b16b7220af054f48d218f3cfc5584e9229ebf5c",
+        "fa5d100007ffbd6abed52eb17b46f7881e458e5c52513bb16e3565bf2b68ce38",
+    ),
+}
+
+
+def _case(name):
+    if name.startswith("sphere-") and name[7:].split("-")[0].isdigit():
+        _, n, quotient = name.split("-")
+        link = builtin_link("sphere", int(n), gamma_nontrivial=quotient == "nontrivial")
+        return link, ReportOptions()
+    if name == "float-document":
+        return load_spectrum(_float_document(), eps=1e-9), ReportOptions(epsilon=1e-9)
+    return builtin_link(name), ReportOptions()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_renders_are_byte_identical(name):
+    link, options = _case(name)
+    report = build_report(link, options)
+    digests = tuple(
+        hashlib.sha256(render(report).encode("utf-8")).hexdigest()
+        for render in (render_text, render_json, render_csv)
+    )
+    assert digests == GOLDEN[name]

@@ -173,6 +173,18 @@ def test_load_spectrum_rejects_bad_shapes():
         load_spectrum(doc)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_load_spectrum_rejects_non_finite_numbers(bad):
+    doc = json.loads(json.dumps(_document()))
+    doc["tt_einstein"]["entries"][0]["value"] = bad
+    with pytest.raises(SchemaError, match="non-finite"):
+        load_spectrum(doc)
+    doc = json.loads(json.dumps(_document()))
+    doc["scalar"]["complete_below"] = bad
+    with pytest.raises(SchemaError, match="non-finite"):
+        load_spectrum(doc)
+
+
 def test_load_spectrum_checks_invariants():
     doc = _document()
     doc["scalar"]["entries"] = [{"value": 1, "multiplicity": 1}]
