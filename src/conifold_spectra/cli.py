@@ -1,5 +1,8 @@
 """Command-line surface: report, verify and plot-data subcommands.
 
+The exact flat-cone verifier is imported only by ``verify``, so ``report``
+and ``plot-data`` processes do not pay for it.
+
 Exit codes: 0 on success, 1 on verification failure or unexpected errors,
 2 when the supplied spectrum is certified too shallow for the requested
 computation, 3 on malformed input documents.
@@ -20,18 +23,6 @@ from .errors import (
     InvariantViolation,
     SchemaError,
 )
-from .flatcone import (
-    CASE_IDS,
-    cheeger_tian_example,
-    default_grid,
-    identity_b_dstar,
-    identity_case_harmonics,
-    identity_delta_star_radial,
-    identity_trace_commutes,
-    ode_residual,
-    verify_case,
-)
-from .flatcone.ode import COEFFICIENT_NOTE
 from .links import BUILTIN_LINKS, builtin_link, load_spectrum
 from .report import ReportOptions, build_report, csv_number, render_csv, render_json, render_text
 
@@ -101,6 +92,8 @@ def _cmd_report(args) -> int:
 
 
 def _verify_flat(n: int, max_degree: int) -> List[str]:
+    from .flatcone import CASE_IDS, verify_case
+
     lines = []
     failures = 0
     for case_id in CASE_IDS:
@@ -125,6 +118,8 @@ def _verify_flat(n: int, max_degree: int) -> List[str]:
 
 
 def _verify_ode() -> List[str]:
+    from .flatcone.ode import COEFFICIENT_NOTE, default_grid, ode_residual
+
     lines = ["radial ODE checks:"]
     failures = 0
     for (n, nu, branch) in default_grid():
@@ -143,6 +138,13 @@ def _verify_ode() -> List[str]:
 
 
 def _verify_identities(n: int) -> List[str]:
+    from .flatcone import (
+        identity_b_dstar,
+        identity_case_harmonics,
+        identity_delta_star_radial,
+        identity_trace_commutes,
+    )
+
     reports = [
         identity_b_dstar(n),
         identity_delta_star_radial(n),
@@ -165,6 +167,8 @@ def _verify_identities(n: int) -> List[str]:
 
 
 def _verify_cheeger_tian() -> List[str]:
+    from .flatcone import cheeger_tian_example
+
     record = cheeger_tian_example(4)
     lines = [
         "dimension-gap example on R^4:",

@@ -37,7 +37,6 @@ from .expr import (
     euclidean_metric,
     gradient,
     laplacian,
-    normalize,
     proportionality,
     radial_form,
     sym_gradient,
@@ -560,7 +559,7 @@ def cheeger_tian_example(n: int = 4) -> CheegerTianRecord:
     return CheegerTianRecord(
         harmonic_function=laplacian(g).is_zero(),
         tensor_componentwise_harmonic=laplacian(h).is_zero(),
-        homogeneity_degree=normalize(h).homogeneity(),
+        homogeneity_degree=h.homogeneity(),
         tracefree_part_not_divergence_free=not divergence(tracefree).is_zero(),
         printed_variant_harmonic=laplacian(printed).is_zero(),
         note=(

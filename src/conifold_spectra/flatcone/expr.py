@@ -17,34 +17,41 @@ Sign conventions match the geometric ones used throughout the package:
 On the flat cone the Lichnerowicz Laplacian is the componentwise scalar
 Laplacian, so no curvature terms appear anywhere.
 
-Zero testing is sound and exact: terms are grouped by r-power modulo 2,
-each group is reduced to a genuine polynomial by expanding r^2 = sum x_i^2,
-and the expression vanishes iff every group does (powers of r differing by
-a non-even-integer amount are linearly independent over polynomials since r
-is positive and irrational over the rational function field).
+Normal form.  Every PolyR is kept reduced modulo r^2 = sum_i x_i^2: the
+exponent of the last coordinate x_n is always 0 or 1, by the rewrite
+x_n^2 -> r^2 - sum_{i<n} x_i^2 (division by a monic quadratic in x_n).  The
+rewrite preserves total degree, so homogeneity is unchanged.  The form is
+unique, so a field is zero exactly when its term dictionary is empty and
+two fields are equal exactly when their terms agree one by one:
+
+  * within one class of r-powers modulo 2, multiplying by a large even
+    power of r turns the terms into P(x', r^2) + x_n Q(x', r^2) with x' the
+    first n-1 coordinates and P, Q polynomials, distinct terms giving
+    distinct monomials of P and Q.  Under x_n -> -x_n the first part is
+    even and the second odd, so both vanish; P(x', |x'|^2 + x_n^2) = 0 for
+    all x forces P = 0 because, for each x', |x'|^2 + x_n^2 fills the
+    half-line t >= |x'|^2, and likewise Q = 0;
+  * powers of r differing by a non-even-integer amount are linearly
+    independent over polynomials, since r is positive and irrational over
+    the rational function field.
+
+The rewrite is applied at the single point where a term enters a
+dictionary (``PolyR._add_term``), so every constructor, product and
+derivative returns the normal form.  The Laplacian uses sum_i x_i^2 = r^2
+in closed form and maps normal form to normal form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 Monomial = Tuple[int, ...]
 TermKey = Tuple[Monomial, Fraction]
 
 
-@dataclass(frozen=True)
-class RadialMonomialTerm:
-    """One term c * x^alpha * r^s (kept for reporting; PolyR stores dicts)."""
-
-    coeff: Fraction
-    exponents: Monomial
-    r_power: Fraction
-
-
 class PolyR:
-    """A finite sum of terms c * x^alpha * r^s over n variables."""
+    """A finite sum of terms c * x^alpha * r^s over n variables, in normal form."""
 
     __slots__ = ("n", "terms")
 
@@ -54,13 +61,9 @@ class PolyR:
         if terms:
             for key, coeff in terms.items():
                 if coeff:
-                    self.terms[key] = coeff
+                    self._add_term(key, Fraction(coeff))
 
     # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zero(n: int) -> "PolyR":
-        return PolyR(n)
 
     @staticmethod
     def constant(n: int, c) -> "PolyR":
@@ -85,27 +88,27 @@ class PolyR:
 
     @staticmethod
     def radius_squared(n: int) -> "PolyR":
-        out = PolyR(n)
-        for i in range(n):
-            alpha = [0] * n
-            alpha[i] = 2
-            out.terms[(tuple(alpha), Fraction(0))] = Fraction(1)
-        return out
+        """sum_i x_i^2, whose normal form is r^2."""
+        return PolyR.r_power(n, 2)
 
     def copy(self) -> "PolyR":
-        return PolyR(self.n, dict(self.terms))
-
-    def as_terms(self) -> Tuple[RadialMonomialTerm, ...]:
-        """The component as a sorted tuple of explicit terms."""
-        return tuple(
-            RadialMonomialTerm(coeff, alpha, s)
-            for (alpha, s), coeff in sorted(self.terms.items())
-        )
+        out = PolyR(self.n)
+        out.terms = dict(self.terms)
+        return out
 
     # -- ring operations -------------------------------------------------
 
     def _add_term(self, key: TermKey, coeff: Fraction) -> None:
-        new = self.terms.get(key, Fraction(0)) + coeff
+        """Add one term, rewriting x_n^2 -> r^2 - sum_{i<n} x_i^2 first."""
+        alpha, s = key
+        if alpha[-1] >= 2:
+            lowered = alpha[:-1] + (alpha[-1] - 2,)
+            self._add_term((lowered, s + 2), coeff)
+            for i in range(self.n - 1):
+                raised = lowered[:i] + (lowered[i] + 2,) + lowered[i + 1:]
+                self._add_term((raised, s), -coeff)
+            return
+        new = self.terms.get(key, 0) + coeff
         if new:
             self.terms[key] = new
         else:
@@ -118,7 +121,7 @@ class PolyR:
         return out
 
     def __neg__(self) -> "PolyR":
-        return PolyR(self.n, {k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other: "PolyR") -> "PolyR":
         return self + (-other)
@@ -131,16 +134,19 @@ class PolyR:
                     alpha = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
                     out._add_term((alpha, s1 + s2), c1 * c2)
             return out
+        out = PolyR(self.n)
         c = Fraction(other)
-        if not c:
-            return PolyR(self.n)
-        return PolyR(self.n, {k: v * c for k, v in self.terms.items()})
+        if c:
+            out.terms = {k: v * c for k, v in self.terms.items()}
+        return out
 
     __rmul__ = __mul__
 
     def mul_r_power(self, s) -> "PolyR":
         s = Fraction(s)
-        return PolyR(self.n, {(alpha, sp + s): c for (alpha, sp), c in self.terms.items()})
+        out = PolyR(self.n)
+        out.terms = {(alpha, sp + s): c for (alpha, sp), c in self.terms.items()}
+        return out
 
     # -- calculus ---------------------------------------------------------
 
@@ -157,10 +163,24 @@ class PolyR:
                 out._add_term((tuple(raised), s - 2), c * s)
         return out
 
-    # -- structure --------------------------------------------------------
+    def laplacian(self) -> "PolyR":
+        """-sum_i d_i d_i in closed form, using sum_i x_i^2 = r^2.
 
-    def is_polynomial(self) -> bool:
-        return all(s == 0 for (_alpha, s) in self.terms)
+        Delta(c x^alpha r^s) = -c [sum_i alpha_i (alpha_i - 1) x^{alpha - 2e_i} r^s
+                                   + s (2|alpha| + n + s - 2) x^alpha r^{s-2}];
+        every exponent only falls, so normal form maps to normal form.
+        """
+        out = PolyR(self.n)
+        for (alpha, s), c in self.terms.items():
+            for i, e in enumerate(alpha):
+                if e >= 2:
+                    lowered = alpha[:i] + (e - 2,) + alpha[i + 1:]
+                    out._add_term((lowered, s), -c * e * (e - 1))
+            if s:
+                out._add_term((alpha, s - 2), -c * s * (2 * sum(alpha) + self.n + s - 2))
+        return out
+
+    # -- structure --------------------------------------------------------
 
     def homogeneity(self) -> Optional[Fraction]:
         """Total degree (monomial degree + r-power) if homogeneous, else None."""
@@ -171,70 +191,9 @@ class PolyR:
             return Fraction(next(iter(degrees)))
         return None
 
-    def normalized(self) -> "PolyR":
-        """Collect like (alpha, s) terms and prune zero coefficients."""
-        return PolyR(self.n, dict(self.terms))
-
     def is_zero(self) -> bool:
-        """Exact zero test via the r^2 = sum x_i^2 rewriting."""
-        if not self.terms:
-            return True
-        groups: Dict[Fraction, List[Tuple[Monomial, Fraction, Fraction]]] = {}
-        for (alpha, s), c in self.terms.items():
-            rep = s - 2 * (s / 2).__floor__()
-            groups.setdefault(rep, []).append((alpha, s, c))
-        r2 = PolyR.radius_squared(self.n)
-        powers: Dict[int, PolyR] = {0: PolyR.constant(self.n, 1)}
-        for _rep, group in groups.items():
-            s_min = min(s for (_a, s, _c) in group)
-            acc = PolyR(self.n)
-            for alpha, s, c in group:
-                k = int((s - s_min) / 2)
-                if k not in powers:
-                    kk = max(powers)
-                    while kk < k:
-                        powers[kk + 1] = powers[kk] * r2
-                        kk += 1
-                for key, pc in powers[k].terms.items():
-                    monomial = tuple(e1 + e2 for e1, e2 in zip(alpha, key[0]))
-                    acc._add_term((monomial, Fraction(0)), c * pc)
-            if acc.terms:
-                return False
-        return True
-
-    def leading_term(self) -> Tuple[TermKey, Fraction]:
-        key = min(self.terms)
-        return key, self.terms[key]
-
-    def evaluate_exact(self, point: Tuple[int, ...], radius: int) -> Fraction:
-        """Exact value at a point whose norm is the integer ``radius``.
-
-        Requires every r-power to be an integer (true for all the case
-        constructions); the caller guarantees radius^2 == sum(point^2).
-        """
-        total = Fraction(0)
-        for (alpha, s), c in self.terms.items():
-            if s.denominator != 1:
-                raise ValueError("exact evaluation needs integer r-powers")
-            val = c
-            for v, e in zip(point, alpha):
-                if e:
-                    val *= Fraction(v) ** e
-            val *= Fraction(radius) ** int(s)
-            total += val
-        return total
-
-    def evaluate(self, point: Iterable[float]) -> float:
-        pt = list(point)
-        r2 = sum(v * v for v in pt)
-        total = 0.0
-        for (alpha, s), c in self.terms.items():
-            val = float(c)
-            for v, e in zip(pt, alpha):
-                val *= v ** e
-            val *= r2 ** (float(s) / 2.0)
-            total += val
-        return total
+        """Exact zero test: the normal form of zero is the empty sum."""
+        return not self.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -287,10 +246,6 @@ class FieldExpr:
     def scalar(poly: PolyR) -> "FieldExpr":
         return FieldExpr(poly.n, 0, {(): poly})
 
-    @staticmethod
-    def zero(n: int, rank: int) -> "FieldExpr":
-        return FieldExpr(n, rank)
-
     def component(self, *key: int) -> PolyR:
         return self.comps.get(self._canon(tuple(key)), PolyR(self.n))
 
@@ -309,10 +264,10 @@ class FieldExpr:
         return [(i, j) for i in range(self.n) for j in range(i, self.n)]
 
     def map_components(self, fn) -> "FieldExpr":
+        """Apply a componentwise map that sends zero to zero."""
         out = FieldExpr(self.n, self.rank)
-        for key in self.keys():
-            poly = fn(self.component(*key))
-            out.set_component(key, poly)
+        for key, poly in self.comps.items():
+            out.set_component(key, fn(poly))
         return out
 
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
@@ -336,7 +291,8 @@ class FieldExpr:
         return self.map_components(lambda p: p.mul_r_power(s))
 
     def is_zero(self) -> bool:
-        return all(self.component(*key).is_zero() for key in self.keys())
+        # merging the symmetric keys in __init__ can leave an empty component
+        return not any(poly.terms for poly in self.comps.values())
 
     def homogeneity(self) -> Optional[Fraction]:
         degrees = set()
@@ -356,11 +312,6 @@ class FieldExpr:
         return f"FieldExpr(rank={self.rank}, {{{body}}})"
 
 
-def normalize(f: FieldExpr) -> FieldExpr:
-    """Canonical form: like terms collected, zero components pruned."""
-    return f.map_components(PolyR.normalized)
-
-
 # ---------------------------------------------------------------------------
 # flat differential operators
 # ---------------------------------------------------------------------------
@@ -373,14 +324,7 @@ def partial_derivative(f: FieldExpr, i: int) -> FieldExpr:
 
 def laplacian(f: FieldExpr) -> FieldExpr:
     """Geometer's Laplacian -sum_i d_i d_i, componentwise."""
-    out = FieldExpr(f.n, f.rank)
-    for key in f.keys():
-        poly = f.component(*key)
-        acc = PolyR(f.n)
-        for i in range(f.n):
-            acc = acc + poly.diff(i).diff(i)
-        out.set_component(key, -acc)
-    return out
+    return f.map_components(PolyR.laplacian)
 
 
 def gradient(f: FieldExpr) -> FieldExpr:
@@ -483,9 +427,9 @@ def sym_product(w: FieldExpr, v: FieldExpr) -> FieldExpr:
 def proportionality(f: FieldExpr, g: FieldExpr):
     """Exact constant c with f == c*g, or None if no such constant exists.
 
-    Candidate quotients are read off term pairs of one nonzero component and
-    each is certified by an exact zero test of f - c*g (division check, no
-    numerics), so a wrong candidate can never be reported.
+    Both fields are in normal form, so f == c*g holds exactly when it holds
+    term by term: c is read from one term of g and certified by the exact
+    zero test of f - c*g, so a wrong constant can never be reported.
     """
     if (f.n, f.rank) != (g.n, g.rank):
         return None
@@ -493,52 +437,7 @@ def proportionality(f: FieldExpr, g: FieldExpr):
         return Fraction(0) if f.is_zero() else None
     if f.is_zero():
         return Fraction(0)
-    candidates: List[Fraction] = _evaluation_candidates(f, g)
-    for key in g.keys():
-        gp = g.component(*key)
-        fp = f.component(*key)
-        if not gp.terms:
-            continue
-        for term_key, gc in gp.terms.items():
-            fc = fp.terms.get(term_key)
-            if fc:
-                candidates.append(fc / gc)
-        if candidates:
-            break
-    for c in dict.fromkeys(candidates):
-        if (f - g.scale(c)).is_zero():
-            return c
-    return None
-
-
-# Points with integer Euclidean norm (padded with zeros), for exact
-# candidate extraction when the term dictionaries do not align.
-_RATIONAL_NORM_POINTS = (
-    ((1, 0, 0, 0), 1),
-    ((2, 2, 1, 0), 3),
-    ((1, 2, 2, 0), 3),
-    ((2, 1, 2, 0), 3),
-    ((3, 4, 0, 0), 5),
-    ((2, 3, 6, 0), 7),
-    ((1, 2, 2, 4), 5),
-    ((2, 6, 3, 0), 7),
-)
-
-
-def _evaluation_candidates(f: FieldExpr, g: FieldExpr) -> List[Fraction]:
-    out: List[Fraction] = []
-    try:
-        for base, radius in _RATIONAL_NORM_POINTS:
-            if len(base) > f.n:
-                continue
-            point = tuple(base) + (0,) * (f.n - len(base))
-            for key in g.keys():
-                gv = g.component(*key).evaluate_exact(point, radius)
-                if gv:
-                    fv = f.component(*key).evaluate_exact(point, radius)
-                    out.append(fv / gv)
-            if out:
-                break
-    except ValueError:
-        return []
-    return out
+    key, gp = next((key, poly) for key, poly in g.comps.items() if poly.terms)
+    term, gc = next(iter(gp.terms.items()))
+    c = f.comps.get(key, PolyR(f.n)).terms.get(term, Fraction(0)) / gc
+    return c if (f - g.scale(c)).is_zero() else None

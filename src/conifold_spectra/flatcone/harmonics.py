@@ -46,10 +46,7 @@ def harmonic_polynomial(n: int, d: int, seed: int = 0) -> FieldExpr:
     coeff = Fraction(1)
     power = seed_poly
     for k in range(d // 2):
-        lap = PolyR(n)
-        for i in range(n):
-            lap = lap + power.diff(i).diff(i)
-        power = lap
+        power = -power.laplacian()
         if not power.terms:
             break
         coeff = -coeff / (2 * (k + 1) * (2 * d + n - 4 - 2 * k))

@@ -183,10 +183,6 @@ def ode_residual(
     )
 
 
-def ode_grid(cases: Iterable[Tuple[int, Fraction, str]], **kwargs) -> list:
-    return [ode_residual(n, nu, branch, **kwargs) for (n, nu, branch) in cases]
-
-
 def default_grid(min_cases: int = 50) -> list:
     """A deterministic grid of (n, nu, branch) with rational exponents.
 

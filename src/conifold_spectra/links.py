@@ -373,8 +373,9 @@ def load_spectrum(
     """Build a validated LinkSpectrum from a parsed interchange document.
 
     Numbers given as "p/q" strings are exact rationals; bare JSON numbers go
-    to the float path.  Unknown keys are rejected.  ``has_killing_fields``
-    is inferred from the 1-form list when absent.
+    to the float path.  Unknown keys are rejected, and so is a dim_cone
+    below 4, where box_L is undefined.  ``has_killing_fields`` is inferred
+    from the 1-form list when absent.
     """
     if not isinstance(document, dict):
         raise SchemaError("spectrum document must be an object")
@@ -387,6 +388,8 @@ def load_spectrum(
     n = document["dim_cone"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise SchemaError("dim_cone must be an integer")
+    if n < 4:
+        raise SchemaError(f"dim_cone must be at least 4, got {n}")
     name = document["name"]
     if not isinstance(name, str):
         raise SchemaError("name must be a string")

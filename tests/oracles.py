@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 def frac_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -143,3 +143,74 @@ def bootstrap_sequence(alpha0, epsilon, target) -> List[Fraction]:
     while seq[-1] < t:
         seq.append(2 * seq[-1] - 2 * e)
     return seq
+
+
+# -- flat-cone expressions --------------------------------------------------
+#
+# A component is a dict {(alpha, s): c} for the sum of c * x^alpha * r^s,
+# with r = |x|; nothing here assumes it is reduced modulo r^2 = sum x_i^2.
+
+RadialTerms = Dict[Tuple[Tuple[int, ...], Fraction], Fraction]
+
+
+def add_terms(*parts: RadialTerms, scale: Sequence[Fraction] = ()) -> RadialTerms:
+    """Sum of the parts (each times its entry of ``scale``, default 1)."""
+    out: RadialTerms = {}
+    for idx, part in enumerate(parts):
+        factor = Fraction(scale[idx]) if idx < len(scale) else Fraction(1)
+        for key, c in part.items():
+            out[key] = out.get(key, Fraction(0)) + factor * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _diff(terms: RadialTerms, i: int) -> RadialTerms:
+    """d_i, with d_i r^s = s x_i r^{s-2}."""
+    out: RadialTerms = {}
+    for (alpha, s), c in terms.items():
+        if alpha[i]:
+            lowered = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            out[(lowered, s)] = out.get((lowered, s), Fraction(0)) + c * alpha[i]
+        if s:
+            raised = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            out[(raised, s - 2)] = out.get((raised, s - 2), Fraction(0)) + c * s
+    return {key: c for key, c in out.items() if c}
+
+
+def second_derivative_laplacian(n: int, terms: RadialTerms) -> RadialTerms:
+    """-sum_i d_i d_i by differentiating twice; no use of sum x_i^2 = r^2."""
+    return add_terms(*(_diff(_diff(terms, i), i) for i in range(n)), scale=[-1] * n)
+
+
+def expand_is_zero(n: int, terms: RadialTerms) -> bool:
+    """Zero test by expanding r^2 = sum x_i^2 into genuine polynomials.
+
+    Terms are grouped by r-power modulo 2; each group is multiplied by the
+    power of r that makes its lowest r-power 0, r^{2k} is expanded as
+    (sum x_i^2)^k, and the sum vanishes iff every group's polynomial does
+    (powers of r differing by a non-even-integer amount are linearly
+    independent over polynomials).
+    """
+    groups: Dict[Fraction, List[Tuple[Tuple[int, ...], Fraction, Fraction]]] = {}
+    for (alpha, s), c in add_terms(terms).items():
+        s = Fraction(s)
+        groups.setdefault(s - 2 * math.floor(s / 2), []).append((alpha, s, c))
+    square = {tuple(2 if j == i else 0 for j in range(n)): Fraction(1) for i in range(n)}
+    for group in groups.values():
+        s_min = min(s for (_alpha, s, _c) in group)
+        powers = [{(0,) * n: Fraction(1)}]
+        acc: Dict[Tuple[int, ...], Fraction] = {}
+        for alpha, s, c in group:
+            k = int((s - s_min) / 2)
+            while len(powers) <= k:
+                nxt: Dict[Tuple[int, ...], Fraction] = {}
+                for m1, c1 in powers[-1].items():
+                    for m2, c2 in square.items():
+                        m = tuple(a + b for a, b in zip(m1, m2))
+                        nxt[m] = nxt.get(m, Fraction(0)) + c1 * c2
+                powers.append(nxt)
+            for m, pc in powers[k].items():
+                mono = tuple(a + b for a, b in zip(alpha, m))
+                acc[mono] = acc.get(mono, Fraction(0)) + c * pc
+        if any(acc.values()):
+            return False
+    return True

@@ -1,12 +1,17 @@
 """CLI surfaces, report rendering, exit codes and plot data."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conifold_spectra import product_einstein_example, sphere_quotient_link
 from conifold_spectra.cli import main
 from conifold_spectra.report import build_report, render_csv, render_json, render_text, report_dict
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +230,47 @@ def test_exit_code_nan_kappa(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "non-finite" in err
+
+
+def test_exit_code_dim_cone_below_four(tmp_path, capsys):
+    doc = {
+        "dim_cone": 3,
+        "name": "surface link",
+        "scalar": {
+            "entries": [{"value": 0, "multiplicity": 1}, {"value": "2", "multiplicity": None}],
+            "complete_below": "2",
+            "mode": "exact",
+        },
+        "coclosed_one_form": {
+            "entries": [{"value": 1, "multiplicity": None}],
+            "complete_below": 1,
+            "mode": "exact",
+        },
+        "tt_einstein": {
+            "entries": [{"value": 12, "multiplicity": None}],
+            "complete_below": 12,
+            "mode": "exact",
+        },
+        "has_killing_fields": True,
+        "ends": [{"kind": "AC"}],
+    }
+    path = tmp_path / "dim3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert "dim_cone must be at least 4" in err
+
+
+def test_report_process_does_not_import_the_verifier():
+    script = (
+        "import sys, conifold_spectra.cli as cli; "
+        "cli.main(['report', '--builtin', 'sphere', '--n', '4', '--format', 'csv']); "
+        "sys.exit('conifold_spectra.flatcone' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_plot_data_rows(capsys):

@@ -21,6 +21,7 @@ from conifold_spectra.flatcone import (
     trace,
     verify_case,
 )
+from conifold_spectra.flatcone.harmonics import _monomials
 
 
 def test_all_cases_pass_at_n4():
@@ -93,6 +94,33 @@ def test_cases_hold_in_higher_dimension():
     for case_id in ("ii", "iii", "iv", "v", "vi"):
         report = verify_case(case_id, 5, 2)
         assert report.passed, case_id
+
+
+def test_case_v_off_axis_seed_monomial():
+    # seed monomial x5^3 * x6 vanishes on every point supported on x1..x4;
+    # the residual is still exactly the predicted multiple of the reference
+    n, d = 6, 4
+    seed = _monomials(n, d).index((0, 0, 0, 0, 3, 1))
+    report = verify_case("v", n, d, seed)
+    assert report.passed
+    dual = [b for b in report.branches if b.bianchi_expected == "nonzero"][0]
+    assert dual.coefficient == Fraction((n + 2 * d + 2) * (n + d - 1)) == 144
+
+
+def test_all_cases_pass_at_n10_up_to_degree6():
+    n, max_degree = 10, 6
+    degenerate = {("ii", 1), ("iv", 1)}
+    for case_id in CASE_IDS:
+        if case_id in ("vii", "viii"):
+            degrees = [2]
+        elif case_id == "i":
+            degrees = [0] + list(range(2, max_degree + 1))
+        else:
+            degrees = list(range(1, max_degree + 1))
+        for d in degrees:
+            report = verify_case(case_id, n, d)
+            assert report.passed, (case_id, d, report)
+            assert report.degenerate == ((case_id, d) in degenerate), (case_id, d)
 
 
 def test_gauge_branches_are_tt_where_claimed():

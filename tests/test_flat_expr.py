@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import assume, given, settings, strategies as st
+
 from conifold_spectra.flatcone import (
     FieldExpr,
     PolyR,
@@ -11,7 +13,6 @@ from conifold_spectra.flatcone import (
     gradient,
     harmonic_polynomial,
     laplacian,
-    normalize,
     partial_derivative,
     proportionality,
     radial_contraction,
@@ -19,6 +20,7 @@ from conifold_spectra.flatcone import (
     sym_gradient,
     trace,
 )
+from oracles import add_terms, expand_is_zero, second_derivative_laplacian
 
 
 def scalar_field(poly):
@@ -93,7 +95,7 @@ def test_normalize_prunes_and_collects():
     poly = PolyR.coordinate(n, 0) + PolyR.coordinate(n, 0)
     # symmetric keys (0,1) and (1,0) collapse onto one slot and cancel
     f = FieldExpr(n, 2, {(0, 1): poly, (1, 0): -poly})
-    assert normalize(f).is_zero()
+    assert f.is_zero()
     g = FieldExpr(n, 2, {(0, 1): poly, (1, 0): poly})
     assert (g.component(0, 1) - poly * 2).is_zero()
 
@@ -146,3 +148,108 @@ def test_laplacian_trace_commute_on_hessians():
     n = 4
     h = sym_gradient(gradient(scalar_field(PolyR.r_power(n, Fraction(-1)))))
     assert (trace(laplacian(h)).component() - laplacian(trace(h)).component()).is_zero()
+
+
+def test_normal_form_keeps_last_exponent_below_two():
+    n = 4
+    xn = PolyR.coordinate(n, n - 1)
+    # x_4^2 = r^2 - x_1^2 - x_2^2 - x_3^2
+    square = xn * xn
+    assert all(alpha[-1] <= 1 for alpha, _s in square.terms)
+    assert (square - PolyR.r_power(n, 2) + PolyR.monomial(n, (2, 0, 0, 0))
+            + PolyR.monomial(n, (0, 2, 0, 0)) + PolyR.monomial(n, (0, 0, 2, 0))).is_zero()
+    assert PolyR.radius_squared(n).terms == PolyR.r_power(n, 2).terms
+    assert (xn * xn * xn).homogeneity() == Fraction(3)
+
+
+# -- properties against the independent references in tests/oracles.py -----
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def radial_terms(draw, n, max_terms=5):
+    """A raw {(alpha, s): c} sum: sparse monomials on any of the n
+    coordinates (x_n included), r-powers in halves, rational coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        alpha = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            alpha[i] += draw(st.integers(1, 2))
+        s = Fraction(draw(st.integers(-6, 6)), 2)
+        c = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        terms = add_terms(terms, {(tuple(alpha), s): c})
+    return terms
+
+
+def vanishing(n, terms):
+    """(r^2 - sum_i x_i^2) * terms written out term by term: zero, unreduced."""
+    out = {}
+    for (alpha, s), c in terms.items():
+        parts = [{(alpha, s + 2): c}]
+        for i in range(n):
+            raised = alpha[:i] + (alpha[i] + 2,) + alpha[i + 1:]
+            parts.append({(raised, s): -c})
+        out = add_terms(out, *parts)
+    return out
+
+
+@st.composite
+def fields(draw, n):
+    rank = draw(st.sampled_from((1, 2)))
+    out = FieldExpr(n, rank)
+    for key in draw(st.lists(st.sampled_from(out.keys()), min_size=1, max_size=3, unique=True)):
+        out.set_component(key, PolyR(n, draw(radial_terms(n, max_terms=3))))
+    return out
+
+
+def in_normal_form(poly):
+    return all(alpha[-1] <= 1 for alpha, _s in poly.terms)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_is_zero_matches_expansion_reference(data):
+    n = data.draw(st.integers(3, 8))
+    noise = data.draw(radial_terms(n)) if data.draw(st.booleans()) else {}
+    terms = add_terms(noise, vanishing(n, data.draw(radial_terms(n, max_terms=3))))
+    poly = PolyR(n, terms)
+    assert in_normal_form(poly)
+    assert poly.is_zero() == expand_is_zero(n, terms)
+    # the normal form is the same function
+    assert expand_is_zero(n, add_terms(poly.terms, terms, scale=[1, -1]))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_laplacian_matches_second_derivative_reference(data):
+    n = data.draw(st.integers(3, 8))
+    terms = data.draw(radial_terms(n))
+    value = laplacian(scalar_field(PolyR(n, terms))).component()
+    assert in_normal_form(value)
+    reference = second_derivative_laplacian(n, terms)
+    assert expand_is_zero(n, add_terms(value.terms, reference, scale=[1, -1]))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_proportionality_recovers_the_scale(data):
+    n = data.draw(st.integers(3, 8))
+    g = data.draw(fields(n))
+    assume(not g.is_zero())
+    c = Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 5)))
+    assert proportionality(g.scale(c), g) == c
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_proportionality_rejects_non_proportional_pairs(data):
+    n = data.draw(st.integers(3, 8))
+    g = data.draw(fields(n))
+    assume(not g.is_zero())
+    c = Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 5)))
+    s = Fraction(data.draw(st.integers(1, 6)), 2) * data.draw(st.sampled_from((1, -1)))
+    # (c + r^s) * g is a nonconstant multiple of a nonzero field
+    f = g.scale(c) + g.mul_r_power(s)
+    assert proportionality(f, g) is None
+    assert proportionality(g, f) is None
