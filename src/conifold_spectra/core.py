@@ -8,38 +8,41 @@ dimension n >= 3:
     dual(x)   = 2 - n - x                            (branch exchange)
 
 Negative discriminants follow the convention sqrt(x) = sqrt(|x|)*i, so a
-weight is a complex number stored as (real, imag) together with a flag for
-the logarithmic solution at the resonance value nu = -(n-2)^2/4.
+weight is a complex number together with a flag for the logarithmic
+solution at the resonance value nu = -(n-2)^2/4.
 
-Arithmetic runs on two paths.  Rational inputs stay exact (``fractions``);
-non-square discriminants and float inputs promote the numeric *views* to
-high-precision floats (``mpmath``, default 50 significant digits), with a
-single global epsilon (default 1e-12) for threshold comparisons.  Weights
-built by the branch functions additionally carry their exact radical
-structure, base +- sqrt(square) on the real or imaginary axis, so eta,
-duality and the conjugate-pair sum and product identities are exact for
-every rational eigenvalue, irrational radicals included.
+Arithmetic runs on two paths.  Rational inputs stay exact (``fractions``).
+Float inputs and non-square discriminants put the numeric *views* on
+``mpmath`` floats, with a single global epsilon (default 1e-12) for
+threshold comparisons.  Only the square root of a discriminant is taken at
+50 significant digits; the first operation that uses it rounds it to
+mpmath's context precision, and every other float operation (+, -, *, /,
+Fraction-to-float conversion, parsed floats) runs at that precision, which
+is 53 bits unless the caller changes ``mpmath.mp``.  So every rendered float
+view is a double-precision value.
+
+A weight is one exact value, base + sign*sqrt(square) on the real or the
+imaginary axis: for every rational eigenvalue, irrational radicals
+included, eta, duality and the conjugate-pair sum and product are exact
+formulas on (base, square, sign).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import mpmath
+
+from .errors import DimensionTooSmall
 
 DEFAULT_DPS = 50
 DEFAULT_EPSILON = 1e-12
 
-RationalLike = Union[int, Fraction]
-
 
 def check_dimension(n: int, minimum: int = 3) -> None:
     """Validate a cone dimension, raising DimensionTooSmall below ``minimum``."""
-    from .errors import DimensionTooSmall
-
     if not isinstance(n, int):
         raise TypeError(f"cone dimension must be an integer, got {n!r}")
     if n < minimum:
@@ -61,12 +64,29 @@ def _exact_sqrt(value: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _operand(other):
+    """(value, exact) of an operand; ints and Fractions are used as they are."""
+    if isinstance(other, Scalar):
+        return other.value, other.exact
+    if isinstance(other, (int, Fraction)):
+        return other, True
+    return _to_mpf(other), False
+
+
+def _raw(value, exact: bool) -> "Scalar":
+    """A scalar around a Fraction, or an mpf already at the context precision."""
+    s = object.__new__(Scalar)
+    s.value, s.exact = value, exact
+    return s
+
+
 class Scalar:
-    """A number on the exact-rational or the high-precision float path.
+    """A number on the exact-rational or the float path.
 
     Exact scalars wrap ``Fraction`` and are closed under +, -, *, / and
     comparison.  Float scalars wrap ``mpmath.mpf``; any operation touching a
-    float scalar yields a float scalar.
+    float scalar yields a float scalar, computed at mpmath's context
+    precision (53 bits by default).  Only ``sqrt`` runs at ``dps`` digits.
     """
 
     __slots__ = ("value", "exact")
@@ -79,7 +99,7 @@ class Scalar:
         if exact is None:
             exact = isinstance(value, (int, Fraction))
         if exact:
-            self.value = Fraction(value)
+            self.value = value if type(value) is Fraction else Fraction(value)
         else:
             self.value = _to_mpf(value)
         self.exact = exact
@@ -92,7 +112,7 @@ class Scalar:
             return value
         if isinstance(value, (int, Fraction)):
             return Scalar(value)
-        return Scalar(_to_mpf(value), exact=False)
+        return _raw(_to_mpf(value), False)
 
     @staticmethod
     def parse(text) -> "Scalar":
@@ -101,7 +121,7 @@ class Scalar:
             parts = text.split("/")
             if len(parts) > 2 or not parts[0].strip():
                 raise ValueError(f"not a rational literal: {text!r}")
-            return Scalar(Fraction(text))
+            return _raw(Fraction(text), True)
         if isinstance(text, bool):
             raise ValueError("booleans are not numbers")
         if isinstance(text, int):
@@ -109,7 +129,7 @@ class Scalar:
         if isinstance(text, float):
             if not math.isfinite(text):
                 raise ValueError(f"non-finite number {text!r}")
-            return Scalar(_to_mpf(text), exact=False)
+            return _raw(_to_mpf(text), False)
         raise ValueError(f"unsupported numeric literal: {text!r}")
 
     # -- representation -----------------------------------------------
@@ -133,14 +153,11 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other) -> "Scalar":
-        return Scalar.wrap(other)
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if self.exact and o.exact:
-            return Scalar(self.value + o.value)
-        return Scalar(_to_mpf(self.value) + _to_mpf(o.value), exact=False)
+        value, exact = _operand(other)
+        if self.exact and exact:
+            return _raw(self.value + value, True)
+        return _raw(_to_mpf(self.value) + _to_mpf(value), False)
 
     __radd__ = __add__
 
@@ -148,35 +165,35 @@ class Scalar:
         return Scalar(-self.value, exact=self.exact)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-Scalar.wrap(other))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return Scalar.wrap(other) + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if self.exact and o.exact:
-            return Scalar(self.value * o.value)
-        return Scalar(_to_mpf(self.value) * _to_mpf(o.value), exact=False)
+        value, exact = _operand(other)
+        if self.exact and exact:
+            return _raw(self.value * value, True)
+        return _raw(_to_mpf(self.value) * _to_mpf(value), False)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if self.exact and o.exact:
-            return Scalar(self.value / o.value)
-        return Scalar(_to_mpf(self.value) / _to_mpf(o.value), exact=False)
+        value, exact = _operand(other)
+        if self.exact and exact:
+            return _raw(self.value / value, True)
+        return _raw(_to_mpf(self.value) / _to_mpf(value), False)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return Scalar.wrap(other) / self
 
     # -- comparison ----------------------------------------------------
 
     def _cmp_value(self, other):
-        o = self._coerce(other)
-        if self.exact and o.exact:
-            return self.value, o.value
-        return _to_mpf(self.value), _to_mpf(o.value)
+        value, exact = _operand(other)
+        if self.exact and exact:
+            return self.value, value
+        return _to_mpf(self.value), _to_mpf(value)
 
     def __eq__(self, other):
         a, b = self._cmp_value(other)
@@ -214,101 +231,106 @@ class Scalar:
         detection is an equality phenomenon, so the coercion is deliberate
         and must be surfaced by callers).
         """
-        t = Scalar.wrap(threshold)
-        if self.exact and t.exact:
-            if self.value < t.value:
+        value, exact = _operand(threshold)
+        if self.exact and exact:
+            if self.value < value:
                 return -1
-            if self.value > t.value:
+            if self.value > value:
                 return 1
             return 0
-        diff = _to_mpf(self.value) - _to_mpf(t.value)
+        diff = _to_mpf(self.value) - _to_mpf(value)
         if abs(diff) <= eps:
             return 0
         return -1 if diff < 0 else 1
 
     def sqrt(self, dps: int = DEFAULT_DPS) -> "Scalar":
-        """Nonnegative square root; promotes to the float path if irrational."""
+        """Nonnegative square root, taken at ``dps`` digits if irrational."""
         if self < 0:
             raise ValueError("sqrt of a negative scalar")
         if self.exact:
             root = _exact_sqrt(self.value)
             if root is not None:
-                return Scalar(root)
+                return _raw(root, True)
         with mpmath.workdps(dps):
-            return Scalar(mpmath.sqrt(_to_mpf(self.value)), exact=False)
+            return _raw(mpmath.sqrt(_to_mpf(self.value)), False)
 
 
 ZERO = Scalar(0)
 
 
-@dataclass(frozen=True)
-class Radical:
-    """Exact structure base + sign*sqrt(square) on the real or imaginary axis.
-
-    Branch-pair weights are conjugate quadratic irrationalities; carrying the
-    square of the radical exactly keeps eta, duality and the branch-pair
-    identities on the exact path even when the radical itself is irrational
-    (in which case only the *view* of the weight is a high-precision float).
-    """
-
-    base: Scalar
-    square: Scalar
-    sign: int            # -1, 0, +1
-    axis: str            # "real" | "imag"
-
-
-@dataclass(frozen=True)
 class Weight:
-    """A possibly-complex indicial exponent.
+    """A possibly-complex indicial exponent: base + sign*sqrt(square).
 
-    ``real``/``imag`` are the numeric views (exact when possible, else
-    high-precision floats).  ``radical`` preserves the exact quadratic
-    structure for weights produced by the branch functions; ``imag_sq`` is
-    the exact square of the imaginary part.  ``log_factor`` marks the
-    companion solution r^{-(n-2)/2} * log(r) at the resonance.
+    The radical lies on the real axis, or on the imaginary axis when
+    ``imaginary`` is set; ``base``, ``square`` and ``sign`` (-1, 0 or +1)
+    are exact whenever the eigenvalue is.  ``offset`` is the signed radical
+    sign*sqrt(square), shared by a branch pair, its shifts and its duals.
+    ``real`` and ``imag`` are the numeric views (exact when possible, else
+    floats); ``real`` is computed on first read and cached.  ``log_factor``
+    marks the companion solution r^{-(n-2)/2} * log(r) at the resonance.
+
+    ``Weight(real, imag, log_factor)`` builds a weight from its views.
+    Weights compare and hash by (real, imag, log_factor).
     """
 
-    real: Scalar
-    imag: Scalar = ZERO
-    log_factor: bool = False
-    imag_sq: Optional[Scalar] = field(default=None, compare=False)
-    radical: Optional[Radical] = field(default=None, compare=False)
+    __slots__ = ("base", "square", "sign", "imaginary", "log_factor", "offset", "_real", "_origin")
 
-    def __post_init__(self):
-        if self.radical is None and self.imag.is_zero() and self.real.exact:
-            object.__setattr__(
-                self, "radical", Radical(self.real, ZERO, 0, "real")
-            )
-        if self.imag_sq is None:
-            if self.radical is not None and self.radical.axis == "imag":
-                object.__setattr__(self, "imag_sq", self.radical.square)
-            else:
-                object.__setattr__(self, "imag_sq", self.imag * self.imag)
+    def __init__(self, real: Scalar, imag: Scalar = ZERO, log_factor: bool = False):
+        self.base = real
+        self.imaginary = not imag.is_zero()
+        self.square = imag * imag if self.imaginary else ZERO
+        self.sign = (1 if imag > 0 else -1) if self.imaginary else 0
+        self.offset = imag if self.imaginary else ZERO
+        self.log_factor = log_factor
+        self._real = real
+        self._origin = None
 
     @staticmethod
-    def from_radical(radical: Radical, log_factor: bool = False, dps: int = DEFAULT_DPS) -> "Weight":
-        offset = (
-            ZERO
-            if radical.sign == 0
-            else radical.square.sqrt(dps) * radical.sign
-        )
-        if radical.axis == "real":
-            return Weight(radical.base + offset, ZERO, log_factor, ZERO, radical)
-        return Weight(radical.base, offset, log_factor, radical.square, radical)
+    def _surd(base: Scalar, square: Scalar, sign: int, imaginary: bool, offset: Scalar,
+              log_factor: bool = False, origin=None) -> "Weight":
+        w = object.__new__(Weight)
+        w.base, w.square, w.sign, w.imaginary = base, square, sign, imaginary
+        w.offset, w.log_factor, w._real, w._origin = offset, log_factor, None, origin
+        return w
+
+    @property
+    def real(self) -> Scalar:
+        if self._real is None:
+            if self._origin is not None:
+                parent, delta = self._origin
+                self._real = parent.real + delta
+            elif self.imaginary or self.sign == 0:
+                self._real = self.base
+            else:
+                self._real = self.base + self.offset
+        return self._real
+
+    @property
+    def imag(self) -> Scalar:
+        return self.offset if self.imaginary else ZERO
+
+    @property
+    def imag_sq(self) -> Scalar:
+        """The exact square of the imaginary part."""
+        return self.square if self.imaginary else ZERO
 
     @property
     def is_real(self) -> bool:
-        return self.imag.is_zero()
+        return not self.imaginary
 
-    @property
-    def is_exact(self) -> bool:
-        return self.real.exact and self.imag_sq.exact
+    def _view(self):
+        return (self.real, self.imag, self.log_factor)
 
-    def conjugate(self) -> "Weight":
-        rad = self.radical
-        if rad is not None and rad.axis == "imag":
-            rad = Radical(rad.base, rad.square, -rad.sign, rad.axis)
-        return Weight(self.real, -self.imag, self.log_factor, self.imag_sq, rad)
+    def __eq__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
+        return self._view() == other._view()
+
+    def __hash__(self):
+        return hash(self._view())
+
+    def __repr__(self) -> str:
+        return f"Weight(real={self.real!r}, imag={self.imag!r}, log_factor={self.log_factor!r})"
 
     def __str__(self) -> str:
         if self.is_real:
@@ -320,10 +342,13 @@ class Weight:
         return base + ("*log(r)" if self.log_factor else "")
 
     def _shift(self, delta: Scalar) -> "Weight":
-        rad = self.radical
-        if rad is not None:
-            rad = Radical(rad.base + delta, rad.square, rad.sign, rad.axis)
-        return Weight(self.real + delta, self.imag, False, self.imag_sq, rad)
+        """x + delta: the base moves and the radical stays.
+
+        The float view is this weight's view plus delta, which is how its
+        rounding is defined; eta and dual_weight work on the exact base.
+        """
+        return Weight._surd(self.base + delta, self.square, self.sign, self.imaginary,
+                            self.offset, origin=(self, delta))
 
     def __sub__(self, other) -> "Weight":
         return self._shift(-Scalar.wrap(other))
@@ -332,17 +357,14 @@ class Weight:
         return self._shift(Scalar.wrap(other))
 
 
+def _conjugates(a: Weight, b: Weight) -> bool:
+    return a.imaginary == b.imaginary and a.square == b.square and a.sign == -b.sign
+
+
 def weight_pair_sum(a: Weight, b: Weight) -> Scalar:
     """Exact sum of two conjugate branch weights (radicals cancel)."""
-    ra, rb = a.radical, b.radical
-    if (
-        ra is not None
-        and rb is not None
-        and ra.axis == rb.axis
-        and ra.square == rb.square
-        and ra.sign == -rb.sign
-    ):
-        return ra.base + rb.base
+    if _conjugates(a, b):
+        return a.base + b.base
     if a.is_real and b.is_real:
         return a.real + b.real
     raise ValueError("weights are not a conjugate pair")
@@ -354,18 +376,10 @@ def weight_pair_product(a: Weight, b: Weight) -> Scalar:
     (c + t)(c - t) = c^2 - t^2 on the real axis and c^2 + t^2 on the
     imaginary axis, with t^2 carried exactly.
     """
-    ra, rb = a.radical, b.radical
-    if (
-        ra is not None
-        and rb is not None
-        and ra.axis == rb.axis
-        and ra.square == rb.square
-        and ra.sign == -rb.sign
-        and ra.base == rb.base
-    ):
-        if ra.axis == "real":
-            return ra.base * ra.base - ra.square
-        return ra.base * ra.base + ra.square
+    if _conjugates(a, b) and a.base == b.base:
+        if a.imaginary:
+            return a.base * a.base + a.square
+        return a.base * a.base - a.square
     if a.is_real and b.is_real and a.real.exact and b.real.exact:
         return a.real * b.real
     raise ValueError("weights are not a conjugate pair")
@@ -386,26 +400,23 @@ def critical_eigenvalue(n: int) -> Scalar:
 def xi_pair(n: int, nu, dps: int = DEFAULT_DPS) -> Tuple[Weight, Weight]:
     """The branch pair (xi_plus, xi_minus) for the eigenvalue nu.
 
-    At discriminant zero both weights equal -(n-2)/2 with log_factor False;
-    the logarithmic companion is obtained via resonance_pair.
+    The square root of the discriminant is taken once, at ``dps`` digits
+    when irrational, and shared by both weights.  At discriminant zero both
+    weights equal -(n-2)/2 with log_factor False; the logarithmic companion
+    is obtained via resonance_pair.
     """
-    check_dimension(n)
     disc = discriminant(n, nu)
     half = Scalar(Fraction(-(n - 2), 2))
     if not disc.exact:
-        half = Scalar(_to_mpf(Fraction(-(n - 2), 2)), exact=False)
-    if disc >= 0:
-        if disc.is_zero():
-            rad = Radical(half, ZERO, 0, "real")
-            return (Weight.from_radical(rad, dps=dps), Weight.from_radical(rad, dps=dps))
-        return (
-            Weight.from_radical(Radical(half, disc, +1, "real"), dps=dps),
-            Weight.from_radical(Radical(half, disc, -1, "real"), dps=dps),
-        )
-    mag = -disc
+        half = _raw(_to_mpf(half.value), False)
+    if disc.is_zero():
+        return (Weight._surd(half, ZERO, 0, False, ZERO), Weight._surd(half, ZERO, 0, False, ZERO))
+    imaginary = disc < 0
+    square = -disc if imaginary else disc
+    offset = square.sqrt(dps) * 1  # rounds an irrational root to the context precision
     return (
-        Weight.from_radical(Radical(half, mag, +1, "imag"), dps=dps),
-        Weight.from_radical(Radical(half, mag, -1, "imag"), dps=dps),
+        Weight._surd(half, square, +1, imaginary, offset),
+        Weight._surd(half, square, -1, imaginary, -offset),
     )
 
 
@@ -413,56 +424,36 @@ def eta(n: int, x):
     """eta(x) = x*(x + n - 2) over the complex plane.
 
     Accepts a Weight or a bare scalar-like value.  Returns a Scalar when the
-    result is real, otherwise a (real, imag) pair of Scalars.  The radical
-    structure keeps the round trip eta(xi_pm(nu)) == nu exact for every
-    rational nu, including irrational and imaginary radicals.
+    result is real, otherwise a (real, imag) pair of Scalars.  On a branch
+    weight a = base, eta = a(a+n-2) -+ square + offset*(2a+n-2), so the round
+    trip eta(xi_pm(nu)) == nu is exact for every rational nu, including
+    irrational and imaginary radicals.
     """
     check_dimension(n)
     if not isinstance(x, Weight):
         x = Weight(Scalar.wrap(x))
-    rad = x.radical
-    if rad is not None:
-        a = rad.base
+    a = x.base
+    if x.sign == 0:
+        return a * (a + (n - 2))
+    if x.imaginary or not x.offset.exact:
         cross = a + a + (n - 2)
-        rational = a * (a + (n - 2))
-        if rad.sign == 0 or rad.square.is_zero():
-            return rational
-        if rad.axis == "real":
-            if cross.is_zero():
-                return rational + rad.square
-            root = rad.square.sqrt() * rad.sign
-            return (a + root) * (a + root + (n - 2))
+        if x.imaginary:
+            re = a * (a + (n - 2)) - x.square
+            return re if cross.is_zero() else (re, x.offset * cross)
         if cross.is_zero():
-            return rational - rad.square
-        root = rad.square.sqrt() * rad.sign
-        return (rational - rad.square, root * cross)
-    a = x.real
-    re = a * (a + (n - 2)) - x.imag_sq
-    im_coeff = a + a + (n - 2)
-    if x.is_real:
-        return re
-    im = x.imag * im_coeff
-    if im.is_zero():
-        return re
-    return (re, im)
+            return a * (a + (n - 2)) + x.square
+    root = a + x.offset
+    return root * (root + (n - 2))
 
 
-def dual_weight(n: int, x: Weight, dps: int = DEFAULT_DPS) -> Weight:
+def dual_weight(n: int, x: Weight) -> Weight:
     """The dual weight 2 - n - x; an involution fixing -(n-2)/2.
 
     For a complex weight this conjugates, exchanging xi_plus and xi_minus.
+    The dual shares the radical of x with the opposite sign.
     """
     check_dimension(n)
-    rad = x.radical
-    if rad is not None:
-        flipped = Radical(Scalar(2 - n) - rad.base, rad.square, -rad.sign, rad.axis)
-        return Weight.from_radical(flipped, x.log_factor, dps=dps)
-    return Weight(
-        Scalar(2 - n) - x.real,
-        -x.imag,
-        x.log_factor,
-        x.imag_sq,
-    )
+    return Weight._surd(Scalar(2 - n) - x.base, x.square, -x.sign, x.imaginary, -x.offset, x.log_factor)
 
 
 def resonance_pair(n: int) -> Tuple[Weight, Weight]:

@@ -22,9 +22,9 @@ only) form the essential set E feeding the rate computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .core import DEFAULT_EPSILON, Scalar, Weight, check_dimension, dual_weight, eta, xi_pair
 from .errors import UnknownMultiplicity
@@ -61,6 +61,9 @@ class TangentialEigenvalue:
     ``source_value`` is the generating link eigenvalue (a lambda, mu or
     kappa); ``value`` is the tangential eigenvalue it produces.  Dropped
     entries record the would-be value together with the reason.
+    ``branches`` is the xi_pair of the family input (mu+1, lambda or a
+    special value) behind a box_L entry, built once and shared by every
+    entry of that input and by its roots; TT entries carry none.
     """
 
     value: Scalar
@@ -70,6 +73,7 @@ class TangentialEigenvalue:
     dropped: bool = False
     drop_reason: Optional[DropReason] = None
     note: Optional[str] = None
+    branches: Optional[Tuple[Weight, Weight]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -116,29 +120,35 @@ def _mu_indices(link: LinkSpectrum):
     ]
 
 
-def _positive_lambdas(link: LinkSpectrum):
-    out = []
-    for j, entry in enumerate(link.scalar.entries):
-        if entry.value.is_zero():
-            continue
-        out.append((j, entry.value))
-    return out
+def lambda_branches(link: LinkSpectrum) -> List[Tuple[int, Scalar, Tuple[Weight, Weight]]]:
+    """(index, lambda, xi_pair(n, lambda)) for every positive lambda.
+
+    box_1, box_L and the roots all read these pairs; ``LinkAnalysis`` builds
+    them once per link.
+    """
+    return [
+        (j, entry.value, xi_pair(link.n, entry.value))
+        for j, entry in enumerate(link.scalar.entries)
+        if not entry.value.is_zero()
+    ]
 
 
-def box1_spectrum(link: LinkSpectrum) -> List[TangentialEigenvalue]:
+def box1_spectrum(link: LinkSpectrum, *, lambdas=None) -> List[TangentialEigenvalue]:
     """spec(box_1): mu_i + 1, eta(xi_pm(lambda_i) - 1) and the radial n-1.
 
     The constant function only contributes through its minus branch, giving
     the eigenvalue n-1 with eigenspace spanned by dr; the plus branch is
-    emitted as dropped.
+    emitted as dropped.  ``lambdas`` is ``lambda_branches(link)`` when the
+    caller already holds it.
     """
     check_dimension(link.n)
     n = link.n
+    if lambdas is None:
+        lambdas = lambda_branches(link)
     out: List[TangentialEigenvalue] = []
     for idx, mu in _mu_indices(link):
         out.append(TangentialEigenvalue(mu + 1, Box1Family.ONE_FORM_SHIFT, idx, mu))
-    for idx, lam in _positive_lambdas(link):
-        plus, minus = xi_pair(n, lam)
+    for idx, lam, (plus, minus) in lambdas:
         out.append(
             TangentialEigenvalue(eta(n, plus - 1), Box1Family.SCALAR_L1_PLUS, idx, lam)
         )
@@ -168,64 +178,77 @@ def box1_spectrum(link: LinkSpectrum) -> List[TangentialEigenvalue]:
     return out
 
 
-def boxL_spectrum(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[TangentialEigenvalue]:
+def boxL_spectrum(
+    link: LinkSpectrum, eps: float = DEFAULT_EPSILON, *, lambdas=None
+) -> List[TangentialEigenvalue]:
     """spec(box_L) with the Killing and Obata drop rules applied.
 
-    Requires n >= 4 (link dimension at least 3).
+    Requires n >= 4 (link dimension at least 3).  ``lambdas`` is
+    ``lambda_branches(link)`` when the caller already holds it.  Every
+    non-TT entry carries the branch pair of its input (``branches``), so the
+    roots are built without recomputing it.
     """
     check_dimension(link.n, minimum=4)
     n = link.n
+    if lambdas is None:
+        lambdas = lambda_branches(link)
     out: List[TangentialEigenvalue] = []
     for idx, kappa in enumerate(link.tt_einstein.entries, start=1):
         out.append(TangentialEigenvalue(kappa.value, BoxLFamily.TT_KAPPA, idx, kappa.value))
     for idx, mu in _mu_indices(link):
-        plus, minus = xi_pair(n, mu + 1)
-        plus_value = eta(n, plus - 1)
-        is_killing = mu.compare_threshold(n - 2, eps) == 0
-        if is_killing:
-            out.append(
-                TangentialEigenvalue(
-                    plus_value,
-                    BoxLFamily.MU_PLUS,
-                    idx,
-                    mu,
-                    dropped=True,
-                    drop_reason=DropReason.KILLING,
-                )
+        pair = plus, minus = xi_pair(n, mu + 1)
+        killing = mu.compare_threshold(n - 2, eps) == 0
+        out.append(
+            TangentialEigenvalue(
+                eta(n, plus - 1),
+                BoxLFamily.MU_PLUS,
+                idx,
+                mu,
+                dropped=killing,
+                drop_reason=DropReason.KILLING if killing else None,
+                branches=pair,
             )
-        else:
-            out.append(TangentialEigenvalue(plus_value, BoxLFamily.MU_PLUS, idx, mu))
-        out.append(TangentialEigenvalue(eta(n, minus - 1), BoxLFamily.MU_MINUS, idx, mu))
-    for idx, lam in _positive_lambdas(link):
-        out.append(TangentialEigenvalue(lam, BoxLFamily.LAMBDA_DIRECT, idx, lam))
-        plus, minus = xi_pair(n, lam)
-        plus_value = eta(n, plus - 2)
+        )
+        out.append(
+            TangentialEigenvalue(eta(n, minus - 1), BoxLFamily.MU_MINUS, idx, mu, branches=pair)
+        )
+    for idx, lam, pair in lambdas:
+        plus, minus = pair
+        out.append(TangentialEigenvalue(lam, BoxLFamily.LAMBDA_DIRECT, idx, lam, branches=pair))
         at_obata = lam.compare_threshold(n - 1, eps) == 0
-        if at_obata and link.is_round_sphere:
-            out.append(
-                TangentialEigenvalue(
-                    plus_value,
-                    BoxLFamily.LAMBDA2_PLUS,
-                    idx,
-                    lam,
-                    dropped=True,
-                    drop_reason=DropReason.OBATA,
-                )
+        obata = at_obata and link.is_round_sphere
+        note = None
+        if at_obata and not obata:
+            note = (
+                "lambda = n-1 on a link not flagged as the round sphere: "
+                "eigentensor possibly vanishing"
             )
-        else:
-            note = None
-            if at_obata:
-                note = (
-                    "lambda = n-1 on a link not flagged as the round sphere: "
-                    "eigentensor possibly vanishing"
-                )
-            out.append(
-                TangentialEigenvalue(plus_value, BoxLFamily.LAMBDA2_PLUS, idx, lam, note=note)
+        out.append(
+            TangentialEigenvalue(
+                eta(n, plus - 2),
+                BoxLFamily.LAMBDA2_PLUS,
+                idx,
+                lam,
+                dropped=obata,
+                drop_reason=DropReason.OBATA if obata else None,
+                note=note,
+                branches=pair,
             )
-        out.append(TangentialEigenvalue(eta(n, minus - 2), BoxLFamily.LAMBDA2_MINUS, idx, lam))
+        )
+        out.append(
+            TangentialEigenvalue(eta(n, minus - 2), BoxLFamily.LAMBDA2_MINUS, idx, lam, branches=pair)
+        )
     zero = Scalar(0)
+    zero_pair = xi_pair(n, zero)
     out.append(
-        TangentialEigenvalue(zero, BoxLFamily.SPECIAL_ZERO, 0, zero, note="eigenspace alpha*g-bar")
+        TangentialEigenvalue(
+            zero,
+            BoxLFamily.SPECIAL_ZERO,
+            0,
+            zero,
+            note="eigenspace alpha*g-bar",
+            branches=zero_pair,
+        )
     )
     out.append(
         TangentialEigenvalue(
@@ -234,25 +257,34 @@ def boxL_spectrum(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[Tang
             0,
             zero,
             note="eigenspace alpha*(trace-free g-hat)",
+            branches=xi_pair(n, Scalar(2 * n)),
         )
     )
     out.append(
         TangentialEigenvalue(
-            eta(n, xi_pair(n, zero)[0] - 2),
+            eta(n, zero_pair[0] - 2),
             BoxLFamily.LAMBDA2_PLUS,
             0,
             zero,
             dropped=True,
             drop_reason=DropReason.CONSTANT,
+            branches=zero_pair,
         )
     )
     return out
 
 
-# Per family: (branch label, shift, bianchi-compatible) for the kept weight
-# built from the source branch, and the same for its dual.  The dual of the
-# plus construction carries the minus branch of the source and vice versa.
 _NOT_LIE = {BoxLFamily.TT_KAPPA, BoxLFamily.LAMBDA_DIRECT}
+
+# Shifted families: (branch label, shift) of the kept, gauge-compatible
+# weight xi_branch(input) + shift.  Its dual carries the other branch and
+# the opposite shift and is not gauge-compatible.
+_SHIFTED = {
+    BoxLFamily.MU_PLUS: ("+", -1),
+    BoxLFamily.MU_MINUS: ("-", -1),
+    BoxLFamily.LAMBDA2_PLUS: ("+", -2),
+    BoxLFamily.LAMBDA2_MINUS: ("-", -2),
+}
 
 
 def _roots_for(entry: TangentialEigenvalue, n: int) -> List[IndicialRoot]:
@@ -273,35 +305,17 @@ def _roots_for(entry: TangentialEigenvalue, n: int) -> List[IndicialRoot]:
             note=note if note is not None else entry.note,
         )
 
-    if fam is BoxLFamily.TT_KAPPA:
-        plus, minus = xi_pair(n, base)
+    plus, minus = xi_pair(n, base) if fam is BoxLFamily.TT_KAPPA else entry.branches
+    if fam in _NOT_LIE:
         return [root(plus, "+", 0, True), root(minus, "-", 0, True)]
-    if fam is BoxLFamily.LAMBDA_DIRECT:
-        plus, minus = xi_pair(n, base)
-        return [root(plus, "+", 0, True), root(minus, "-", 0, True)]
-    if fam is BoxLFamily.MU_PLUS:
-        plus, _ = xi_pair(n, base + 1)
-        kept = plus - 1
-        return [root(kept, "+", -1, True), root(dual_weight(n, kept), "-", +1, False)]
-    if fam is BoxLFamily.MU_MINUS:
-        _, minus = xi_pair(n, base + 1)
-        kept = minus - 1
-        return [root(kept, "-", -1, True), root(dual_weight(n, kept), "+", +1, False)]
-    if fam is BoxLFamily.LAMBDA2_PLUS:
-        plus, _ = xi_pair(n, base)
-        kept = plus - 2
-        return [root(kept, "+", -2, True), root(dual_weight(n, kept), "-", +2, False)]
-    if fam is BoxLFamily.LAMBDA2_MINUS:
-        _, minus = xi_pair(n, base)
-        kept = minus - 2
-        return [root(kept, "-", -2, True), root(dual_weight(n, kept), "+", +2, False)]
     if fam is BoxLFamily.SPECIAL_ZERO:
-        plus, minus = xi_pair(n, Scalar(0))
         return [root(plus, "+", 0, True), root(minus, "-", 0, False)]
     if fam is BoxLFamily.SPECIAL_2N:
-        plus, minus = xi_pair(n, Scalar(2 * n))
         return [root(minus, "-", -2, True), root(plus, "+", +2, False)]
-    raise AssertionError(f"unhandled family {fam}")
+    branch, shift = _SHIFTED[fam]
+    kept = (plus if branch == "+" else minus) + shift
+    other = "-" if branch == "+" else "+"
+    return [root(kept, branch, shift, True), root(dual_weight(n, kept), other, -shift, False)]
 
 
 def indicial_roots(table: List[TangentialEigenvalue], n: int) -> List[IndicialRoot]:

@@ -43,6 +43,7 @@ from .indicial import (
     box1_spectrum,
     boxL_spectrum,
     indicial_roots,
+    lambda_branches,
 )
 from .links import EndKind, LinkSpectrum, SpectrumMode
 
@@ -148,12 +149,17 @@ class LinkAnalysis:
     eps: float = DEFAULT_EPSILON
 
     @cached_property
+    def lambdas(self):
+        """Every positive lambda with its branch pair, shared by box_1 and box_L."""
+        return lambda_branches(self.link)
+
+    @cached_property
     def box1(self) -> List[TangentialEigenvalue]:
-        return box1_spectrum(self.link)
+        return box1_spectrum(self.link, lambdas=self.lambdas)
 
     @cached_property
     def boxL(self) -> List[TangentialEigenvalue]:
-        return boxL_spectrum(self.link, self.eps)
+        return boxL_spectrum(self.link, self.eps, lambdas=self.lambdas)
 
     @cached_property
     def full(self) -> List[IndicialRoot]:

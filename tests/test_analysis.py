@@ -11,6 +11,7 @@ from conifold_spectra import (
     SpectrumList,
     adm_mass_verdict,
     box1_spectrum,
+    boxL_spectrum,
     end_order,
     indicial_set_full,
     linear_stability,
@@ -78,3 +79,23 @@ def test_failed_stage_raises_again():
     for _ in range(2):
         with pytest.raises(InsufficientSpectrum):
             analysis.stability
+
+
+def test_build_report_builds_each_branch_pair_once(monkeypatch):
+    # one xi_pair per list entry and family input (each positive lambda, each
+    # mu + 1, each kappa), plus the fixed specials xi(0) and xi(2n)
+    link = sphere_link(6, count=16)
+    calls = _count_calls(monkeypatch, indicial, "xi_pair")
+    build_report(link)
+    positive_lambdas = [e for e in link.scalar.entries if not e.value.is_zero()]
+    budget = (
+        len(positive_lambdas)
+        + len(link.coclosed_one_form.entries)
+        + len(link.tt_einstein.entries)
+        + 2
+    )
+    assert len(calls) <= budget
+    # the pairs handed to box_1 and box_L give the tables built without them
+    analysis = LinkAnalysis(link)
+    assert analysis.box1 == box1_spectrum(link)
+    assert analysis.boxL == boxL_spectrum(link)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from conifold_spectra import (
@@ -163,3 +164,27 @@ def test_scalar_sqrt_paths():
     assert not irr.exact
     with pytest.raises(ValueError):
         Scalar(-1).sqrt()
+
+
+def test_float_views_are_double_precision():
+    # Only the square root runs at 50 digits; the view xi_plus = -2 + sqrt(7)
+    # is computed at mpmath's 53-bit context, as is every rendered float.
+    plus, minus = xi_pair(6, Scalar(3))
+    root = Scalar(7).sqrt().value
+    assert root.bc > 53
+    for weight in (plus, minus):
+        view = weight.real.value
+        assert view.bc <= 53
+        assert view == mpmath.mpf(float(view))
+    assert plus.real.value.bc == 50
+    assert plus.real.value == mpmath.mpf(-2) + mpmath.mpf(float(root))
+
+
+def test_shifted_view_is_the_view_plus_the_shift():
+    # The float view of x + d is x's view plus d.  For this weight the other
+    # rounding order, (base + d) + offset, differs in the last bit.
+    _, minus = xi_pair(10, Scalar(Fraction(319, 27)))
+    shifted = minus + 2
+    assert shifted.real.value == (minus.real + 2).value
+    assert shifted.real.value != (minus.base + 2 + minus.offset).value
+    assert eta(10, shifted) == (minus.base + 2 + minus.offset) * (minus.base + 2 + minus.offset + 8)

@@ -1,15 +1,19 @@
 """Byte-level golden digests of the rendered reports.
 
-The digests pin text, JSON and CSV output for every builtin and for the
-float document of ``test_report``.  A refactor must leave them unchanged;
-a deliberate output change updates them in the same commit and says why.
+The digests pin text, JSON and CSV output for every builtin, for the
+float document of ``test_report`` and for an exact document whose radicals
+are irrational on both axes, plus one ``plot-data`` sweep.  A refactor must
+leave them unchanged; a deliberate output change updates them in the same
+commit and says why.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
-from conifold_spectra import builtin_link, load_spectrum
+from conifold_spectra import builtin_link, cli, load_spectrum
 from conifold_spectra.report import ReportOptions, build_report, render_csv, render_json, render_text
 
 from test_report import _float_document
@@ -96,12 +100,43 @@ GOLDEN = {
         "f87d29454b9356f1082542a74306b6cbade01499b3d0805c08c0c5657ebd4f84",
         "38fb30f08724327671068c0f2ba19bb0028d02320120af908f3b7e7c27e83892",
     ),
+    "irrational-document": (
+        "09343639a3f7d56bc26ff9cd769a355e2da9a15b2b478619c09506f8b9f236f2",
+        "ec54d24f22c1a576f51c2667449e5f8a474b43b99b683297ceca17ddb06df1a7",
+        "5137c2c7d1851fe3827c452f4d2adf6bf4c814fd7c57504e00462ed71ad66ce0",
+    ),
     "float-document": (
         "faf4ff85a6089449078a8ab541dd912dd3801dbc4cc48607f5b36a819bd49cfd",
         "2c657386dcc71791e9d144000b16b7220af054f48d218f3cfc5584e9229ebf5c",
         "fa5d100007ffbd6abed52eb17b46f7881e458e5c52513bb16e3565bf2b68ce38",
     ),
 }
+
+
+def _irrational_document():
+    """Exact n = 6 link whose discriminants are not squares.
+
+    kappa = -6 and -13/3 lie below the window [-4, 0) (imaginary radicals
+    sqrt(2), sqrt(1/3)), kappa = -1 inside it and kappa = 3 above it (real
+    radicals sqrt(3), sqrt(7)); mu = 5, 13/2 and lambda = 6, 8, 23/2 give
+    irrational real radicals too.
+    """
+
+    def block(values, complete):
+        entries = [{"value": v, "multiplicity": None} for v in values]
+        return {"entries": entries, "complete_below": complete, "mode": "exact"}
+
+    scalar = block(["0", "6", "8", "23/2"], "23/2")
+    scalar["entries"][0]["multiplicity"] = 1
+    return {
+        "dim_cone": 6,
+        "name": "irrational radicals on both axes",
+        "scalar": scalar,
+        "coclosed_one_form": block(["4", "5", "13/2"], "13/2"),
+        "tt_einstein": block(["-6", "-13/3", "-1", "3"], "4"),
+        "has_killing_fields": True,
+        "ends": [{"kind": "AC"}, {"kind": "CS"}],
+    }
 
 
 def _case(name):
@@ -111,6 +146,8 @@ def _case(name):
         return link, ReportOptions()
     if name == "float-document":
         return load_spectrum(_float_document(), eps=1e-9), ReportOptions(epsilon=1e-9)
+    if name == "irrational-document":
+        return load_spectrum(_irrational_document()), ReportOptions()
     return builtin_link(name), ReportOptions()
 
 
@@ -123,3 +160,15 @@ def test_report_renders_are_byte_identical(name):
         for render in (render_text, render_json, render_csv)
     )
     assert digests == GOLDEN[name]
+
+
+def test_plot_data_sweep_is_byte_identical():
+    # n = 6 from -6 to -2 in steps of 1/64: imaginary radicals, the
+    # resonance nu = -4 and real radicals, mostly irrational
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["plot-data", "--n", "6", "--nu-min=-6", "--nu-max", "-2", "--step", "1/64"])
+    assert code == 0
+    assert len(out.getvalue().splitlines()) == 258
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "94eb123118e01ea6ab7abd3f21c90ace4d8d023546fb40f1bd989429a3186039"

@@ -1,0 +1,145 @@
+"""Hypothesis properties of the weight algebra and the rate sets.
+
+* On random exact links whose discriminants are perfect squares, E_plus and
+  E_minus equal the brute-force sets of ``tests/oracles.py``.
+* On random rationals nu, irrational radicals included, eta inverts both
+  branches exactly, the pair sum and product are exact, and dual_weight is
+  an involution exchanging the branches.
+* Away from the thresholds nu = -(n-2)^2/4 and nu = 0, the float path
+  agrees with the exact path to 1e-12 relative.
+"""
+
+from fractions import Fraction
+
+import mpmath
+from hypothesis import assume, given, settings, strategies as st
+
+from conifold_spectra import (
+    Scalar,
+    dual_weight,
+    e_minus_set,
+    e_plus_set,
+    eta,
+    load_spectrum,
+    weight_pair_product,
+    weight_pair_sum,
+    xi_pair,
+    xi_rates,
+)
+
+from oracles import brute_e_minus, brute_e_plus
+from test_rates import synthetic_link
+
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None)
+
+rationals = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 24))
+
+
+def _eta(n, x):
+    return x * (x + n - 2)
+
+
+@st.composite
+def square_links(draw):
+    """An exact link whose lambda and kappa discriminants are squares.
+
+    lambda = eta(x) for x >= 1 and kappa = eta(x) for x >= -(n-2)/2 (real
+    pairs) or kappa = -(n-2)^2/4 - y^2 (below the window).  The last lambda
+    is large, and both lists are certified below it, so every rate is.
+    """
+    n = draw(st.integers(4, 10))
+    half = Fraction(n - 2, 2)
+    xs = draw(st.lists(st.builds(Fraction, st.integers(0, 240), st.integers(4, 16)), min_size=1, max_size=4))
+    lambdas = sorted({_eta(n, 1 + x) for x in xs})
+    kappas = set()
+    for _ in range(draw(st.integers(1, 5))):
+        t = draw(st.builds(Fraction, st.integers(0, 40), st.integers(1, 6)))
+        if draw(st.booleans()):
+            kappas.add(_eta(n, t - half))
+        else:
+            kappas.add(-half * half - t * t)
+    kappas = sorted(kappas)
+    top = _eta(n, Fraction(100))
+    link = synthetic_link(n, kappas=kappas, lambdas=[Fraction(0)] + lambdas + [top], kappa_complete=top)
+    return link, n, kappas, lambdas + [top]
+
+
+@PROPERTY_SETTINGS
+@given(square_links())
+def test_rate_sets_match_the_brute_force_oracle(case):
+    link, n, kappas, lambdas = case
+    assert {v.as_fraction() for v in e_plus_set(link).values()} == brute_e_plus(n, kappas, lambdas)
+    assert {v.as_fraction() for v in e_minus_set(link).values()} == brute_e_minus(n, kappas, lambdas)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(3, 12), rationals)
+def test_branch_algebra_is_exact(n, nu):
+    s_nu = Scalar(nu)
+    plus, minus = xi_pair(n, s_nu)
+    for weight in (plus, minus):
+        value = eta(n, weight)
+        assert isinstance(value, Scalar) and value.exact and value == s_nu
+    total = weight_pair_sum(plus, minus)
+    assert total.exact and total == Scalar(2 - n)
+    product = weight_pair_product(plus, minus)
+    assert product.exact and product == Scalar(-nu)
+    assert dual_weight(n, plus) == minus
+    assert dual_weight(n, minus) == plus
+    assert dual_weight(n, dual_weight(n, plus)) == plus
+
+
+def _exact_value(s):
+    return mpmath.mpf(s.value.numerator) / s.value.denominator if s.exact else s.value
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(3, 12), rationals)
+def test_float_path_agrees_with_exact_path_away_from_thresholds(n, nu):
+    assume(abs(nu) >= 1 and abs(nu - Fraction(-((n - 2) ** 2), 4)) >= 1)
+    exact = xi_pair(n, Scalar(nu))
+    floats = xi_pair(n, Scalar(float(nu), exact=False))
+    for e, f in zip(exact, floats):
+        assert f.is_real == e.is_real
+        for part in ("real", "imag"):
+            ev, fv = _exact_value(getattr(e, part)), _exact_value(getattr(f, part))
+            assert abs(fv - ev) <= 1e-12 * abs(ev)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 8), st.lists(st.integers(-120, 240), min_size=1, max_size=4, unique=True))
+def test_float_document_rates_agree_with_exact_document(n, kappa_sevenths):
+    # every kappa at least 1 away from the window edge and from 0, every
+    # lambda above the Obata bound: no threshold decision is near a tie
+    critical = Fraction(-((n - 2) ** 2), 4)
+    kappas = sorted(
+        k for k in (Fraction(t, 7) + Fraction(1, 3) for t in kappa_sevenths)
+        if abs(k) >= 1 and abs(k - critical) >= 1
+    ) or [Fraction(2 * n)]
+    lambdas = [Fraction(0), Fraction(n) + Fraction(1, 3), Fraction(3 * n) + Fraction(2, 7)]
+    mus = [Fraction(n - 2), Fraction(n) + Fraction(1, 5)]
+    top = max(kappas[-1], lambdas[-1]) + 1
+
+    def document(number):
+        def block(values, first_one=False):
+            entries = [{"value": number(v), "multiplicity": None} for v in values]
+            if first_one:
+                entries[0]["multiplicity"] = 1
+            return {"entries": entries, "complete_below": number(top), "mode": "exact"}
+
+        return {
+            "dim_cone": n,
+            "name": "float against exact",
+            "scalar": block(lambdas, first_one=True),
+            "coclosed_one_form": block(mus),
+            "tt_einstein": block(kappas),
+            "has_killing_fields": True,
+            "ends": [{"kind": "AC"}, {"kind": "CS"}],
+        }
+
+    exact = xi_rates(load_spectrum(document(str)))
+    floats = xi_rates(load_spectrum(document(float)))
+    for e, f in ((exact.xi_plus, floats.xi_plus), (exact.xi_minus, floats.xi_minus)):
+        assert f.part == e.part
+        ev, fv = _exact_value(e.value), _exact_value(f.value)
+        assert abs(fv - ev) <= 1e-12 * abs(ev)
