@@ -12,14 +12,13 @@ weight is a complex number together with a flag for the logarithmic
 solution at the resonance value nu = -(n-2)^2/4.
 
 Arithmetic runs on two paths.  Rational inputs stay exact (``fractions``).
-Float inputs and non-square discriminants put the numeric *views* on
-``mpmath`` floats, with a single global epsilon (default 1e-12) for
-threshold comparisons.  Only the square root of a discriminant is taken at
-50 significant digits; the first operation that uses it rounds it to
-mpmath's context precision, and every other float operation (+, -, *, /,
-Fraction-to-float conversion, parsed floats) runs at that precision, which
-is 53 bits unless the caller changes ``mpmath.mp``.  So every rendered float
-view is a double-precision value.
+Float inputs and non-square discriminants put the numeric *views* on Python
+floats (IEEE doubles), with a single global epsilon (default 1e-12) for
+threshold comparisons.  The square root of a discriminant is taken in
+integer arithmetic at 169 bits (50 significant digits), each step correctly
+rounded, and then rounded once more to 53 bits; every other float operation
+is a double operation.  A rational p/q becomes float(p)/float(q): both
+operands round before the quotient does.
 
 A weight is one exact value, base + sign*sqrt(square) on the real or the
 imaginary axis: for every rational eigenvalue, irrational radicals
@@ -30,15 +29,15 @@ formulas on (base, square, sign).
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import mpmath
-
 from .errors import DimensionTooSmall
 
-DEFAULT_DPS = 50
 DEFAULT_EPSILON = 1e-12
+SQRT_BITS = 169  # 50 significant digits
+_DIGITS17 = Context(prec=17, rounding=ROUND_HALF_UP)
 
 
 def check_dimension(n: int, minimum: int = 3) -> None:
@@ -49,10 +48,80 @@ def check_dimension(n: int, minimum: int = 3) -> None:
         raise DimensionTooSmall(f"cone dimension n={n} requires n >= {minimum}")
 
 
-def _to_mpf(value):
+def _to_float(value) -> float:
+    """A double; a rational p/q rounds p and q first, then the quotient.
+
+    Adding 0.0 turns -0.0 into 0.0: float views carry no signed zero.
+    """
     if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-    return mpmath.mpf(value)
+        return float(value.numerator) / float(value.denominator)
+    return float(value) + 0.0
+
+
+def _round_bits(man: int, exp: int, bits: int) -> Tuple[int, int]:
+    """man * 2**exp (man > 0) rounded half-even to ``bits`` bits.
+
+    The lowest bit of ``man`` may be a sticky bit standing for a nonzero
+    remainder below it.
+    """
+    extra = man.bit_length() - bits
+    if extra <= 0:
+        return man, exp
+    low = man & ((1 << extra) - 1)
+    man >>= extra
+    half = 1 << (extra - 1)
+    if low > half or (low == half and man & 1):
+        man += 1
+    return man, exp + extra
+
+
+def _float_sqrt(value) -> float:
+    """sqrt(value) for a positive Fraction or float, as a double.
+
+    The chain is fixed: p and q round to SQRT_BITS bits, then p/q does; the
+    square root is taken correctly rounded to SQRT_BITS bits and rounded
+    once more, half-even, to 53 bits.
+    """
+    p, q = value.as_integer_ratio()
+    p, pe = _round_bits(p, 0, SQRT_BITS)
+    q, qe = _round_bits(q, 0, SQRT_BITS)
+    shift = max(SQRT_BITS + 2 + q.bit_length() - p.bit_length(), 0)
+    quo, rem = divmod(p << shift, q)
+    man, exp = _round_bits((quo << 1) | (rem != 0), pe - qe - shift - 1, SQRT_BITS)
+    if exp & 1:
+        man, exp = man << 1, exp - 1
+    shift = max(2 * (SQRT_BITS + 2) - man.bit_length() + 1, 0) // 2
+    radicand = man << (2 * shift)
+    root = math.isqrt(radicand)
+    man, exp = _round_bits((root << 1) | (root * root != radicand), exp // 2 - shift - 1, SQRT_BITS)
+    man, exp = _round_bits(man, exp, 53)
+    return math.ldexp(man, exp)
+
+
+def _nstr17(x: float) -> str:
+    """A double as 17 significant digits, the text every float message uses.
+
+    The exact value is rounded half-up to 17 digits; trailing zeros are
+    stripped.  Decimal exponents from -4 to 16 print in fixed notation,
+    others as "d.ddde+X"/"d.ddde-X"; zero prints as "0.0".
+    """
+    if not math.isfinite(x):
+        return "nan" if x != x else ("+inf" if x > 0 else "-inf")
+    if x == 0:
+        return "0.0"
+    _, digit_tuple, exp = _DIGITS17.plus(Decimal(abs(x))).as_tuple()
+    exponent = exp + len(digit_tuple) - 1
+    digits = "".join(map(str, digit_tuple)).ljust(17, "0")
+    split = 1
+    if -5 < exponent < 17:
+        digits = "0" * -exponent + digits
+        split, exponent = max(exponent, 0) + 1, 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    if exponent:
+        text += f"e{exponent:+d}"
+    return ("-" if x < 0 else "") + text
 
 
 def _exact_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -70,11 +139,11 @@ def _operand(other):
         return other.value, other.exact
     if isinstance(other, (int, Fraction)):
         return other, True
-    return _to_mpf(other), False
+    return _to_float(other), False
 
 
 def _raw(value, exact: bool) -> "Scalar":
-    """A scalar around a Fraction, or an mpf already at the context precision."""
+    """A scalar around a Fraction, or a float that is not -0.0."""
     s = object.__new__(Scalar)
     s.value, s.exact = value, exact
     return s
@@ -84,9 +153,9 @@ class Scalar:
     """A number on the exact-rational or the float path.
 
     Exact scalars wrap ``Fraction`` and are closed under +, -, *, / and
-    comparison.  Float scalars wrap ``mpmath.mpf``; any operation touching a
-    float scalar yields a float scalar, computed at mpmath's context
-    precision (53 bits by default).  Only ``sqrt`` runs at ``dps`` digits.
+    comparison.  Float scalars wrap a ``float``; any operation touching a
+    float scalar yields a float scalar, computed in double precision.  Only
+    ``sqrt`` works at more bits (SQRT_BITS) before it rounds to a double.
     """
 
     __slots__ = ("value", "exact")
@@ -101,7 +170,7 @@ class Scalar:
         if exact:
             self.value = value if type(value) is Fraction else Fraction(value)
         else:
-            self.value = _to_mpf(value)
+            self.value = _to_float(value)
         self.exact = exact
 
     # -- constructors -------------------------------------------------
@@ -112,7 +181,7 @@ class Scalar:
             return value
         if isinstance(value, (int, Fraction)):
             return Scalar(value)
-        return _raw(_to_mpf(value), False)
+        return _raw(_to_float(value), False)
 
     @staticmethod
     def parse(text) -> "Scalar":
@@ -129,7 +198,7 @@ class Scalar:
         if isinstance(text, float):
             if not math.isfinite(text):
                 raise ValueError(f"non-finite number {text!r}")
-            return _raw(_to_mpf(text), False)
+            return _raw(_to_float(text), False)
         raise ValueError(f"unsupported numeric literal: {text!r}")
 
     # -- representation -----------------------------------------------
@@ -141,7 +210,7 @@ class Scalar:
     def __str__(self) -> str:
         if self.exact:
             return str(self.value)
-        return mpmath.nstr(self.value, 17)
+        return _nstr17(self.value)
 
     def as_fraction(self) -> Fraction:
         if not self.exact:
@@ -157,7 +226,7 @@ class Scalar:
         value, exact = _operand(other)
         if self.exact and exact:
             return _raw(self.value + value, True)
-        return _raw(_to_mpf(self.value) + _to_mpf(value), False)
+        return _raw(_to_float(self.value) + _to_float(value), False)
 
     __radd__ = __add__
 
@@ -174,7 +243,7 @@ class Scalar:
         value, exact = _operand(other)
         if self.exact and exact:
             return _raw(self.value * value, True)
-        return _raw(_to_mpf(self.value) * _to_mpf(value), False)
+        return _raw(_to_float(self.value) * _to_float(value) + 0.0, False)
 
     __rmul__ = __mul__
 
@@ -182,7 +251,7 @@ class Scalar:
         value, exact = _operand(other)
         if self.exact and exact:
             return _raw(self.value / value, True)
-        return _raw(_to_mpf(self.value) / _to_mpf(value), False)
+        return _raw(_to_float(self.value) / _to_float(value) + 0.0, False)
 
     def __rtruediv__(self, other):
         return Scalar.wrap(other) / self
@@ -193,7 +262,7 @@ class Scalar:
         value, exact = _operand(other)
         if self.exact and exact:
             return self.value, value
-        return _to_mpf(self.value), _to_mpf(value)
+        return _to_float(self.value), _to_float(value)
 
     def __eq__(self, other):
         a, b = self._cmp_value(other)
@@ -238,21 +307,24 @@ class Scalar:
             if self.value > value:
                 return 1
             return 0
-        diff = _to_mpf(self.value) - _to_mpf(value)
+        diff = _to_float(self.value) - _to_float(value)
         if abs(diff) <= eps:
             return 0
         return -1 if diff < 0 else 1
 
-    def sqrt(self, dps: int = DEFAULT_DPS) -> "Scalar":
-        """Nonnegative square root, taken at ``dps`` digits if irrational."""
+    def sqrt(self) -> "Scalar":
+        """Nonnegative square root: exact if rational, else a double.
+
+        An irrational root is taken at SQRT_BITS bits and rounded once to
+        53 (see ``_float_sqrt``).
+        """
         if self < 0:
             raise ValueError("sqrt of a negative scalar")
         if self.exact:
             root = _exact_sqrt(self.value)
             if root is not None:
                 return _raw(root, True)
-        with mpmath.workdps(dps):
-            return _raw(mpmath.sqrt(_to_mpf(self.value)), False)
+        return _raw(_float_sqrt(self.value), False)
 
 
 ZERO = Scalar(0)
@@ -397,23 +469,23 @@ def critical_eigenvalue(n: int) -> Scalar:
     return Scalar(Fraction(-((n - 2) ** 2), 4))
 
 
-def xi_pair(n: int, nu, dps: int = DEFAULT_DPS) -> Tuple[Weight, Weight]:
+def xi_pair(n: int, nu) -> Tuple[Weight, Weight]:
     """The branch pair (xi_plus, xi_minus) for the eigenvalue nu.
 
-    The square root of the discriminant is taken once, at ``dps`` digits
-    when irrational, and shared by both weights.  At discriminant zero both
+    The square root of the discriminant is taken once (``Scalar.sqrt``) and
+    shared by both weights.  At discriminant zero both
     weights equal -(n-2)/2 with log_factor False; the logarithmic companion
     is obtained via resonance_pair.
     """
     disc = discriminant(n, nu)
     half = Scalar(Fraction(-(n - 2), 2))
     if not disc.exact:
-        half = _raw(_to_mpf(half.value), False)
+        half = _raw(_to_float(half.value), False)
     if disc.is_zero():
         return (Weight._surd(half, ZERO, 0, False, ZERO), Weight._surd(half, ZERO, 0, False, ZERO))
     imaginary = disc < 0
     square = -disc if imaginary else disc
-    offset = square.sqrt(dps) * 1  # rounds an irrational root to the context precision
+    offset = square.sqrt()
     return (
         Weight._surd(half, square, +1, imaginary, offset),
         Weight._surd(half, square, -1, imaginary, -offset),

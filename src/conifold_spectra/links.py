@@ -317,11 +317,26 @@ _TOP_KEYS = {
 }
 
 
+# Exact numbers meet floats on the float path, where p/q becomes
+# float(p)/float(q) and -(n-2)^2/4 becomes a float too.  These bounds keep
+# every such conversion below the double range (2**1024).
+MAX_EXACT_BITS = 1000       # |p| and q below 2**1000, about 1.07e301
+MAX_DIM_CONE_BITS = 500     # dim_cone below 2**500
+
+
 def _parse_number(value, where: str) -> Scalar:
     try:
-        return Scalar.parse(value)
+        number = Scalar.parse(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{where}: bad number {value!r} ({exc})") from exc
+    if number.exact:
+        size = max(abs(number.value.numerator), number.value.denominator).bit_length()
+        if size > MAX_EXACT_BITS:
+            raise SchemaError(
+                f"{where}: exact number out of range (numerator and denominator "
+                f"must be below 2**{MAX_EXACT_BITS})"
+            )
+    return number
 
 
 def _parse_spectrum(doc, where: str) -> SpectrumList:
@@ -373,9 +388,10 @@ def load_spectrum(
     """Build a validated LinkSpectrum from a parsed interchange document.
 
     Numbers given as "p/q" strings are exact rationals; bare JSON numbers go
-    to the float path.  Unknown keys are rejected, and so is a dim_cone
-    below 4, where box_L is undefined.  ``has_killing_fields`` is inferred
-    from the 1-form list when absent.
+    to the float path.  Unknown keys are rejected, and so are a dim_cone
+    below 4, where box_L is undefined, and numbers beyond the double range
+    of the float path (``MAX_EXACT_BITS``, ``MAX_DIM_CONE_BITS``).
+    ``has_killing_fields`` is inferred from the 1-form list when absent.
     """
     if not isinstance(document, dict):
         raise SchemaError("spectrum document must be an object")
@@ -390,6 +406,8 @@ def load_spectrum(
         raise SchemaError("dim_cone must be an integer")
     if n < 4:
         raise SchemaError(f"dim_cone must be at least 4, got {n}")
+    if n.bit_length() > MAX_DIM_CONE_BITS:
+        raise SchemaError(f"dim_cone must be below 2**{MAX_DIM_CONE_BITS}")
     name = document["name"]
     if not isinstance(name, str):
         raise SchemaError("name must be a string")

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Tuple
 
-from .core import DEFAULT_EPSILON, Scalar, check_dimension, critical_eigenvalue, resonance_pair
+from .core import DEFAULT_EPSILON, Scalar, check_dimension, critical_eigenvalue, eta, resonance_pair
 from .errors import EmptyRateSet, InsufficientSpectrum, NonTerminating
 from .indicial import (
     BoxLFamily,
@@ -124,10 +124,6 @@ def _classify_kappa(kappa: Scalar, n: int, eps: float) -> Tuple[str, bool]:
     return "above", False
 
 
-def _eta_value(n: int, x: Scalar) -> Scalar:
-    return x * (x + (n - 2))
-
-
 @dataclass(frozen=True)
 class Rates:
     xi_plus: RateElement
@@ -201,7 +197,8 @@ class LinkAnalysis:
         ]
         elements.sort(key=RateElement.sort_key)
         if elements:
-            needed = _eta_value(link.n, elements[0].value)
+            # eta of the branch weight is its eigenvalue, exact when the input is
+            needed = eta(link.n, elements[0].root.weight)
             for lst, label in ((link.tt_einstein, "tt_einstein"), (link.scalar, "scalar")):
                 if lst.complete_below < needed:
                     raise InsufficientSpectrum(

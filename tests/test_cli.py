@@ -262,14 +262,93 @@ def test_exit_code_dim_cone_below_four(tmp_path, capsys):
     assert "dim_cone must be at least 4" in err
 
 
+def _doc_with_tt(tt_values, dim_cone=6):
+    return {
+        "dim_cone": dim_cone,
+        "name": "range link",
+        "scalar": {
+            "entries": [{"value": 0, "multiplicity": 1}, {"value": "12", "multiplicity": None}],
+            "complete_below": "12",
+            "mode": "exact",
+        },
+        "coclosed_one_form": {
+            "entries": [{"value": 4, "multiplicity": None}],
+            "complete_below": 4,
+            "mode": "exact",
+        },
+        "tt_einstein": {
+            "entries": [{"value": v, "multiplicity": None} for v in tt_values],
+            "complete_below": 12,
+            "mode": "exact",
+        },
+        "ends": [{"kind": "AC"}, {"kind": "CS"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "tt_values",
+    [[2.5, 10**400], [2.5, f"{10**400}/7"], [f"1/{10**400}", 2.5], [2.5, 2**1000]],
+    ids=["int", "fraction", "tiny", "bound"],
+)
+def test_exit_code_exact_number_beyond_double_range(tmp_path, capsys, tt_values):
+    # Next to a float entry, p/q becomes float(p)/float(q), which would
+    # overflow; the document is refused at ingest instead.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_doc_with_tt(tt_values)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert "exact number out of range" in err
+
+
+def test_exit_code_dim_cone_beyond_double_range(tmp_path, capsys):
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(_doc_with_tt([2.5], dim_cone=2**500)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert "dim_cone must be below 2**500" in err
+
+
+def test_large_numbers_within_range_report(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    for tt_values in ([2.5, 1.7e308], [2.5, 2**1000 - 1], [f"1/{2**1000 - 1}", 2.5]):
+        path.write_text(json.dumps(_doc_with_tt(tt_values)), encoding="utf-8")
+        for fmt in ("table", "json", "csv"):
+            code, out, err = run_cli(capsys, "report", "--input", str(path), "--format", fmt)
+            assert code == 0, err
+            assert out
+
+
+def _python(script):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
 def test_report_process_does_not_import_the_verifier():
-    script = (
+    proc = _python(
         "import sys, conifold_spectra.cli as cli; "
         "cli.main(['report', '--builtin', 'sphere', '--n', '4', '--format', 'csv']); "
         "sys.exit('conifold_spectra.flatcone' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--builtin", "sphere", "--n", "6", "--format", "json"],
+        ["plot-data", "--n", "6"],
+        ["verify", "all"],
+    ],
+    ids=["report", "plot-data", "verify-all"],
+)
+def test_cli_process_does_not_import_mpmath(argv):
+    proc = _python(
+        "import sys, conifold_spectra.cli as cli; "
+        f"code = cli.main({argv!r}); "
+        "sys.exit(code or 'mpmath' in sys.modules)"
+    )
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,9 +1,9 @@
 """Unit tests for the branch-pair algebra."""
 
+import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from conifold_spectra import (
@@ -19,6 +19,7 @@ from conifold_spectra import (
     xi_pair,
 )
 
+from conifold_spectra.core import SQRT_BITS
 from oracles import branch_pair, eta_of
 
 
@@ -167,17 +168,18 @@ def test_scalar_sqrt_paths():
 
 
 def test_float_views_are_double_precision():
-    # Only the square root runs at 50 digits; the view xi_plus = -2 + sqrt(7)
-    # is computed at mpmath's 53-bit context, as is every rendered float.
+    # The square root is taken at more than 53 bits and rounded once to a
+    # double; the view xi_plus = -2 + sqrt(7) is a double sum, as is every
+    # rendered float.
     plus, minus = xi_pair(6, Scalar(3))
     root = Scalar(7).sqrt().value
-    assert root.bc > 53
+    assert SQRT_BITS > 53 and type(root) is float
+    half_ulp = Fraction(math.ulp(root)) / 2
+    assert (Fraction(root) - half_ulp) ** 2 < 7 < (Fraction(root) + half_ulp) ** 2
     for weight in (plus, minus):
-        view = weight.real.value
-        assert view.bc <= 53
-        assert view == mpmath.mpf(float(view))
-    assert plus.real.value.bc == 50
-    assert plus.real.value == mpmath.mpf(-2) + mpmath.mpf(float(root))
+        assert type(weight.real.value) is float
+    assert plus.real.value == -2.0 + root
+    assert minus.real.value == -2.0 - root
 
 
 def test_shifted_view_is_the_view_plus_the_shift():
@@ -188,3 +190,11 @@ def test_shifted_view_is_the_view_plus_the_shift():
     assert shifted.real.value == (minus.real + 2).value
     assert shifted.real.value != (minus.base + 2 + minus.offset).value
     assert eta(10, shifted) == (minus.base + 2 + minus.offset) * (minus.base + 2 + minus.offset + 8)
+
+
+def test_float_path_has_no_negative_zero():
+    # A float view is never -0.0, so it renders as 0 in every format.
+    zero = Scalar(0.0, exact=False)
+    for value in (-zero, zero * -2, zero / Scalar(-3), Scalar(-0.0, exact=False), Scalar.parse(-0.0)):
+        assert not value.exact and math.copysign(1.0, value.value) == 1.0
+        assert str(value) == "0.0"

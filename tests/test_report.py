@@ -2,7 +2,15 @@
 
 import json
 
-from conifold_spectra import load_spectrum, sphere_link, sphere_quotient_link
+import pytest
+
+from conifold_spectra import (
+    InsufficientSpectrum,
+    LinkAnalysis,
+    load_spectrum,
+    sphere_link,
+    sphere_quotient_link,
+)
 from conifold_spectra.report import (
     ReportOptions,
     build_report,
@@ -103,3 +111,48 @@ def test_standing_notes_present():
     report = build_report(sphere_link(5))
     assert any("zero root" in note for note in report.notes)
     assert any("Re > 0" in note for note in report.notes)
+
+
+def _sqrt7_document(tt_complete_below):
+    # n = 6 with kappa = 3: xi_plus = -2 + sqrt(7) is the E_plus minimum, and
+    # its eigenvalue is exactly 3.
+    return {
+        "dim_cone": 6,
+        "name": "sqrt7 link",
+        "scalar": {
+            "entries": [{"value": 0, "multiplicity": 1}, {"value": "12", "multiplicity": None}],
+            "complete_below": "12",
+            "mode": "exact",
+        },
+        "coclosed_one_form": {
+            "entries": [{"value": "4", "multiplicity": None}],
+            "complete_below": "4",
+            "mode": "exact",
+        },
+        "tt_einstein": {
+            "entries": [{"value": "3", "multiplicity": None}],
+            "complete_below": tt_complete_below,
+            "mode": "exact",
+        },
+        "ends": [{"kind": "AC"}, {"kind": "CS"}],
+    }
+
+
+def test_e_plus_completeness_is_read_exactly():
+    # The E_plus minimum needs completeness below its own eigenvalue, 3, not
+    # below eta of its rounded float view (3.0000000000000004).
+    report = build_report(load_spectrum(_sqrt7_document("3")))
+    assert report.rate_error is None
+    text = render_text(report)
+    assert "rates: xi_plus = ~0.64575131106459072" in text
+    assert "CS order = ~0.64575131106459072" in text
+
+
+def test_e_plus_completeness_message_text():
+    link = load_spectrum(_sqrt7_document("5/2"))
+    with pytest.raises(InsufficientSpectrum) as info:
+        LinkAnalysis(link).e_plus
+    assert str(info.value) == (
+        "tt_einstein list certified below 5/2, but the E_plus minimum "
+        "0.64575131106459072 needs completeness below 3"
+    )
