@@ -23,7 +23,7 @@ from .errors import (
     InvariantViolation,
     SchemaError,
 )
-from .links import BUILTIN_LINKS, builtin_link, load_spectrum
+from .links import BUILTIN_LINKS, MAX_DIM_CONE_BITS, _parse_number, builtin_link, load_spectrum
 from .report import ReportOptions, build_report, csv_number, render_csv, render_json, render_text
 
 
@@ -210,12 +210,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_plot_data(args) -> int:
     n = args.n
+    if n < 3 or n.bit_length() > MAX_DIM_CONE_BITS:
+        raise SchemaError(f"--n must be at least 3 and below 2**{MAX_DIM_CONE_BITS}, got {n}")
     if args.nu_min is None:
         nu_min = Fraction(-((n - 2) ** 2), 4) - 5
     else:
-        nu_min = Fraction(args.nu_min)
-    nu_max = Fraction(args.nu_max)
-    step = Fraction(args.step)
+        nu_min = _parse_number(args.nu_min, "--nu-min").value
+    nu_max = _parse_number(args.nu_max, "--nu-max").value
+    step = _parse_number(args.step, "--step").value
     if step <= 0:
         raise SchemaError("step must be positive")
     sys.stdout.write("nu,re_xi_plus,re_xi_minus,im_xi_plus\n")

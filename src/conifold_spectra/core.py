@@ -13,8 +13,9 @@ solution at the resonance value nu = -(n-2)^2/4.
 
 Arithmetic runs on two paths.  Rational inputs stay exact (``fractions``).
 Float inputs and non-square discriminants put the numeric *views* on Python
-floats (IEEE doubles), with a single global epsilon (default 1e-12) for
-threshold comparisons.  The square root of a discriminant is taken in
+floats (IEEE doubles).  A single global epsilon (default 1e-12) snaps float
+eigenvalues onto their thresholds once (``links.snap_to_thresholds``); all
+comparisons after that are exact.  A discriminant's square root is taken in
 integer arithmetic at 169 bits (50 significant digits), each step correctly
 rounded, and then rounded once more to 53 bits; every other float operation
 is a double operation.  A rational p/q becomes float(p)/float(q): both
@@ -291,26 +292,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def compare_threshold(self, threshold, eps: float = DEFAULT_EPSILON) -> int:
-        """Three-way comparison against a threshold.
-
-        Exact ties are trusted only on the rational path; on the float path
-        values within ``eps`` of the threshold compare equal (resonance
-        detection is an equality phenomenon, so the coercion is deliberate
-        and must be surfaced by callers).
-        """
-        value, exact = _operand(threshold)
-        if self.exact and exact:
-            if self.value < value:
-                return -1
-            if self.value > value:
-                return 1
-            return 0
-        diff = _to_float(self.value) - _to_float(value)
-        if abs(diff) <= eps:
-            return 0
-        return -1 if diff < 0 else 1
 
     def sqrt(self) -> "Scalar":
         """Nonnegative square root: exact if rational, else a double.

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from .core import DEFAULT_EPSILON, Scalar, Weight, check_dimension, dual_weight, eta, xi_pair
 from .errors import UnknownMultiplicity
-from .links import LinkSpectrum, SpectrumMode
+from .links import LinkSpectrum, SpectrumMode, snap_to_thresholds
 
 
 class Box1Family(str, Enum):
@@ -178,12 +178,11 @@ def box1_spectrum(link: LinkSpectrum, *, lambdas=None) -> List[TangentialEigenva
     return out
 
 
-def boxL_spectrum(
-    link: LinkSpectrum, eps: float = DEFAULT_EPSILON, *, lambdas=None
-) -> List[TangentialEigenvalue]:
+def boxL_spectrum(link: LinkSpectrum, *, lambdas=None) -> List[TangentialEigenvalue]:
     """spec(box_L) with the Killing and Obata drop rules applied.
 
-    Requires n >= 4 (link dimension at least 3).  ``lambdas`` is
+    The drops fire at exact equality; snap a float link first.  Requires
+    n >= 4 (link dimension at least 3).  ``lambdas`` is
     ``lambda_branches(link)`` when the caller already holds it.  Every
     non-TT entry carries the branch pair of its input (``branches``), so the
     roots are built without recomputing it.
@@ -197,7 +196,7 @@ def boxL_spectrum(
         out.append(TangentialEigenvalue(kappa.value, BoxLFamily.TT_KAPPA, idx, kappa.value))
     for idx, mu in _mu_indices(link):
         pair = plus, minus = xi_pair(n, mu + 1)
-        killing = mu.compare_threshold(n - 2, eps) == 0
+        killing = mu == n - 2
         out.append(
             TangentialEigenvalue(
                 eta(n, plus - 1),
@@ -215,7 +214,7 @@ def boxL_spectrum(
     for idx, lam, pair in lambdas:
         plus, minus = pair
         out.append(TangentialEigenvalue(lam, BoxLFamily.LAMBDA_DIRECT, idx, lam, branches=pair))
-        at_obata = lam.compare_threshold(n - 1, eps) == 0
+        at_obata = lam == n - 1
         obata = at_obata and link.is_round_sphere
         note = None
         if at_obata and not obata:
@@ -327,7 +326,7 @@ def indicial_roots(table: List[TangentialEigenvalue], n: int) -> List[IndicialRo
 
 def indicial_set_full(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:
     """E_L: all indicial roots of the Lichnerowicz Laplacian on the cone."""
-    return indicial_roots(boxL_spectrum(link, eps), link.n)
+    return indicial_roots(boxL_spectrum(snap_to_thresholds(link, eps)), link.n)
 
 
 def indicial_set_bianchi(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:

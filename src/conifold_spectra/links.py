@@ -17,7 +17,7 @@ order, never claimed optimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -45,10 +45,12 @@ class EigenvalueEntry:
     """One eigenvalue with an optional multiplicity (None = unknown).
 
     Multiplicities are reporting data only; no rate computation reads them.
+    ``given`` is the document's value when ``snap_to_thresholds`` moved it.
     """
 
     value: Scalar
     multiplicity: Optional[int] = None
+    given: Optional[Scalar] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.multiplicity is not None and self.multiplicity < 1:
@@ -92,7 +94,7 @@ class LinkSpectrum:
     is_round_sphere: bool = False
     ends: Tuple[EndKind, ...] = (EndKind.AC, EndKind.CS)
 
-    def validate(self, validate_obata: bool = True, eps: float = DEFAULT_EPSILON) -> None:
+    def validate(self, validate_obata: bool = True) -> None:
         """Check the link invariants, raising InvariantViolation on failure."""
         check_dimension(self.n)
         lam = self.scalar
@@ -103,21 +105,18 @@ class LinkSpectrum:
             raise InvariantViolation("lambda_0 = 0 must have multiplicity 1")
         if validate_obata:
             for entry in lam.entries[1:]:
-                if entry.value.compare_threshold(self.n - 1, eps) < 0:
+                if entry.value < self.n - 1:
                     raise InvariantViolation(
                         f"positive scalar eigenvalue {entry.value} violates the "
                         f"Lichnerowicz-Obata bound lambda >= n-1 = {self.n - 1}"
                     )
         floor = self.n - 2
         for entry in self.coclosed_one_form.entries:
-            if entry.value.compare_threshold(floor, eps) < 0:
+            if entry.value < floor:
                 raise InvariantViolation(
                     f"coclosed 1-form eigenvalue {entry.value} below n-2 = {floor}"
                 )
-        killing_listed = any(
-            entry.value.compare_threshold(floor, eps) == 0
-            for entry in self.coclosed_one_form.entries
-        )
+        killing_listed = any(entry.value == floor for entry in self.coclosed_one_form.entries)
         if self.has_killing_fields and not killing_listed:
             raise InvariantViolation(
                 "has_killing_fields requires n-2 in the coclosed 1-form list"
@@ -136,6 +135,42 @@ class LinkSpectrum:
             lst.mode is SpectrumMode.UPPER_BOUND
             for lst in (self.scalar, self.coclosed_one_form, self.tt_einstein)
         )
+
+
+def snap_to_thresholds(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> LinkSpectrum:
+    """``link`` with each float entry within ``eps`` of a threshold moved onto it.
+
+    The package's one tolerance comparison; every comparison after it is
+    exact.  Thresholds: -(n-2)^2/4 and 0 for kappa, n-2 for mu, n-1 and 2n
+    for lambda (where the lambda2-plus tangential value is 0).  A moved
+    entry stays a float and keeps the document's value in ``given``; when
+    nothing moves, ``link`` itself is returned.
+    """
+    n = link.n
+    moved = {}
+    for label, thresholds in (
+        ("scalar", (float(n - 1), float(2 * n))),
+        ("coclosed_one_form", (float(n - 2),)),
+        ("tt_einstein", (-((n - 2) ** 2) / 4, 0.0)),
+    ):
+        lst = getattr(link, label)
+        changes = {}
+        for i, entry in enumerate(lst.entries):
+            if not entry.value.exact:
+                x = float(entry.value)
+                nearest = min(thresholds, key=lambda t: abs(x - t))
+                if x != nearest and abs(x - nearest) <= eps:
+                    snapped = Scalar(nearest, exact=False)
+                    changes[i] = EigenvalueEntry(snapped, entry.multiplicity, entry.value)
+        if changes:
+            entries = tuple(changes.get(i, entry) for i, entry in enumerate(lst.entries))
+            try:
+                moved[label] = replace(lst, entries=entries)
+            except InvariantViolation:
+                raise InvariantViolation(
+                    f"{label}: two entries lie within epsilon {eps:g} of one threshold"
+                ) from None
+    return replace(link, **moved) if moved else link
 
 
 def require_complete(spectrum: SpectrumList, threshold) -> None:
@@ -374,10 +409,7 @@ def _parse_spectrum(doc, where: str) -> SpectrumList:
     except ValueError:
         raise SchemaError(f"{where}.mode: expected 'exact' or 'upper-bound-set'")
     complete_below = _parse_number(doc["complete_below"], f"{where}.complete_below")
-    try:
-        return SpectrumList(tuple(entries), complete_below, mode)
-    except InvariantViolation:
-        raise
+    return SpectrumList(tuple(entries), complete_below, mode)
 
 
 def load_spectrum(
@@ -390,8 +422,9 @@ def load_spectrum(
     Numbers given as "p/q" strings are exact rationals; bare JSON numbers go
     to the float path.  Unknown keys are rejected, and so are a dim_cone
     below 4, where box_L is undefined, and numbers beyond the double range
-    of the float path (``MAX_EXACT_BITS``, ``MAX_DIM_CONE_BITS``).
-    ``has_killing_fields`` is inferred from the 1-form list when absent.
+    of the float path (``MAX_EXACT_BITS``, ``MAX_DIM_CONE_BITS``).  The
+    link is snapped (``snap_to_thresholds``) before ``has_killing_fields``
+    is inferred from the 1-form list, when absent, and before validation.
     """
     if not isinstance(document, dict):
         raise SchemaError("spectrum document must be an object")
@@ -426,21 +459,15 @@ def load_spectrum(
         except ValueError:
             raise SchemaError(f"ends[{i}].kind: expected 'AC' or 'CS'")
     killing = document.get("has_killing_fields")
-    if killing is None:
-        killing = any(
-            e.value.compare_threshold(n - 2, eps) == 0 for e in one_form.entries
-        )
-    elif not isinstance(killing, bool):
+    if killing is not None and not isinstance(killing, bool):
         raise SchemaError("has_killing_fields must be a boolean")
-    link = LinkSpectrum(
-        n=n,
-        name=name,
-        scalar=scalar,
-        coclosed_one_form=one_form,
-        tt_einstein=tt,
-        has_killing_fields=killing,
-        is_round_sphere=False,
-        ends=tuple(ends),
-    )
-    link.validate(validate_obata=validate_obata, eps=eps)
+    link = LinkSpectrum(n, name, scalar, one_form, tt, bool(killing), ends=tuple(ends))
+    try:
+        link = snap_to_thresholds(link, eps)
+    except InvariantViolation as exc:
+        raise SchemaError(str(exc)) from exc
+    if killing is None:
+        killing = any(e.value == n - 2 for e in link.coclosed_one_form.entries)
+        link = replace(link, has_killing_fields=killing)
+    link.validate(validate_obata=validate_obata)
     return link

@@ -18,10 +18,10 @@ the n = 6 cone with the single listed kappa = eta(-3) = -3 in the window,
 E_minus holds both 1 and 3, the order at which the Stenzel metric on T*S^3
 converges, and its minimum is 1.
 
-Window membership is tested exactly on the rational path.  On the float
-path, values within the global epsilon of the resonance threshold are
-coerced to exactly resonant and the coercion is flagged, since the
-logarithmic branch is an equality phenomenon.
+Window membership, resonance and signs are exact comparisons: a float
+within epsilon of a threshold was snapped onto it once, first
+(``links.snap_to_thresholds``), so a kappa snapped to the resonance has the
+real double root, and the report flags it as coerced.
 
 All of this is computed by ``LinkAnalysis``, one lazy pass per link; the
 module-level functions are views of its stages.
@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Tuple
 
-from .core import DEFAULT_EPSILON, Scalar, check_dimension, critical_eigenvalue, eta, resonance_pair
+from .core import DEFAULT_EPSILON, Scalar, check_dimension, critical_eigenvalue, resonance_pair
 from .errors import EmptyRateSet, InsufficientSpectrum, NonTerminating
 from .indicial import (
     BoxLFamily,
@@ -45,7 +45,7 @@ from .indicial import (
     indicial_roots,
     lambda_branches,
 )
-from .links import EndKind, LinkSpectrum, SpectrumMode
+from .links import EndKind, LinkSpectrum, SpectrumMode, snap_to_thresholds
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class RateElement:
     value: Scalar
     part: str                       # "xi-plus" | "minus-branch" | "window" | "below-window"
     root: Optional[IndicialRoot]
-    coerced: bool = False           # float-path epsilon coercion applied
 
     def sort_key(self):
         return (float(self.value), self.part)
@@ -110,18 +109,14 @@ class ResonanceAnalysis:
     tangential_warnings: Tuple[str, ...]
 
 
-def _classify_kappa(kappa: Scalar, n: int, eps: float) -> Tuple[str, bool]:
+def _classify_kappa(kappa: Scalar, n: int) -> str:
     """Position of kappa relative to [-(n-2)^2/4, 0): below/at/inside/above."""
     threshold = critical_eigenvalue(n)
-    cmp_res = kappa.compare_threshold(threshold, eps)
-    coerced = cmp_res == 0 and not (kappa.exact and threshold.exact)
-    if cmp_res < 0:
-        return "below", False
-    if cmp_res == 0:
-        return "at", coerced
-    if kappa.compare_threshold(0, eps) < 0:
-        return "inside", False
-    return "above", False
+    if kappa < threshold:
+        return "below"
+    if kappa == threshold:
+        return "at"
+    return "inside" if kappa < 0 else "above"
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ class Rates:
 
 @dataclass(frozen=True)
 class LinkAnalysis:
-    """One analysis pass over a link at one epsilon.
+    """One analysis pass over a link snapped once at ``eps`` (on construction).
 
     The stages follow the chain spec(box_L) -> E_L ⊇ E_B ⊇ E -> E± ->
     verdicts.  Each is computed on first use and kept for the life of the
@@ -143,6 +138,9 @@ class LinkAnalysis:
 
     link: LinkSpectrum
     eps: float = DEFAULT_EPSILON
+
+    def __post_init__(self):
+        object.__setattr__(self, "link", snap_to_thresholds(self.link, self.eps))
 
     @cached_property
     def lambdas(self):
@@ -155,7 +153,7 @@ class LinkAnalysis:
 
     @cached_property
     def boxL(self) -> List[TangentialEigenvalue]:
-        return boxL_spectrum(self.link, self.eps, lambdas=self.lambdas)
+        return boxL_spectrum(self.link, lambdas=self.lambdas)
 
     @cached_property
     def full(self) -> List[IndicialRoot]:
@@ -197,8 +195,8 @@ class LinkAnalysis:
         ]
         elements.sort(key=RateElement.sort_key)
         if elements:
-            # eta of the branch weight is its eigenvalue, exact when the input is
-            needed = eta(link.n, elements[0].root.weight)
+            # an essential root has shift 0, so its source is its eigenvalue
+            needed = elements[0].root.source_value
             for lst, label in ((link.tt_einstein, "tt_einstein"), (link.scalar, "scalar")):
                 if lst.complete_below < needed:
                     raise InsufficientSpectrum(
@@ -212,7 +210,7 @@ class LinkAnalysis:
     @cached_property
     def e_minus(self) -> RateSet:
         """E_minus as the tagged three-part union from the essential set."""
-        link, n, eps = self.link, self.link.n, self.eps
+        link, n = self.link, self.link.n
         check_dimension(n)
         kappas = self.kappas
         by_source = {}
@@ -230,13 +228,13 @@ class LinkAnalysis:
             if family is BoxLFamily.LAMBDA_DIRECT:
                 elements.append(RateElement(-minus.weight.real, "minus-branch", minus))
                 continue
-            position, coerced = _classify_kappa(source, n, eps)
+            position = _classify_kappa(source, n)
             if position == "below":
                 elements.append(RateElement(half, "below-window", minus))
                 continue
-            elements.append(RateElement(-minus.weight.real, "minus-branch", minus, coerced))
+            elements.append(RateElement(-minus.weight.real, "minus-branch", minus))
             if position in ("at", "inside"):
-                elements.append(RateElement(-plus.weight.real, "window", plus, coerced))
+                elements.append(RateElement(-plus.weight.real, "window", plus))
 
         elements.sort(key=RateElement.sort_key)
 
@@ -281,19 +279,19 @@ class LinkAnalysis:
         A warning is emitted if any non-kappa tangential eigenvalue lands in
         the window, which is possible only at the n = 4 Obata boundary.
         """
-        n, eps = self.link.n, self.eps
+        n = self.link.n
         check_dimension(n)
         window: List[Scalar] = []
         coercions: List[Scalar] = []
         resonant = False
-        for kappa in self.kappas:
-            position, coerced = _classify_kappa(kappa, n, eps)
+        for kappa, entry in zip(self.kappas, self.link.tt_einstein.entries):
+            position = _classify_kappa(kappa, n)
             if position in ("at", "inside"):
                 window.append(kappa)
-                if coerced:
-                    coercions.append(kappa)
-                if position == "at":
-                    resonant = True
+            if position == "at":
+                resonant = True
+                if not kappa.exact:
+                    coercions.append(kappa if entry.given is None else entry.given)
         dominated = resonant and len(window) == 1
         warnings = []
         if n >= 4:
@@ -301,10 +299,7 @@ class LinkAnalysis:
             for entry in self.boxL:
                 if entry.dropped or entry.family is BoxLFamily.TT_KAPPA:
                     continue
-                if (
-                    entry.value.compare_threshold(threshold, eps) >= 0
-                    and entry.value.compare_threshold(0, eps) < 0
-                ):
+                if threshold <= entry.value < 0:
                     warnings.append(
                         f"non-TT tangential eigenvalue {entry.value} "
                         f"({entry.family.value}[{entry.source_index}]) lies in the "
@@ -327,30 +322,28 @@ class LinkAnalysis:
         equality there is reported as a warning (it can occur only at the
         n = 4 Obata boundary).
         """
-        n, eps = self.link.n, self.eps
+        n = self.link.n
         check_dimension(n)
         kappas = self.kappas
         threshold = critical_eigenvalue(n)
         witness = None
         boundary = []
         for kappa in kappas:
-            cmp_res = kappa.compare_threshold(threshold, eps)
-            if cmp_res < 0 and witness is None:
+            if kappa < threshold and witness is None:
                 witness = kappa
-            if cmp_res == 0:
+            if kappa == threshold:
                 boundary.append(kappa)
         warnings = []
         if n >= 4:
             for entry in self.boxL:
                 if entry.dropped or entry.family is BoxLFamily.TT_KAPPA:
                     continue
-                cmp_res = entry.value.compare_threshold(threshold, eps)
-                if cmp_res < 0:
+                if entry.value < threshold:
                     warnings.append(
                         f"tangential eigenvalue {entry.value} of {entry.family.value} "
                         "falls below the stability bound"
                     )
-                elif cmp_res == 0:
+                elif entry.value == threshold:
                     warnings.append(
                         f"tangential eigenvalue of {entry.family.value}"
                         f"[{entry.source_index}] sits exactly at the stability bound"
@@ -382,12 +375,11 @@ class LinkAnalysis:
                 )
             raise InsufficientSpectrum("no TT-Einstein eigenvalue listed")
         kappa_min = tt.min_value()
-        cmp_zero = kappa_min.compare_threshold(0, self.eps)
-        if cmp_zero > 0:
+        if kappa_min > 0:
             return AdmMassReport(
                 "vanishes", "all TT-Einstein eigenvalues are positive, so xi_minus > n-2"
             )
-        if cmp_zero == 0:
+        if kappa_min.is_zero():
             return AdmMassReport(
                 "vanishes",
                 "kappa_1 = 0: the leading term of the expansion is transverse-traceless",

@@ -320,6 +320,63 @@ def test_large_numbers_within_range_report(tmp_path, capsys):
             assert out
 
 
+def _report(tmp_path, capsys, doc, *options):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return run_cli(capsys, "report", "--input", str(path), *options)
+
+
+def test_float_kappa_near_resonance_has_a_real_witness(tmp_path, capsys):
+    # kappa within epsilon of -(n-2)^2/4 = -4 is snapped onto it, so its
+    # roots are the real double root -2, as for the exact kappa = -4
+    code, out, err = _report(tmp_path, capsys, _doc_with_tt([-4.0000000000001]))
+    assert code == 0, err
+    assert "witness ~-2, part minus-branch" in out
+    assert "resonance-dominated: yes" in out
+    assert "AC: weakly of order 2 (log)" in out
+    assert "~-4.0000000000001004 within epsilon of the resonance threshold" in out
+    assert "i)" not in out.split("rates:")[1].splitlines()[0]
+
+
+def test_exit_code_two_entries_snap_onto_one_threshold(tmp_path, capsys):
+    doc = _doc_with_tt([-4.0000000000001, -3.9999999999999])
+    code, out, err = _report(tmp_path, capsys, doc)
+    assert code == 3
+    assert out == ""
+    assert "tt_einstein: two entries lie within epsilon 1e-12 of one threshold" in err
+    # at a smaller epsilon neither entry moves and the document reports
+    code, _, err = _report(tmp_path, capsys, doc, "--epsilon", "1e-14")
+    assert code == 0, err
+
+
+def test_e_plus_certificate_reads_the_listed_eigenvalue(tmp_path, capsys):
+    # the E_plus minimum comes from kappa = 29.56, certified below 29.56
+    doc = _doc_with_tt([29.56])
+    doc["tt_einstein"]["complete_below"] = 29.56
+    doc["scalar"]["entries"][1]["value"] = 100.0
+    doc["scalar"]["complete_below"] = 100.0
+    code, out, err = _report(tmp_path, capsys, doc)
+    assert code == 0, err
+    assert "CS order = ~3.793099343184096" in out
+
+
+def test_partial_report_policy(tmp_path, capsys):
+    # E_plus needs the TT list below 12, certified only below 1: the rates
+    # line degrades to a warning, an end verdict that needs E_plus aborts
+    doc = _doc_with_tt(["-1", "30"])
+    doc["tt_einstein"]["complete_below"] = "1"
+    doc["ends"] = [{"kind": "AC"}]
+    code, out, err = _report(tmp_path, capsys, doc)
+    assert code == 0, err
+    assert "rates: unavailable (tt_einstein list certified below 1" in out
+    assert "AC order = ~0.26794919243112281" in out  # the window branch 2 - sqrt(3)
+    doc["ends"] = [{"kind": "CS"}]
+    code, out, err = _report(tmp_path, capsys, doc)
+    assert code == 2
+    assert out == ""
+    assert "insufficient spectrum: tt_einstein list certified below 1" in err
+
+
 def _python(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -385,6 +442,25 @@ def test_plot_data_fractional_step(capsys):
     assert rows[0].startswith("-1.25,")
     assert rows[1] == "-1,-1,-1,0"
     assert rows[2] == "-0.75,-0.5,-1.5,0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "6", "--nu-min=1e400", "--nu-max", "1e400"], "--nu-min: exact number out of range"),
+        (["--n", "6", "--nu-min=1/0"], "--nu-min: bad number '1/0'"),
+        (["--n", "6", "--nu-max", "abc"], "--nu-max: bad number 'abc'"),
+        (["--n", "6", "--step", "1/0"], "--step: bad number '1/0'"),
+        (["--n", "2"], "--n must be at least 3 and below 2**500, got 2"),
+        (["--n", str(2**500), "--nu-min=0", "--nu-max", "0"], "--n must be at least 3 and below 2**500"),
+    ],
+    ids=["overflow", "zero-division", "not-a-number", "step", "n-too-small", "n-too-large"],
+)
+def test_plot_data_rejects_bad_arguments(capsys, argv, message):
+    code, out, err = run_cli(capsys, "plot-data", *argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 def test_verify_subcommands_pass(capsys):

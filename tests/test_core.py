@@ -20,6 +20,7 @@ from conifold_spectra import (
 )
 
 from conifold_spectra.core import SQRT_BITS
+from conifold_spectra.links import EigenvalueEntry, LinkSpectrum, SpectrumList, snap_to_thresholds
 from oracles import branch_pair, eta_of
 
 
@@ -152,11 +153,20 @@ def test_scalar_parse_and_paths():
 
 
 def test_scalar_threshold_comparison_epsilon():
+    # the threshold decision is the snap; comparisons after it are exact.
+    # At n = 4 the resonance -(n-2)^2/4 is -1.
+    def snapped_kappa(kappa, eps=1e-12):
+        zero = SpectrumList((EigenvalueEntry(Scalar(0)),), Scalar(0))
+        tt = SpectrumList((EigenvalueEntry(kappa),), Scalar(0))
+        link = LinkSpectrum(4, "snap", zero, zero, tt, has_killing_fields=False)
+        return snap_to_thresholds(link, eps).tt_einstein.entries[0].value
+
     exactly = Scalar(Fraction(-1))
-    assert exactly.compare_threshold(Fraction(-1)) == 0
+    assert snapped_kappa(exactly) == Fraction(-1)
     nearly = Scalar(-1.0 + 1e-13, exact=False)
-    assert nearly.compare_threshold(Fraction(-1), eps=1e-12) == 0
-    assert nearly.compare_threshold(Fraction(-1), eps=1e-14) == 1
+    assert snapped_kappa(nearly, eps=1e-12) == Fraction(-1)
+    assert not snapped_kappa(nearly, eps=1e-12).exact
+    assert snapped_kappa(nearly, eps=1e-14) > Fraction(-1)
 
 
 def test_scalar_sqrt_paths():

@@ -106,9 +106,9 @@ GOLDEN = {
         "5137c2c7d1851fe3827c452f4d2adf6bf4c814fd7c57504e00462ed71ad66ce0",
     ),
     "float-document": (
-        "faf4ff85a6089449078a8ab541dd912dd3801dbc4cc48607f5b36a819bd49cfd",
-        "2c657386dcc71791e9d144000b16b7220af054f48d218f3cfc5584e9229ebf5c",
-        "fa5d100007ffbd6abed52eb17b46f7881e458e5c52513bb16e3565bf2b68ce38",
+        "50a11387f1fce5edd09286f8249145d72b558a008326e6fd88329aec90c6a91e",
+        "9b41fd7fa64c5d835e57fd240b9d6c198133754a1d29b86af1c45677d3924574",
+        "c64a91b5017f7ef4efb59706b674a1b079f7dbbf5778183d12585fcd33e32665",
     ),
 }
 
