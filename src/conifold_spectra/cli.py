@@ -23,7 +23,14 @@ from .errors import (
     InvariantViolation,
     SchemaError,
 )
-from .links import BUILTIN_LINKS, MAX_DIM_CONE_BITS, _parse_number, builtin_link, load_spectrum
+from .links import (
+    BUILTIN_LINKS,
+    MAX_DIM_CONE_BITS,
+    MAX_PLOT_ROWS,
+    _parse_number,
+    builtin_link,
+    load_spectrum,
+)
 from .report import ReportOptions, build_report, csv_number, render_csv, render_json, render_text
 
 
@@ -220,6 +227,12 @@ def _cmd_plot_data(args) -> int:
     step = _parse_number(args.step, "--step").value
     if step <= 0:
         raise SchemaError("step must be positive")
+    # the sweep prints floor((nu_max - nu_min) / step) + 1 rows
+    if (nu_max - nu_min) / step >= MAX_PLOT_ROWS:
+        raise SchemaError(
+            f"plot-data prints at most {MAX_PLOT_ROWS} rows; the sweep from "
+            f"{nu_min} to {nu_max} in steps of {step} has more"
+        )
     sys.stdout.write("nu,re_xi_plus,re_xi_minus,im_xi_plus\n")
     nu = nu_min
     while nu <= nu_max:

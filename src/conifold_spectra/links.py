@@ -357,6 +357,7 @@ _TOP_KEYS = {
 # every such conversion below the double range (2**1024).
 MAX_EXACT_BITS = 1000       # |p| and q below 2**1000, about 1.07e301
 MAX_DIM_CONE_BITS = 500     # dim_cone below 2**500
+MAX_PLOT_ROWS = 10**6       # rows of one plot-data sweep
 
 
 def _parse_number(value, where: str) -> Scalar:

@@ -11,8 +11,8 @@ Rendering conventions, fixed for reproducibility:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import INFINITY, encode_basestring_ascii
 from typing import Dict, List, Optional
 
 from .core import DEFAULT_EPSILON, Scalar, Weight
@@ -294,30 +294,35 @@ def _root_json(root: IndicialRoot) -> Dict:
 
 
 def report_dict(report: Report) -> Dict:
+    return _report_tree(report, _root_json)
+
+
+def _report_tree(report: Report, root_entry) -> Dict:
+    """The JSON schema of a report; each indicial root is ``root_entry(root)``."""
     link = report.link
     limit = report.options.max_roots
 
     def roots_block(roots):
         shown = roots if limit is None else roots[:limit]
-        return {"count": len(roots), "roots": [_root_json(r) for r in shown]}
+        return {"count": len(roots), "roots": [root_entry(r) for r in shown]}
 
     rates_block = None
     if report.rates is not None:
         rates_block = {
             "xi_plus": scalar_json(report.rates.xi_plus.value),
-            "xi_plus_witness": _root_json(report.rates.xi_plus.root),
+            "xi_plus_witness": root_entry(report.rates.xi_plus.root),
             "xi_minus": scalar_json(report.rates.xi_minus.value),
             "xi_minus_part": report.rates.xi_minus.part,
         }
         if report.rates.xi_minus.root is not None:
-            rates_block["xi_minus_witness"] = _root_json(report.rates.xi_minus.root)
+            rates_block["xi_minus_witness"] = root_entry(report.rates.xi_minus.root)
     ends = []
     for r in report.end_orders:
         witness: object
         if isinstance(r.witness, Weight):
             witness = weight_json(r.witness)
         elif hasattr(r.witness, "root") and r.witness.root is not None:
-            witness = _root_json(r.witness.root)
+            witness = root_entry(r.witness.root)
         else:
             witness = None
         ends.append(
@@ -375,7 +380,76 @@ def report_dict(report: Report) -> Dict:
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(report_dict(report), indent=2) + "\n"
+    """``json.dumps(report_dict(report), indent=2)`` plus a newline, byte for byte.
+
+    The stdlib encoder runs in pure Python when ``indent`` is set; here the
+    report tree keeps its ``IndicialRoot`` objects and each distinct root's
+    row is formatted once per indent, however many sets list it.
+    """
+    return _json_text(_report_tree(report, lambda root: root), "\n", {}) + "\n"
+
+
+def _json_text(value, pad: str, rows: Dict) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at ``pad`` (newline
+    plus indentation); ``rows`` memoizes root rows by (id(root), pad)."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner, rows)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_text(v, inner, rows) for v in value) + pad + "]"
+    if isinstance(value, IndicialRoot):
+        key = (id(value), pad)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _root_json_row(value, pad)
+        return row
+    return _json_leaf(value)
+
+
+def _json_leaf(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value != value:
+        return "NaN"
+    if value == INFINITY:
+        return "Infinity"
+    if value == -INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _root_json_row(root: IndicialRoot, pad: str) -> str:
+    """``_json_text(_root_json(root), pad, ...)`` without building the dict."""
+    i = pad + "  "
+    w = i + "  "
+    weight = root.weight
+    return (
+        f'{{{i}"weight": {{'
+        f'{w}"re": {_json_leaf(scalar_json(weight.real))},'
+        f'{w}"im": {_json_leaf(scalar_json(weight.imag))},'
+        f'{w}"log": {_json_leaf(weight.log_factor)}{i}}},'
+        f'{i}"family": {_json_leaf(root.family.value)},'
+        f'{i}"index": {_json_leaf(root.source_index)},'
+        f'{i}"source": {_json_leaf(scalar_json(root.source_value))},'
+        f'{i}"branch": {_json_leaf(root.branch)},'
+        f'{i}"shift": {_json_leaf(root.shift)},'
+        f'{i}"tangential": {_json_leaf(scalar_json(root.tangential_value))},'
+        f'{i}"bianchi_compatible": {_json_leaf(root.bianchi_compatible)},'
+        f'{i}"lie_derivative": {_json_leaf(root.lie_derivative)}{pad}}}'
+    )
 
 
 def render_csv(report: Report) -> str:
@@ -413,6 +487,6 @@ def render_csv(report: Report) -> str:
 
 
 def _csv_escape(cell: str) -> str:
-    if any(ch in cell for ch in ",\"\n"):
+    if "," in cell or '"' in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell

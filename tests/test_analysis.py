@@ -20,8 +20,8 @@ from conifold_spectra import (
     sphere_quotient_link,
     xi_rates,
 )
-from conifold_spectra import indicial, rates
-from conifold_spectra.report import build_report
+from conifold_spectra import indicial, rates, report
+from conifold_spectra.report import build_report, render_json
 
 
 def _count_calls(monkeypatch, module, name):
@@ -99,3 +99,20 @@ def test_build_report_builds_each_branch_pair_once(monkeypatch):
     analysis = LinkAnalysis(link)
     assert analysis.box1 == box1_spectrum(link)
     assert analysis.boxL == boxL_spectrum(link)
+
+
+def test_render_json_formats_each_distinct_root_once(monkeypatch):
+    # E_B and E list E_L's root objects again: one JSON row per distinct
+    # root in the sets, plus one per witness indent
+    built = build_report(sphere_link(6, count=16))
+    listed = built.roots_full + built.roots_bianchi + built.roots_essential
+    distinct = {id(root) for root in listed}
+    assert len(distinct) < len(listed)
+    calls = _count_calls(monkeypatch, report, "_root_json_row")
+    render_json(built)
+    formatted = [(id(root), pad) for root, pad in calls]
+    assert len(formatted) == len(set(formatted))
+    # a set's roots sit in the report, indicial_sets, the set and its list
+    set_pad = "\n" + "  " * 4
+    assert sorted(key for key, pad in formatted if pad == set_pad) == sorted(distinct)
+    assert len(formatted) <= len(distinct) + 2 + len(built.end_orders)

@@ -1,5 +1,6 @@
 """CLI surfaces, report rendering, exit codes and plot data."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,9 +8,12 @@ import sys
 
 import pytest
 
-from conifold_spectra import product_einstein_example, sphere_quotient_link
+from conifold_spectra import cli, product_einstein_example, sphere_quotient_link
 from conifold_spectra.cli import main
+from conifold_spectra.links import MAX_PLOT_ROWS
 from conifold_spectra.report import build_report, render_csv, render_json, render_text, report_dict
+
+from test_golden import GOLDEN, _case
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -63,6 +67,13 @@ def test_report_trivial_quotient_strict_orders(capsys):
 
 
 def test_report_json_round_trip_and_determinism(tmp_path):
+    # every golden case, the truncated ones included, against the schema and
+    # against the stdlib encoder
+    for name in GOLDEN:
+        report = build_report(*_case(name))
+        rendered = render_json(report)
+        assert json.loads(rendered) == report_dict(report), name
+        assert rendered == json.dumps(report_dict(report), indent=2) + "\n", name
     link = sphere_quotient_link(5, True)
     report = build_report(link)
     rendered = render_json(report)
@@ -111,6 +122,16 @@ def test_report_csv_cli(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "section,key,value"
     assert any(line.startswith("rates,xi_plus,1") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "name, cell",
+    [("a,b", '"a,b"'), ('say "hi"', '"say ""hi"""'), ("two\nlines", '"two\nlines"'), ("plain", "plain")],
+    ids=["comma", "quote", "newline", "plain"],
+)
+def test_report_csv_quotes_special_cells(name, cell):
+    link = dataclasses.replace(sphere_quotient_link(5, True), name=name)
+    assert f"\nlink,name,{cell}\n" in render_csv(build_report(link))
 
 
 def test_report_from_document(tmp_path, capsys):
@@ -461,6 +482,33 @@ def test_plot_data_rejects_bad_arguments(capsys, argv, message):
     assert code == 3
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", str(2**40)],
+        ["--n", "6", "--step", "1e-300"],
+        ["--n", "6", "--nu-min=0", "--nu-max", "1", "--step", "1/1000000"],
+    ],
+    ids=["large-n", "tiny-float-step", "one-row-too-many"],
+)
+def test_plot_data_rejects_sweeps_beyond_the_row_bound(capsys, argv):
+    code, out, err = run_cli(capsys, "plot-data", *argv)
+    assert code == 3
+    assert out == ""
+    assert f"at most {MAX_PLOT_ROWS} rows" in err
+
+
+def test_plot_data_row_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_PLOT_ROWS", 5)
+    sweep = ["plot-data", "--n", "6", "--nu-min=0", "--nu-max", "1", "--step"]
+    code, out, _ = run_cli(capsys, *sweep, "1/4")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 5
+    code, out, err = run_cli(capsys, *sweep, "1/5")
+    assert code == 3
+    assert "at most 5 rows" in err
 
 
 def test_verify_subcommands_pass(capsys):

@@ -2,12 +2,14 @@
 
 The digests pin text, JSON and CSV output for every builtin, for the
 float document of ``test_report`` and for an exact document whose radicals
-are irrational on both axes, plus one ``plot-data`` sweep.  A refactor must
+are irrational on both axes, two of them also with ``--max-roots`` 0 and 2,
+plus one ``plot-data`` sweep.  A refactor must
 leave them unchanged; a deliberate output change updates them in the same
 commit and says why.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 
@@ -110,6 +112,26 @@ GOLDEN = {
         "9b41fd7fa64c5d835e57fd240b9d6c198133754a1d29b86af1c45677d3924574",
         "c64a91b5017f7ef4efb59706b674a1b079f7dbbf5778183d12585fcd33e32665",
     ),
+    "sphere-6-nontrivial max-roots=0": (
+        "15a23febc97682ce1342001739b1d0ed8f9d6579084ca45cd37c3f72cdf3ae4e",
+        "c538b86deba19cd3758735eb4a0f38a867e1f0360af0b48d731c501fe0abda97",
+        "c73978ffd8f80fd647d901dcc14b17e8b9216e99920398eff9ede5548bf4560d",
+    ),
+    "sphere-6-nontrivial max-roots=2": (
+        "24b3dc7637a6698e1ea45797afcb6c4fc1d5a77afe38d0344257d2d34ed267eb",
+        "9fd82e624fbdd270c12a2a8f79562f7de5b0a60bc1b6906a35fd5296ab392cea",
+        "b702ff1681f22b37b71a1dd2e59fae8133d399ba989c6eed06f1d8c6f52cf906",
+    ),
+    "irrational-document max-roots=0": (
+        "0a8aa3f291749ae78a9b57707cd6b007f715ff363d2a29b9625add47e2ddd83b",
+        "0133328bd19bc7bf6db6b2359aceee07e433d8b27a5e5885f836762ed9185c7f",
+        "8a2ac73fa176049e38c64a14a290c3f43b0cdabb07527ea1c98c7e7f021e49cc",
+    ),
+    "irrational-document max-roots=2": (
+        "1947ea3f07384758ea26196372b4e1961bc5605f44c466d8c237d661e8cdd543",
+        "cd4b3949b3d112286afeae49c72b790c1cca6dbfe6c7def4fe0ab412ab4b2014",
+        "19e130ab6f0e0bc57256271505cab04e2948b6b5a57bc463c8a239cf7b241305",
+    ),
 }
 
 
@@ -140,6 +162,15 @@ def _irrational_document():
 
 
 def _case(name):
+    """The link and options of a golden case; a " max-roots=N" suffix truncates."""
+    name, _, limit = name.partition(" max-roots=")
+    link, options = _untruncated_case(name)
+    if limit:
+        options = dataclasses.replace(options, max_roots=int(limit))
+    return link, options
+
+
+def _untruncated_case(name):
     if name.startswith("sphere-") and name[7:].split("-")[0].isdigit():
         _, n, quotient = name.split("-")
         link = builtin_link("sphere", int(n), gamma_nontrivial=quotient == "nontrivial")

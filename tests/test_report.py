@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conifold_spectra import (
     InsufficientSpectrum,
@@ -13,6 +15,7 @@ from conifold_spectra import (
 )
 from conifold_spectra.report import (
     ReportOptions,
+    _json_text,
     build_report,
     end_order_line,
     fmt_scalar,
@@ -156,3 +159,26 @@ def test_e_plus_completeness_message_text():
         "tt_einstein list certified below 5/2, but the E_plus minimum "
         "0.64575131106459072 needs completeness below 3"
     )
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, float("inf"), float("-inf"), float("nan")]),
+    st.text(),
+    st.text(alphabet="\"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600 ab"),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5) | _JSON_VALUES)
+def test_json_emitter_matches_the_stdlib_encoder(value):
+    assert _json_text(value, "\n", {}) == json.dumps(value, indent=2)
