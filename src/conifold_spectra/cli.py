@@ -5,7 +5,7 @@ and ``plot-data`` processes do not pay for it.
 
 Exit codes: 0 on success, 1 on verification failure or unexpected errors,
 2 when the supplied spectrum is certified too shallow for the requested
-computation, 3 on malformed input documents.
+computation, 3 on malformed input documents and bad arguments.
 """
 
 from __future__ import annotations
@@ -99,26 +99,19 @@ def _cmd_report(args) -> int:
 
 
 def _verify_flat(n: int, max_degree: int) -> List[str]:
-    from .flatcone import CASE_IDS, verify_case
+    from .flatcone import flat_schedule, verify_case
 
     lines = []
     failures = 0
-    for case_id in CASE_IDS:
-        if case_id in ("vii", "viii"):
-            degrees: List[int] = [2]
-        elif case_id == "i":
-            degrees = [0] + [d for d in (2, 3) if d <= max_degree]
-        else:
-            degrees = list(range(1, max_degree + 1))
-        for d in degrees:
-            report = verify_case(case_id, n, d)
-            status = "pass" if report.passed else "FAIL"
-            if report.degenerate:
-                status = "degenerate(pass)"
-            if not report.passed:
-                failures += 1
-            label = f"case ({case_id}) degree {report.degree}"
-            lines.append(f"  {label:<28} {status}")
+    for case_id, d in flat_schedule(max_degree):
+        report = verify_case(case_id, n, d)
+        status = "pass" if report.passed else "FAIL"
+        if report.degenerate:
+            status = "degenerate(pass)"
+        if not report.passed:
+            failures += 1
+        label = f"case ({case_id}) degree {report.degree}"
+        lines.append(f"  {label:<28} {status}")
     lines.insert(0, f"flat-cone gauge cases on R^{n}:")
     lines.append(f"  failures: {failures}")
     return lines if failures == 0 else lines + ["FLAT-SUITE-FAILED"]
@@ -193,6 +186,9 @@ def _verify_cheeger_tian() -> List[str]:
 
 
 def _cmd_verify(args) -> int:
+    # box_L, of which every flat case is an eigentensor, needs n >= 4
+    if args.n < 4:
+        raise SchemaError(f"--n must be at least 4, got {args.n}")
     suites = (
         ["ode", "flat", "identities", "cheeger-tian"]
         if args.suite == "all"

@@ -19,14 +19,17 @@ tolerance anywhere in this module.
 Case labels follow the gauge proposition: (i) TT tensors, (ii)/(iii) the
 1-form family, (iv)/(v) the doubly shifted scalar family, (vi) the direct
 scalar family with its trace combination, (vii) the metric itself and
-(viii) the Hessian of the Green kernel r^{2-n}.
+(viii) the Hessian of the Green kernel r^{2-n}.  Each case is one row of
+``_CASES``, read by ``verify_case``, ``build_case_tensor``, ``flat_schedule``
+and ``identity_case_harmonics``; its builder makes the gauge tensor, its
+dual and the reference field from one generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import UnsupportedCase
 from .expr import (
@@ -44,8 +47,6 @@ from .expr import (
     trace,
 )
 from .harmonics import harmonic_polynomial, rotational_form
-
-CASE_IDS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
 
 
 @dataclass(frozen=True)
@@ -88,36 +89,28 @@ class CaseReport:
         return all(b.ok for b in self.branches)
 
 
-def _gauge_branch(label: str, h: FieldExpr) -> BranchCheck:
-    harmonic = laplacian(h).is_zero()
-    residual = bianchi_op(h)
-    zero = residual.is_zero()
-    return BranchCheck(
-        branch=label,
-        harmonic=harmonic,
-        bianchi_expected="zero",
-        bianchi_observed="zero" if zero else "nonzero",
-        residual="exactly-zero" if zero else "nonzero-expression",
-    )
-
-
-def _dual_branch(
+def _branch(
     label: str,
     h: FieldExpr,
-    reference_field: FieldExpr,
-    expected_coeff: Fraction,
-    reference: str,
+    reference_field: Optional[FieldExpr] = None,
+    expected_coeff: Optional[Fraction] = None,
+    reference: Optional[str] = None,
 ) -> BranchCheck:
+    """Check one branch; a reference field marks it gauge-incompatible."""
     harmonic = laplacian(h).is_zero()
     residual = bianchi_op(h)
     zero = residual.is_zero()
+    observed = "zero" if zero else "nonzero"
+    shape = "exactly-zero" if zero else "nonzero-expression"
+    if reference_field is None:
+        return BranchCheck(label, harmonic, "zero", observed, shape)
     coeff = None if zero else proportionality(residual, reference_field)
     return BranchCheck(
         branch=label,
         harmonic=harmonic,
         bianchi_expected="nonzero",
-        bianchi_observed="zero" if zero else "nonzero",
-        residual="exactly-zero" if zero else "nonzero-expression",
+        bianchi_observed=observed,
+        residual=shape,
         proportional=None if zero else coeff is not None,
         coefficient=coeff,
         expected_coefficient=expected_coeff,
@@ -129,32 +122,204 @@ def _dual_branch(
 # constructions
 # ---------------------------------------------------------------------------
 
-
-def _xi(n: int, d: int) -> Tuple[int, int]:
-    """(xi_plus, xi_minus) of the scalar eigenvalue d(d+n-2): (d, 2-n-d)."""
-    return d, 2 - n - d
+# (gauge tensor, dual tensor, reference field) of one case at one degree
+Built = Tuple[FieldExpr, Optional[FieldExpr], Optional[FieldExpr]]
 
 
 def _hessian(f: FieldExpr) -> FieldExpr:
     return sym_gradient(gradient(f))
 
 
-def _green_kernel(n: int) -> FieldExpr:
-    return FieldExpr.scalar(PolyR.r_power(n, 2 - n))
+def _trace_free(h: FieldExpr, w: Optional[PolyR] = None) -> FieldExpr:
+    """The trace-free part of h, plus w*g when w is given."""
+    n = h.n
+    shift = trace(h).component() * Fraction(-1, n)
+    return h + euclidean_metric(n).scale_poly(shift if w is None else shift + w)
 
 
-def _minus_extension(n: int, h_poly: FieldExpr, d: int) -> FieldExpr:
-    return h_poly.mul_r_power(Fraction(2 - n - 2 * d))
+def _is_tt(h: FieldExpr) -> bool:
+    return trace(h).is_zero() and divergence(h).is_zero()
 
 
-def _constant_traceless(n: int, seed: int) -> FieldExpr:
+def _tt(n: int, d: int, seed: int) -> Built:
+    """(i): flat-realizable members of the gauged kernel only.
+
+    A general link TT-tensor has no polynomial model, so there is no
+    decaying branch; degrees 0 and 1 give a constant trace-free tensor.
+    """
+    if d >= 2:
+        return _hessian(harmonic_polynomial(n, d, seed)), None, None
     out = FieldExpr(n, 2)
     if seed % 2 == 0:
         out.set_component((0, 0), PolyR.constant(n, 1))
         out.set_component((1, 1), PolyR.constant(n, -1))
     else:
         out.set_component((0, 1), PolyR.constant(n, 1))
-    return out
+    return out, None, None
+
+
+def _one_form_growing(n: int, k: int, seed: int) -> Built:
+    """(ii): delta^* omega, its dual r^(4-n-2k) delta^* omega."""
+    omega = rotational_form(n, k)
+    plus = sym_gradient(omega)
+    return plus, plus.mul_r_power(4 - n - 2 * k), omega.mul_r_power(2 - n - 2 * k)
+
+
+def _one_form_decaying(n: int, k: int, seed: int) -> Built:
+    """(iii): delta^*(r^(2-n-2k) omega), its dual times r^(n+2k)."""
+    omega = rotational_form(n, k)
+    minus = sym_gradient(omega.mul_r_power(2 - n - 2 * k))
+    return minus, minus.mul_r_power(n + 2 * k), omega
+
+
+def _shifted_growing(n: int, d: int, seed: int) -> Built:
+    """(iv): Hess H, its dual r^(6-n-2d) Hess H."""
+    dh = gradient(harmonic_polynomial(n, d, seed))
+    plus = sym_gradient(dh)
+    return plus, plus.mul_r_power(6 - n - 2 * d), dh.mul_r_power(4 - n - 2 * d)
+
+
+def _shifted_decaying(n: int, d: int, seed: int) -> Built:
+    """(v): Hess(r^(2-n-2d) H), its dual times r^(n+2d+2)."""
+    dh_minus = gradient(harmonic_polynomial(n, d, seed).mul_r_power(2 - n - 2 * d))
+    minus = sym_gradient(dh_minus)
+    return minus, minus.mul_r_power(n + 2 * d + 2), dh_minus.mul_r_power(n + 2 * d)
+
+
+def _direct_scalar(n: int, d: int, seed: int) -> Built:
+    """(vi): both branches of the direct scalar family, and dH.
+
+    With xi_+ = d and xi_- = 2-n-d, each branch is the trace-free
+    symmetrized derivative of the 1-form carrying the dual-weight
+    continuation plus the conformal part w*g, where
+    n*w = (xi_+ - xi_- + 2) xi_- H on the growing branch (resp. swapped)
+    restores the gauge.  Both branches are gauge-compatible.
+    """
+    h_poly = harmonic_polynomial(n, d, seed)
+    h_minus = h_poly.mul_r_power(2 - n - 2 * d)
+    dh = gradient(h_poly)
+    plus = _trace_free(
+        sym_gradient(gradient(h_minus).mul_r_power(n + 2 * d)),
+        h_poly.component() * Fraction((n + 2 * d) * (2 - n - d), n),
+    )
+    minus = _trace_free(
+        sym_gradient(dh.mul_r_power(4 - n - 2 * d)),
+        h_minus.component() * Fraction((4 - n - 2 * d) * d, n),
+    )
+    return plus, minus, dh
+
+
+def _metric(n: int, d: int, seed: int) -> Built:
+    """(vii): g, its dual r^(2-n) g."""
+    g = euclidean_metric(n)
+    return g, g.mul_r_power(2 - n), radial_form(n).mul_r_power(-n)
+
+
+def _green_hessian(n: int, d: int, seed: int) -> Built:
+    """(viii): the Hessian of the Green kernel r^(2-n), its dual times r^(n+2)."""
+    minus = _hessian(FieldExpr.scalar(PolyR.r_power(n, 2 - n)))
+    return minus, minus.mul_r_power(n + 2), radial_form(n)
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One gauge case: its construction and what its dual branch must show."""
+
+    gauge: str                                  # the gauge-compatible branch
+    build: Callable[[int, int, int], Built]     # (n, degree, seed)
+    expected: Optional[Callable[[int, int], Fraction]] = None  # dual coefficient
+    reference: Optional[str] = None             # the reference field, as printed
+    lowest: Optional[int] = 1                   # None: the degree is ignored
+    repeats: Tuple[int, ...] = ()               # degrees that rebuild a lower one
+    not_tt: Optional[str] = None                # note if the gauge tensor is not TT
+    drop: Optional[str] = None                  # note if it vanishes at degree 1
+
+
+_CASES = {
+    "i": _Case("+", _tt, lowest=0, repeats=(1,)),
+    "ii": _Case(
+        "+",
+        _one_form_growing,
+        lambda n, k: Fraction((n + 2 * k - 4) * (k - 1), 2),
+        "r^(2-n-2k) * omega",
+        not_tt="growing branch unexpectedly failed the TT conditions",
+        drop="Killing form: sym_gradient vanishes, plus branch drops",
+    ),
+    "iii": _Case(
+        "-",
+        _one_form_decaying,
+        lambda n, k: Fraction((n + 2 * k) * (n + k - 1), 2),
+        "r^0 * omega",
+    ),
+    "iv": _Case(
+        "+",
+        _shifted_growing,
+        lambda n, d: Fraction((n + 2 * d - 6) * (d - 1)),
+        "r^(4-n-2d) * dH",
+        drop=(
+            "degree-1 eigenfunction: the Hessian vanishes, matching "
+            "the drop at the Obata equality"
+        ),
+    ),
+    "v": _Case(
+        "-",
+        _shifted_decaying,
+        lambda n, d: Fraction((n + 2 * d + 2) * (n + d - 1)),
+        "r^(n+2d) * d(r^(2-n-2d) H)",
+    ),
+    "vi": _Case(
+        "+",
+        _direct_scalar,
+        lambda n, d: Fraction((n - 2) * (n + 2 * d) * (n + d - 2), 2 * n),
+        "dH",
+    ),
+    "vii": _Case(
+        "+",
+        _metric,
+        lambda n, d: Fraction(-((n - 2) ** 2), 2),
+        "r^(1-n) dr",
+        lowest=None,
+    ),
+    "viii": _Case(
+        "-",
+        _green_hessian,
+        lambda n, d: Fraction(-((n + 2) * (n - 1) * (n - 2))),
+        "r dr",
+        lowest=None,
+        not_tt="Green-kernel Hessian unexpectedly failed the TT conditions",
+    ),
+}
+
+CASE_IDS = tuple(_CASES)
+
+_DIRECT_SCALAR_NOTE = (
+    "gauge requires n*w = (xi_+ - xi_- + 2) xi_- v on the growing "
+    "branch (sign verified exactly; the quoted constant has a "
+    "2 -> -2 slip)"
+)
+
+
+def _row(case_id: str, degree: int) -> _Case:
+    """The table row of ``case_id``; a degree below its lowest is refused."""
+    if case_id not in _CASES:
+        raise UnsupportedCase(f"unknown case {case_id!r}")
+    row = _CASES[case_id]
+    if row.lowest is not None and degree < row.lowest:
+        raise UnsupportedCase(f"case ({case_id}) starts at degree {row.lowest}, got {degree}")
+    return row
+
+
+def flat_schedule(max_degree: int) -> List[Tuple[str, int]]:
+    """The (case, degree) runs of the flat suite up to ``max_degree``.
+
+    A case without a degree runs once; a degree that rebuilds a lower
+    degree's tensor is skipped.
+    """
+    runs: List[Tuple[str, int]] = []
+    for case_id, row in _CASES.items():
+        degrees = [0] if row.lowest is None else range(row.lowest, max_degree + 1)
+        runs.extend((case_id, d) for d in degrees if d not in row.repeats)
+    return runs
 
 
 def build_case_tensor(case_id: str, branch: str, n: int, degree: int = 2, seed: int = 0) -> FieldExpr:
@@ -165,95 +330,16 @@ def build_case_tensor(case_id: str, branch: str, n: int, degree: int = 2, seed: 
     1-form families, the seed selector for case (i)).  Cases (vii) and
     (viii) ignore it.
     """
-    if case_id not in CASE_IDS:
-        raise UnsupportedCase(f"unknown case {case_id!r}")
+    row = _row(case_id, degree)
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    d = degree
-
-    if case_id == "i":
-        # Flat-realizable members of the gauged kernel only; a general link
-        # TT-tensor has no polynomial model.
-        if branch == "-":
-            raise UnsupportedCase(
-                "no polynomial flat model for the decaying branch of a "
-                "generic TT input"
-            )
-        if d <= 1:
-            return _constant_traceless(n, seed)
-        return _hessian(harmonic_polynomial(n, d, seed))
-
-    if case_id in ("ii", "iii"):
-        k = d
-        omega = rotational_form(n, k)
-        if case_id == "ii":
-            plus = sym_gradient(omega)
-            if branch == "+":
-                return plus
-            return plus.mul_r_power(Fraction(4 - n - 2 * k))
-        w_minus = omega.mul_r_power(Fraction(2 - n - 2 * k))
-        minus = sym_gradient(w_minus)
-        if branch == "-":
-            return minus
-        return minus.mul_r_power(Fraction(n + 2 * k))
-
-    if case_id in ("iv", "v"):
-        h_poly = harmonic_polynomial(n, d, seed)
-        if case_id == "iv":
-            plus = _hessian(h_poly)
-            if branch == "+":
-                return plus
-            return plus.mul_r_power(Fraction(6 - n - 2 * d))
-        minus = _hessian(_minus_extension(n, h_poly, d))
-        if branch == "-":
-            return minus
-        return minus.mul_r_power(Fraction(n + 2 * d + 2))
-
-    if case_id == "vi":
-        return _case_vi_tensor(n, d, branch, seed, pure_scalar_part=False)
-
-    if case_id == "vii":
-        g = euclidean_metric(n)
-        if branch == "+":
-            return g
-        return g.mul_r_power(Fraction(2 - n))
-
-    # case viii
-    minus = _hessian(_green_kernel(n))
-    if branch == "-":
-        return minus
-    return minus.mul_r_power(Fraction(n + 2))
-
-
-def _case_vi_tensor(
-    n: int, d: int, branch: str, seed: int, pure_scalar_part: bool
-) -> FieldExpr:
-    """The direct scalar family member with its gauge trace combination.
-
-    The trace-free part is the trace-free symmetrized derivative of the
-    harmonic 1-form carrying the dual-weight continuation; the conformal
-    part w*g with n*w = (xi_+ - xi_- + 2) xi_-(resp. swapped) restores the
-    gauge.  ``pure_scalar_part`` drops the conformal part (the incompatible
-    combination used for the nonzero check).
-    """
-    xp, xm = _xi(n, d)
-    h_poly = harmonic_polynomial(n, d, seed)
-    g = euclidean_metric(n)
-    if branch == "+":
-        carrier = gradient(_minus_extension(n, h_poly, d)).mul_r_power(
-            Fraction(xp - xm + 2)
+    if branch != row.gauge and row.reference is None:
+        raise UnsupportedCase(
+            "no polynomial flat model for the decaying branch of a "
+            "generic TT input"
         )
-        w_scalar = h_poly.component() * Fraction((xp - xm + 2) * xm, n)
-    else:
-        carrier = gradient(h_poly).mul_r_power(Fraction(xm - xp + 2))
-        w_scalar = _minus_extension(n, h_poly, d).component() * Fraction(
-            (xm - xp + 2) * xp, n
-        )
-    sym = sym_gradient(carrier)
-    tf = sym + g.scale_poly(divergence(carrier).component() * Fraction(1, n))
-    if pure_scalar_part:
-        return tf
-    return tf + g.scale_poly(w_scalar)
+    gauge, dual, _ = row.build(n, degree, seed)
+    return gauge if branch == row.gauge else dual
 
 
 # ---------------------------------------------------------------------------
@@ -263,151 +349,43 @@ def _case_vi_tensor(
 
 def verify_case(case_id: str, n: int, degree: int = 2, seed: int = 0) -> CaseReport:
     """Run the exact checks for one case at one degree."""
-    if case_id not in CASE_IDS:
-        raise UnsupportedCase(f"unknown case {case_id!r}")
-    d = degree
-    notes: List[str] = []
+    row = _row(case_id, degree)
+    gauge, dual, reference_field = row.build(n, degree, seed)
 
     if case_id == "i":
-        h = build_case_tensor("i", "+", n, d, seed)
-        checks = [_gauge_branch("+", h)]
-        tt_ok = trace(h).is_zero() and divergence(h).is_zero()
-        if not tt_ok:
-            notes.append("flat instance failed the TT conditions")
-            checks.append(
-                BranchCheck("+", False, "zero", "nonzero", "nonzero-expression")
-            )
-        return CaseReport("i", n, d, tuple(checks), notes=tuple(notes))
+        checks = (_branch("+", gauge),)
+        if _is_tt(gauge):
+            return CaseReport("i", n, degree, checks)
+        failed = BranchCheck("+", False, "zero", "nonzero", "nonzero-expression")
+        notes = ("flat instance failed the TT conditions",)
+        return CaseReport("i", n, degree, checks + (failed,), notes=notes)
 
-    if case_id == "ii":
-        k = d
-        omega = rotational_form(n, k)
-        plus = build_case_tensor("ii", "+", n, k)
-        if plus.is_zero():
-            # Killing 1-form: the eigentensor vanishes and the eigenvalue
-            # drops; there is nothing to check on either branch.
-            if k != 1:
-                raise AssertionError("unexpected vanishing at k != 1")
-            return CaseReport(
-                "ii",
-                n,
-                k,
-                (),
-                degenerate=True,
-                notes=("Killing form: sym_gradient vanishes, plus branch drops",),
-            )
-        minus = build_case_tensor("ii", "-", n, k)
-        reference = omega.mul_r_power(Fraction(2 - n - 2 * k))
-        expected = Fraction((n + 2 * k - 4) * (k - 1), 2)
-        checks = (
-            _gauge_branch("+", plus),
-            _dual_branch("-", minus, reference, expected, "r^(2-n-2k) * omega"),
-        )
-        if not trace(plus).is_zero() or not divergence(plus).is_zero():
-            notes.append("growing branch unexpectedly failed the TT conditions")
-        return CaseReport("ii", n, k, checks, notes=tuple(notes))
-
-    if case_id == "iii":
-        k = d
-        omega = rotational_form(n, k)
-        minus = build_case_tensor("iii", "-", n, k)
-        plus = build_case_tensor("iii", "+", n, k)
-        expected = Fraction((n + 2 * k) * (n + k - 1), 2)
-        checks = (
-            _gauge_branch("-", minus),
-            _dual_branch("+", plus, omega, expected, "r^0 * omega"),
-        )
-        return CaseReport("iii", n, k, checks)
-
-    if case_id == "iv":
-        plus = build_case_tensor("iv", "+", n, d, seed)
-        if plus.is_zero():
-            if d != 1:
-                raise AssertionError("unexpected vanishing Hessian at degree != 1")
-            return CaseReport(
-                "iv",
-                n,
-                d,
-                (),
-                degenerate=True,
-                notes=(
-                    "degree-1 eigenfunction: the Hessian vanishes, matching "
-                    "the drop at the Obata equality",
-                ),
-            )
-        minus = build_case_tensor("iv", "-", n, d, seed)
-        reference = gradient(harmonic_polynomial(n, d, seed)).mul_r_power(
-            Fraction(4 - n - 2 * d)
-        )
-        expected = Fraction((n + 2 * d - 6) * (d - 1))
-        checks = (
-            _gauge_branch("+", plus),
-            _dual_branch("-", minus, reference, expected, "r^(4-n-2d) * dH"),
-        )
-        return CaseReport("iv", n, d, checks)
-
-    if case_id == "v":
-        minus = build_case_tensor("v", "-", n, d, seed)
-        plus = build_case_tensor("v", "+", n, d, seed)
-        h_poly = harmonic_polynomial(n, d, seed)
-        reference = gradient(_minus_extension(n, h_poly, d)).mul_r_power(
-            Fraction(n + 2 * d)
-        )
-        expected = Fraction((n + 2 * d + 2) * (n + d - 1))
-        checks = (
-            _gauge_branch("-", minus),
-            _dual_branch("+", plus, reference, expected, "r^(n+2d) * d(r^(2-n-2d) H)"),
-        )
-        return CaseReport("v", n, d, checks)
-
+    expected = row.expected(n, degree)
     if case_id == "vi":
-        xp, xm = _xi(n, d)
-        plus = _case_vi_tensor(n, d, "+", seed, pure_scalar_part=False)
-        minus = _case_vi_tensor(n, d, "-", seed, pure_scalar_part=False)
-        bare = _case_vi_tensor(n, d, "+", seed, pure_scalar_part=True)
-        reference = gradient(harmonic_polynomial(n, d, seed))
-        expected = Fraction((n - 2) * (n + 2 * d) * (n + d - 2), 2 * n)
+        # both branches are gauge-compatible; the growing one without its
+        # conformal part is not
+        wrong = _trace_free(gauge)
         checks = (
-            _gauge_branch("+", plus),
-            _gauge_branch("-", minus),
-            _dual_branch("wrong-trace-combination", bare, reference, expected, "dH"),
+            _branch("+", gauge),
+            _branch("-", dual),
+            _branch("wrong-trace-combination", wrong, reference_field, expected, row.reference),
         )
-        return CaseReport(
-            "vi",
-            n,
-            d,
-            checks,
-            notes=(
-                "gauge requires n*w = (xi_+ - xi_- + 2) xi_- v on the growing "
-                "branch (sign verified exactly; the quoted constant has a "
-                "2 -> -2 slip)",
-            ),
-        )
+        return CaseReport("vi", n, degree, checks, notes=(_DIRECT_SCALAR_NOTE,))
 
-    if case_id == "vii":
-        plus = build_case_tensor("vii", "+", n)
-        minus = build_case_tensor("vii", "-", n)
-        reference = radial_form(n).mul_r_power(Fraction(-n))
-        expected = Fraction(-((n - 2) ** 2), 2)
-        checks = (
-            _gauge_branch("+", plus),
-            _dual_branch("-", minus, reference, expected, "r^(1-n) dr"),
-        )
-        return CaseReport("vii", n, None, checks)
-
-    # case viii
-    minus = build_case_tensor("viii", "-", n)
-    plus = build_case_tensor("viii", "+", n)
-    reference = radial_form(n)
-    expected = Fraction(-((n + 2) * (n - 1) * (n - 2)))
+    if row.drop is not None and gauge.is_zero():
+        # the eigentensor vanishes and the eigenvalue drops; there is
+        # nothing to check on either branch
+        if degree != 1:
+            raise AssertionError(f"case ({case_id}): unexpected vanishing at degree {degree}")
+        return CaseReport(case_id, n, degree, (), degenerate=True, notes=(row.drop,))
+    dual_label = "-" if row.gauge == "+" else "+"
     checks = (
-        _gauge_branch("-", minus),
-        _dual_branch("+", plus, reference, expected, "r dr"),
+        _branch(row.gauge, gauge),
+        _branch(dual_label, dual, reference_field, expected, row.reference),
     )
-    notes = []
-    if not (trace(minus).is_zero() and divergence(minus).is_zero()):
-        notes.append("Green-kernel Hessian unexpectedly failed the TT conditions")
-    return CaseReport("viii", n, None, checks, notes=tuple(notes))
+    notes = (row.not_tt,) if row.not_tt is not None and not _is_tt(gauge) else ()
+    degree_or_none = None if row.lowest is None else degree
+    return CaseReport(case_id, n, degree_or_none, checks, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +473,17 @@ def identity_trace_commutes(n: int, count: int = 12) -> IdentityReport:
 
 
 def identity_case_harmonics(n: int, max_degree: int = 3) -> IdentityReport:
-    """The four scalar-family tensors built from each H_d are harmonic."""
+    """The four scalar-family tensors built from each H_d are harmonic:
+    the gauge tensors of cases (iv) and (v) and both branches of (vi)."""
     failures = 0
     cases = 0
     for d in range(1, max_degree + 1):
-        h_poly = harmonic_polynomial(n, d)
+        plus, minus, _ = _CASES["vi"].build(n, d, 0)
         tensors = [
-            _hessian(h_poly),
-            _hessian(_minus_extension(n, h_poly, d)),
-            _case_vi_tensor(n, d, "+", 0, pure_scalar_part=True),
-            _case_vi_tensor(n, d, "-", 0, pure_scalar_part=True),
+            _CASES["iv"].build(n, d, 0)[0],
+            _CASES["v"].build(n, d, 0)[0],
+            plus,
+            minus,
         ]
         for t in tensors:
             cases += 1
@@ -553,14 +532,11 @@ def cheeger_tian_example(n: int = 4) -> CheegerTianRecord:
     g = FieldExpr.scalar(x1 * x1 * x1 - Fraction(3) * (x1 * x2 * x2))
     printed = FieldExpr.scalar(x1 * x1 * x1 - Fraction(4) * (x1 * x2 * x2))
     h = _hessian(g).mul_r_power(Fraction(-4))
-    tracefree = h - euclidean_metric(n).scale_poly(
-        trace(h).component() * Fraction(1, n)
-    )
     return CheegerTianRecord(
         harmonic_function=laplacian(g).is_zero(),
         tensor_componentwise_harmonic=laplacian(h).is_zero(),
         homogeneity_degree=h.homogeneity(),
-        tracefree_part_not_divergence_free=not divergence(tracefree).is_zero(),
+        tracefree_part_not_divergence_free=not divergence(_trace_free(h)).is_zero(),
         printed_variant_harmonic=laplacian(printed).is_zero(),
         note=(
             "harmonicity holds for the coefficient -3 (the real part of the "

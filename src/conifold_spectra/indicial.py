@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .core import DEFAULT_EPSILON, Scalar, Weight, check_dimension, dual_weight, eta, xi_pair
 from .errors import UnknownMultiplicity
@@ -67,7 +67,7 @@ class TangentialEigenvalue:
     """
 
     value: Scalar
-    family: object
+    family: Union[Box1Family, BoxLFamily]
     source_index: int
     source_value: Scalar
     dropped: bool = False

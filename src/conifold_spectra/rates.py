@@ -318,9 +318,11 @@ class LinkAnalysis:
         """Stable iff every TT-Einstein eigenvalue is >= -(n-2)^2/4.
 
         The inequality is non-strict: the boundary case is stable.  All other
-        tangential families are cross-checked against the same bound;
-        equality there is reported as a warning (it can occur only at the
-        n = 4 Obata boundary).
+        tangential families are cross-checked against the same bound.
+        Equality there is reported as a warning; since eta(x) >= -(n-2)^2/4
+        with equality only at x = -(n-2)/2, it occurs only for the
+        lambda2-plus value of lambda = n-1 at n = 4 (the Obata boundary), and
+        is read from that snapped lambda rather than from the rounded value.
         """
         n = self.link.n
         check_dimension(n)
@@ -343,7 +345,7 @@ class LinkAnalysis:
                         f"tangential eigenvalue {entry.value} of {entry.family.value} "
                         "falls below the stability bound"
                     )
-                elif entry.value == threshold:
+                elif n == 4 and entry.family is BoxLFamily.LAMBDA2_PLUS and entry.source_value == 3:
                     warnings.append(
                         f"tangential eigenvalue of {entry.family.value}"
                         f"[{entry.source_index}] sits exactly at the stability bound"

@@ -185,7 +185,7 @@ def _root_row(root: IndicialRoot) -> str:
 
 def _tangential_row(entry: TangentialEigenvalue) -> str:
     status = "dropped:" + entry.drop_reason.value if entry.dropped else "kept"
-    fam = entry.family.value if hasattr(entry.family, "value") else str(entry.family)
+    fam = entry.family.value
     return f"{fmt_scalar(entry.value):>10}  {fam:<22} i={entry.source_index:<3} {status}"
 
 
@@ -264,10 +264,9 @@ def render_text(report: Report) -> str:
 
 
 def _tangential_json(entry: TangentialEigenvalue) -> Dict:
-    fam = entry.family.value if hasattr(entry.family, "value") else str(entry.family)
     out = {
         "value": scalar_json(entry.value),
-        "family": fam,
+        "family": entry.family.value,
         "index": entry.source_index,
         "source": scalar_json(entry.source_value),
         "dropped": entry.dropped,

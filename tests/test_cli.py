@@ -520,6 +520,33 @@ def test_verify_subcommands_pass(capsys):
     assert "case (vii)" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flat", "--n", "3"],
+        ["flat", "--n", "1"],
+        ["flat", "--n", "0"],
+        ["identities", "--n", "3"],
+        ["identities", "--n", "2"],
+        ["all", "--n", "-4"],
+    ],
+)
+def test_verify_rejects_n_below_4(capsys, argv):
+    # box_L is undefined below n = 4, and every flat case is its eigentensor
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 3
+    assert out == ""
+    assert "--n must be at least 4" in err
+
+
+def test_verify_flat_honours_max_degree_for_case_i(capsys):
+    code, out, _ = run_cli(capsys, "verify", "flat", "--max-degree", "4")
+    assert code == 0
+    runs = [line.split()[:4] for line in out.splitlines() if line.startswith("  case (i) ")]
+    assert [run[3] for run in runs] == ["0", "2", "3", "4"]
+    assert "case (vi) degree 4" in out
+
+
 def test_console_entry_point_installed():
     import shutil
 

@@ -169,3 +169,45 @@ def test_cheeger_tian_record():
     assert not record.printed_variant_harmonic
     with pytest.raises(UnsupportedCase):
         cheeger_tian_example(5)
+
+
+def test_each_case_builds_its_generators_once(monkeypatch):
+    # one verify_case call builds H or omega once, and symmetrizes each
+    # distinct 1-form once: the dual branch and the reference reuse them
+    from conifold_spectra.flatcone import cases
+
+    calls = {"harmonic_polynomial": [], "rotational_form": [], "sym_gradient": []}
+    for name, log in calls.items():
+        original = getattr(cases, name)
+
+        def counted(*args, _original=original, _log=log, **kwargs):
+            _log.append(repr(args))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cases, name, counted)
+    for case_id in CASE_IDS:
+        for log in calls.values():
+            log.clear()
+        assert verify_case(case_id, 6, 3).passed, case_id
+        assert len(calls["harmonic_polynomial"]) <= 1, case_id
+        assert len(calls["rotational_form"]) <= 1, case_id
+        sym = calls["sym_gradient"]
+        assert len(sym) == len(set(sym)), case_id
+
+
+@pytest.mark.parametrize(
+    "case_id, degree",
+    [("i", -1), ("ii", 0), ("iii", 0), ("iv", 0), ("v", 0), ("vi", 0), ("vi", -2)],
+)
+def test_degrees_below_the_lowest_are_refused(case_id, degree):
+    # (i) starts at degree 0 and (ii)-(vi) at degree 1, in both entry points
+    with pytest.raises(UnsupportedCase, match="starts at degree"):
+        verify_case(case_id, 4, degree)
+    with pytest.raises(UnsupportedCase, match="starts at degree"):
+        build_case_tensor(case_id, "+", 4, degree)
+
+
+def test_cases_without_a_degree_ignore_it():
+    for case_id in ("vii", "viii"):
+        report = verify_case(case_id, 4, -5)
+        assert report.passed and report.degree is None

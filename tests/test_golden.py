@@ -3,7 +3,7 @@
 The digests pin text, JSON and CSV output for every builtin, for the
 float document of ``test_report`` and for an exact document whose radicals
 are irrational on both axes, two of them also with ``--max-roots`` 0 and 2,
-plus one ``plot-data`` sweep.  A refactor must
+plus one ``plot-data`` sweep and three ``verify`` runs.  A refactor must
 leave them unchanged; a deliberate output change updates them in the same
 commit and says why.
 """
@@ -203,3 +203,21 @@ def test_plot_data_sweep_is_byte_identical():
     assert len(out.getvalue().splitlines()) == 258
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == "94eb123118e01ea6ab7abd3f21c90ace4d8d023546fb40f1bd989429a3186039"
+
+
+# argv -> sha256 of the stdout of a ``verify`` run
+VERIFY_GOLDEN = {
+    "verify all": "06cd25c9a5756dc985e1b00a6fdce3ec2aa3ea3dcf779cee66ca051002124cf2",
+    "verify flat --n 6": "943ea767d6717ad7de71dd2e8ec1545431417ae5e07cb64b5ae3a6befad57384",
+    "verify identities --n 5": "0ab3ccb98fd5445b0be11079f734371b2d7da093e3a99cd8f5ec0e15980f6121",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN))
+def test_verify_output_is_byte_identical(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv.split())
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == VERIFY_GOLDEN[argv]

@@ -167,3 +167,29 @@ def test_float_kappa_within_eps_of_resonance_behaves_as_the_exact_threshold(n, e
     assert len(snapped.resonance.coercions) == 1
     assert snapped.resonance.coercions[0].value == kappa
     assert not exact.resonance.coercions
+
+
+def _bound_warnings(lam, eps=1e-12):
+    # n = 4, not the round sphere: lambda = n-1 keeps its lambda2-plus value
+    link = _link(4, lam=(lam, 8), mu=(2, 5), kappa=(1, 2))
+    stability = LinkAnalysis(link, eps).stability
+    return [w for w in stability.warnings if "sits exactly at the stability bound" in w]
+
+
+def test_stability_bound_equality_is_read_from_the_snapped_lambda():
+    # eta(x) reaches -(n-2)^2/4 only at x = -(n-2)/2: at n = 4 that is the
+    # lambda2-plus value of lambda = 3, exact or snapped onto 3
+    expected = [
+        "tangential eigenvalue of Scalar-lambda2-plus[1] sits exactly at the stability bound"
+    ]
+    assert _bound_warnings(3) == expected
+    assert _bound_warnings(3.0000000000001) == expected
+
+
+def test_rounded_derived_value_on_the_bound_does_not_warn():
+    # -1 + (lambda-3)^2/16 rounds to exactly -1.0 for lambda = 3.00000001,
+    # which lies outside eps of 3 and so is not on the bound
+    link = _link(4, lam=(3.00000001, 8), mu=(2, 5), kappa=(1, 2))
+    value = next(e.value for e in LinkAnalysis(link).boxL if e.family.value == "Scalar-lambda2-plus")
+    assert float(value) == -1.0
+    assert _bound_warnings(3.00000001) == []
