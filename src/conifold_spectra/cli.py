@@ -33,6 +33,19 @@ from .links import (
 )
 from .report import ReportOptions, build_report, csv_number, render_csv, render_json, render_text
 
+MAX_VERIFY_WORK = 10**7     # verify_work of one verify run, a few seconds
+
+
+def verify_work(n: int, max_degree: int) -> int:
+    """The verifier's work estimate, fitted to its measured growth.
+
+    n^3 d^3 follows the flat and identity suites over the rank-2 fields (d is
+    at least 3, the identities' own degree); d^5 follows the rotational forms
+    at n = 4, where x4 is the reduced coordinate and expands.
+    """
+    d = max(max_degree, 3)
+    return n**3 * d**3 + d**5
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -189,6 +202,11 @@ def _cmd_verify(args) -> int:
     # box_L, of which every flat case is an eigentensor, needs n >= 4
     if args.n < 4:
         raise SchemaError(f"--n must be at least 4, got {args.n}")
+    if verify_work(args.n, args.max_degree) > MAX_VERIFY_WORK:
+        raise SchemaError(
+            f"verify --n {args.n} --max-degree {args.max_degree} is beyond the work "
+            f"bound: n^3*d^3 + d^5 with d = max(degree, 3) must be at most {MAX_VERIFY_WORK}"
+        )
     suites = (
         ["ode", "flat", "identities", "cheeger-tian"]
         if args.suite == "all"
@@ -223,8 +241,9 @@ def _cmd_plot_data(args) -> int:
     step = _parse_number(args.step, "--step").value
     if step <= 0:
         raise SchemaError("step must be positive")
-    # the sweep prints floor((nu_max - nu_min) / step) + 1 rows
-    if (nu_max - nu_min) / step >= MAX_PLOT_ROWS:
+    # the sweep prints floor((nu_max - nu_min) / step) + 1 rows; the parsed
+    # arguments are exact, and two ints would divide to a float
+    if Fraction(nu_max - nu_min) / step >= MAX_PLOT_ROWS:
         raise SchemaError(
             f"plot-data prints at most {MAX_PLOT_ROWS} rows; the sweep from "
             f"{nu_min} to {nu_max} in steps of {step} has more"

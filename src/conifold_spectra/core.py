@@ -11,15 +11,19 @@ Negative discriminants follow the convention sqrt(x) = sqrt(|x|)*i, so a
 weight is a complex number together with a flag for the logarithmic
 solution at the resonance value nu = -(n-2)^2/4.
 
-Arithmetic runs on two paths.  Rational inputs stay exact (``fractions``).
-Float inputs and non-square discriminants put the numeric *views* on Python
-floats (IEEE doubles).  A single global epsilon (default 1e-12) snaps float
-eigenvalues onto their thresholds once (``links.snap_to_thresholds``); all
-comparisons after that are exact.  A discriminant's square root is taken in
-integer arithmetic at 169 bits (50 significant digits), each step correctly
-rounded, and then rounded once more to 53 bits; every other float operation
-is a double operation.  A rational p/q becomes float(p)/float(q): both
-operands round before the quotient does.
+Arithmetic runs on two paths.  Rational inputs stay exact: an integral
+value is a Python int and any other rational a ``Fraction`` (``rational``
+puts every exact value in that form, so integers skip the pure-Python
+``Fraction`` arithmetic).  Float inputs and non-square discriminants put
+the numeric *views* on Python floats (IEEE doubles).  A single global
+epsilon (default 1e-12) snaps float eigenvalues onto their thresholds once
+(``links.snap_to_thresholds``); all comparisons after that are exact.  A
+discriminant's square root is taken in integer arithmetic at 169 bits (50
+significant digits), each step correctly rounded, and then rounded once
+more to 53 bits; every other float operation is a double operation.  A
+rational p/q becomes float(p)/float(q): both operands round before the
+quotient does.  The sign and order of a weight base + sign*sqrt(square) are
+decided exactly (``surd_sign``, ``surd_cmp``), not on its view.
 
 A weight is one exact value, base + sign*sqrt(square) on the real or the
 imaginary axis: for every rational eigenvalue, irrational radicals
@@ -47,6 +51,15 @@ def check_dimension(n: int, minimum: int = 3) -> None:
         raise TypeError(f"cone dimension must be an integer, got {n!r}")
     if n < minimum:
         raise DimensionTooSmall(f"cone dimension n={n} requires n >= {minimum}")
+
+
+def rational(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _to_float(value) -> float:
@@ -125,7 +138,7 @@ def _nstr17(x: float) -> str:
     return ("-" if x < 0 else "") + text
 
 
-def _exact_sqrt(value: Fraction) -> Optional[Fraction]:
+def _exact_sqrt(value) -> Optional[Fraction]:
     """Square root of a nonnegative rational, or None if irrational."""
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
@@ -144,7 +157,7 @@ def _operand(other):
 
 
 def _raw(value, exact: bool) -> "Scalar":
-    """A scalar around a Fraction, or a float that is not -0.0."""
+    """A scalar around an exact rational (``rational``), or a float that is not -0.0."""
     s = object.__new__(Scalar)
     s.value, s.exact = value, exact
     return s
@@ -153,10 +166,12 @@ def _raw(value, exact: bool) -> "Scalar":
 class Scalar:
     """A number on the exact-rational or the float path.
 
-    Exact scalars wrap ``Fraction`` and are closed under +, -, *, / and
-    comparison.  Float scalars wrap a ``float``; any operation touching a
-    float scalar yields a float scalar, computed in double precision.  Only
-    ``sqrt`` works at more bits (SQRT_BITS) before it rounds to a double.
+    Exact scalars hold an int when integral and a ``Fraction`` otherwise
+    (``rational``) and are closed under +, -, *, / and comparison;
+    ``as_fraction`` reads the value as a ``Fraction``.  Float scalars wrap a
+    ``float``; any operation touching a float scalar yields a float scalar,
+    computed in double precision.  Only ``sqrt`` works at more bits
+    (SQRT_BITS) before it rounds to a double.
     """
 
     __slots__ = ("value", "exact")
@@ -169,7 +184,7 @@ class Scalar:
         if exact is None:
             exact = isinstance(value, (int, Fraction))
         if exact:
-            self.value = value if type(value) is Fraction else Fraction(value)
+            self.value = rational(value)
         else:
             self.value = _to_float(value)
         self.exact = exact
@@ -191,7 +206,7 @@ class Scalar:
             parts = text.split("/")
             if len(parts) > 2 or not parts[0].strip():
                 raise ValueError(f"not a rational literal: {text!r}")
-            return _raw(Fraction(text), True)
+            return _raw(rational(Fraction(text)), True)
         if isinstance(text, bool):
             raise ValueError("booleans are not numbers")
         if isinstance(text, int):
@@ -216,7 +231,7 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if not self.exact:
             raise ValueError("scalar is on the float path")
-        return self.value
+        return Fraction(self.value)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -226,7 +241,7 @@ class Scalar:
     def __add__(self, other):
         value, exact = _operand(other)
         if self.exact and exact:
-            return _raw(self.value + value, True)
+            return _raw(rational(self.value + value), True)
         return _raw(_to_float(self.value) + _to_float(value), False)
 
     __radd__ = __add__
@@ -243,7 +258,7 @@ class Scalar:
     def __mul__(self, other):
         value, exact = _operand(other)
         if self.exact and exact:
-            return _raw(self.value * value, True)
+            return _raw(rational(self.value * value), True)
         return _raw(_to_float(self.value) * _to_float(value) + 0.0, False)
 
     __rmul__ = __mul__
@@ -251,7 +266,7 @@ class Scalar:
     def __truediv__(self, other):
         value, exact = _operand(other)
         if self.exact and exact:
-            return _raw(self.value / value, True)
+            return _raw(rational(Fraction(self.value) / value), True)
         return _raw(_to_float(self.value) / _to_float(value) + 0.0, False)
 
     def __rtruediv__(self, other):
@@ -304,7 +319,7 @@ class Scalar:
         if self.exact:
             root = _exact_sqrt(self.value)
             if root is not None:
-                return _raw(root, True)
+                return _raw(rational(root), True)
         return _raw(_float_sqrt(self.value), False)
 
 
@@ -408,6 +423,42 @@ class Weight:
 
     def __add__(self, other) -> "Weight":
         return self._shift(Scalar.wrap(other))
+
+
+def real_surd(w: Weight):
+    """Re(w) as (c, s, q), meaning c + s*sqrt(q) in exact rationals; None on the float path."""
+    if w.imaginary or w.offset.exact:
+        return (w.real.value, 0, 0) if w.real.exact else None
+    if w.base.exact and w.square.exact:
+        return (w.base.value, w.sign, w.square.value)
+    return None
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def surd_sign(c, s, q) -> int:
+    """The exact sign of c + s*sqrt(q) (rationals, q >= 0): at most one squaring."""
+    sc, sr = _sign(c), _sign(s) if q else 0
+    if sc == 0 or sr == 0 or sc == sr:
+        return sc or sr
+    return sc * _sign(c * c - s * s * q)
+
+
+def surd_cmp(x, y) -> int:
+    """The exact sign of x - y for surds (c, s, q): at most two squarings.
+
+    With x - y = (d + s1*sqrt(q1)) - s2*sqrt(q2) and d = c1 - c2, the two
+    parts are compared by sign first and, when the signs agree, by their
+    squares, whose difference is again a surd in sqrt(q1).
+    """
+    (c1, s1, q1), (c2, s2, q2) = x, y
+    d = c1 - c2
+    left, right = surd_sign(d, s1, q1), surd_sign(0, s2, q2)
+    if left != right or left == 0:
+        return left or -right
+    return left * surd_sign(d * d + s1 * s1 * q1 - s2 * s2 * q2, 2 * d * s1, q1)
 
 
 def _conjugates(a: Weight, b: Weight) -> bool:

@@ -2,9 +2,11 @@
 
 Every field component is a finite sum of terms c * x^alpha * r^s with an
 exact rational coefficient c, a monomial multi-index alpha and a rational
-power s of r = |x|.  This class of expressions is closed under the partial
-derivative (d_i r^s = s x_i r^{s-2}) and hence under all the flat-space
-differential operators used by the verifier.
+power s of r = |x|; both c and s are stored as ``core.rational`` keeps
+exact values, an int when integral and a ``Fraction`` otherwise.  This class
+of expressions is closed under the partial derivative
+(d_i r^s = s x_i r^{s-2}) and hence under all the flat-space differential
+operators used by the verifier.
 
 Sign conventions match the geometric ones used throughout the package:
 
@@ -44,10 +46,13 @@ in closed form and maps normal form to normal form.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
+
+from ..core import rational
 
 Monomial = Tuple[int, ...]
-TermKey = Tuple[Monomial, Fraction]
+Rational = Union[int, Fraction]  # int when integral (``core.rational``)
+TermKey = Tuple[Monomial, Rational]  # (alpha, power of r)
 
 
 class PolyR:
@@ -55,36 +60,33 @@ class PolyR:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Optional[Dict[TermKey, Fraction]] = None):
+    def __init__(self, n: int, terms: Optional[Dict[TermKey, Rational]] = None):
         self.n = n
-        self.terms: Dict[TermKey, Fraction] = {}
+        self.terms: Dict[TermKey, Rational] = {}
         if terms:
-            for key, coeff in terms.items():
+            for (alpha, s), coeff in terms.items():
                 if coeff:
-                    self._add_term(key, Fraction(coeff))
+                    self._add_term((alpha, rational(s)), rational(coeff))
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def constant(n: int, c) -> "PolyR":
-        c = Fraction(c)
-        if not c:
-            return PolyR(n)
-        return PolyR(n, {((0,) * n, Fraction(0)): c})
+        return PolyR(n, {((0,) * n, 0): c})
 
     @staticmethod
     def coordinate(n: int, i: int) -> "PolyR":
         alpha = [0] * n
         alpha[i] = 1
-        return PolyR(n, {(tuple(alpha), Fraction(0)): Fraction(1)})
+        return PolyR(n, {(tuple(alpha), 0): 1})
 
     @staticmethod
     def monomial(n: int, alpha: Monomial, coeff=1, r_power=0) -> "PolyR":
-        return PolyR(n, {(tuple(alpha), Fraction(r_power)): Fraction(coeff)})
+        return PolyR(n, {(tuple(alpha), r_power): coeff})
 
     @staticmethod
     def r_power(n: int, s) -> "PolyR":
-        return PolyR(n, {((0,) * n, Fraction(s)): Fraction(1)})
+        return PolyR(n, {((0,) * n, s): 1})
 
     @staticmethod
     def radius_squared(n: int) -> "PolyR":
@@ -98,7 +100,7 @@ class PolyR:
 
     # -- ring operations -------------------------------------------------
 
-    def _add_term(self, key: TermKey, coeff: Fraction) -> None:
+    def _add_term(self, key: TermKey, coeff: Rational) -> None:
         """Add one term, rewriting x_n^2 -> r^2 - sum_{i<n} x_i^2 first."""
         alpha, s = key
         if alpha[-1] >= 2:
@@ -110,7 +112,7 @@ class PolyR:
             return
         new = self.terms.get(key, 0) + coeff
         if new:
-            self.terms[key] = new
+            self.terms[key] = rational(new)
         else:
             self.terms.pop(key, None)
 
@@ -132,20 +134,20 @@ class PolyR:
             for (a1, s1), c1 in self.terms.items():
                 for (a2, s2), c2 in other.terms.items():
                     alpha = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
-                    out._add_term((alpha, s1 + s2), c1 * c2)
+                    out._add_term((alpha, rational(s1 + s2)), c1 * c2)
             return out
         out = PolyR(self.n)
-        c = Fraction(other)
+        c = rational(other)
         if c:
-            out.terms = {k: v * c for k, v in self.terms.items()}
+            out.terms = {k: rational(v * c) for k, v in self.terms.items()}
         return out
 
     __rmul__ = __mul__
 
     def mul_r_power(self, s) -> "PolyR":
-        s = Fraction(s)
+        s = rational(s)
         out = PolyR(self.n)
-        out.terms = {(alpha, sp + s): c for (alpha, sp), c in self.terms.items()}
+        out.terms = {(alpha, rational(sp + s)): c for (alpha, sp), c in self.terms.items()}
         return out
 
     # -- calculus ---------------------------------------------------------
@@ -228,13 +230,7 @@ class FieldExpr:
         self.comps: Dict[Tuple[int, ...], PolyR] = {}
         if comps:
             for key, poly in comps.items():
-                if not poly.terms:
-                    continue
-                canon = self._canon(key)
-                if canon in self.comps:
-                    self.comps[canon] = self.comps[canon] + poly
-                else:
-                    self.comps[canon] = poly
+                self._add_component(key, poly)
 
     def _canon(self, key: Tuple[int, ...]) -> Tuple[int, ...]:
         if self.rank == 2:
@@ -256,6 +252,10 @@ class FieldExpr:
         else:
             self.comps.pop(key, None)
 
+    def _add_component(self, key: Tuple[int, ...], poly: PolyR) -> None:
+        key = self._canon(key)
+        self.set_component(key, self.comps[key] + poly if key in self.comps else poly)
+
     def keys(self):
         if self.rank == 0:
             return [()]
@@ -271,11 +271,13 @@ class FieldExpr:
         return out
 
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
+        """The sum, walking only the components present on either side."""
         if (other.n, other.rank) != (self.n, self.rank):
             raise ValueError("rank/dimension mismatch")
         out = FieldExpr(self.n, self.rank)
-        for key in self.keys():
-            out.set_component(key, self.component(*key) + other.component(*key))
+        out.comps = dict(self.comps)
+        for key, poly in other.comps.items():
+            out._add_component(key, poly)
         return out
 
     def __sub__(self, other: "FieldExpr") -> "FieldExpr":
@@ -291,8 +293,8 @@ class FieldExpr:
         return self.map_components(lambda p: p.mul_r_power(s))
 
     def is_zero(self) -> bool:
-        # merging the symmetric keys in __init__ can leave an empty component
-        return not any(poly.terms for poly in self.comps.values())
+        """Exact zero test: no component is stored empty."""
+        return not self.comps
 
     def homogeneity(self) -> Optional[Fraction]:
         degrees = set()
@@ -437,7 +439,8 @@ def proportionality(f: FieldExpr, g: FieldExpr):
         return Fraction(0) if f.is_zero() else None
     if f.is_zero():
         return Fraction(0)
-    key, gp = next((key, poly) for key, poly in g.comps.items() if poly.terms)
+    key, gp = next(iter(g.comps.items()))
     term, gc = next(iter(gp.terms.items()))
-    c = f.comps.get(key, PolyR(f.n)).terms.get(term, Fraction(0)) / gc
+    # a Fraction, not a float: both coefficients may be ints
+    c = Fraction(f.comps.get(key, PolyR(f.n)).terms.get(term, 0), gc)
     return c if (f - g.scale(c)).is_zero() else None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from typing import List
 
 from .expr import FieldExpr, PolyR, divergence, laplacian, radial_contraction
@@ -27,6 +28,26 @@ def _monomials(n: int, d: int) -> List[tuple]:
     return out
 
 
+def _seed_monomial(n: int, d: int, seed: int) -> tuple:
+    """``_monomials(n, d)[seed % len]`` without listing the C(n+d-1, d) monomials.
+
+    The combinations are in lexicographic order, so the seed-th one is read
+    off digit by digit: C(n-v+k-1, k) combinations start at digit v with k
+    digits still to place.
+    """
+    rank = seed % comb(n + d - 1, d)
+    alpha = [0] * n
+    low = 0
+    for k in range(d - 1, -1, -1):
+        v = low
+        while rank >= comb(n - v + k - 1, k):
+            rank -= comb(n - v + k - 1, k)
+            v += 1
+        alpha[v] += 1
+        low = v
+    return tuple(alpha)
+
+
 def harmonic_polynomial(n: int, d: int, seed: int = 0) -> FieldExpr:
     """The harmonic projection of a seed monomial of degree d.
 
@@ -37,9 +58,7 @@ def harmonic_polynomial(n: int, d: int, seed: int = 0) -> FieldExpr:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    alphas = _monomials(n, d)
-    alpha = alphas[seed % len(alphas)]
-    seed_poly = PolyR.monomial(n, alpha)
+    seed_poly = PolyR.monomial(n, _seed_monomial(n, d, seed))
     if d < 2:
         return FieldExpr.scalar(seed_poly)
     result = seed_poly

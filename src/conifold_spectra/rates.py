@@ -31,10 +31,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import List, Optional, Tuple
 
-from .core import DEFAULT_EPSILON, Scalar, check_dimension, critical_eigenvalue, resonance_pair
+from .core import (
+    DEFAULT_EPSILON,
+    Scalar,
+    check_dimension,
+    critical_eigenvalue,
+    real_surd,
+    resonance_pair,
+    surd_cmp,
+    surd_sign,
+)
 from .errors import EmptyRateSet, InsufficientSpectrum, NonTerminating
 from .indicial import (
     BoxLFamily,
@@ -54,8 +63,34 @@ class RateElement:
     part: str                       # "xi-plus" | "minus-branch" | "window" | "below-window"
     root: Optional[IndicialRoot]
 
-    def sort_key(self):
-        return (float(self.value), self.part)
+    def surd(self):
+        """The exact value as (c, s, q) = c + s*sqrt(q), or None on the float path.
+
+        ``value`` is a double view, which cancels to 0.0 for a weight as
+        small as xi_plus(1e-30); signs and order are read from this instead.
+        """
+        if self.part == "below-window":
+            return (self.value.value, 0, 0)
+        x = real_surd(self.root.weight)
+        if x is None or self.part == "xi-plus":
+            return x
+        c, s, q = x
+        return (-c, -s, q)
+
+    def sign(self) -> int:
+        x = self.surd()
+        return surd_sign(*x) if x is not None else (self.value > 0) - (self.value < 0)
+
+
+def _by_value(elements: List[RateElement]) -> List[RateElement]:
+    """Sort by value, then part: exactly when every value is exact, else on float views."""
+    keyed = [(el.surd(), el.part, el) for el in elements]
+    if all(x is not None for x, _, _ in keyed):
+        def order(a, b):
+            return surd_cmp(a[0], b[0]) or (a[1] > b[1]) - (a[1] < b[1])
+        keyed.sort(key=cmp_to_key(order))
+        return [el for _, _, el in keyed]
+    return sorted(elements, key=lambda el: (float(el.value), el.part))
 
 
 @dataclass(frozen=True)
@@ -65,7 +100,7 @@ class RateSet:
 
     def __post_init__(self):
         for el in self.elements:
-            if not el.value > 0:
+            if el.sign() <= 0:
                 raise AssertionError("rate-set values must be strictly positive")
 
     def minimum(self) -> RateElement:
@@ -188,12 +223,12 @@ class LinkAnalysis:
         complex roots have negative real part).
         """
         link = self.link
-        elements = [
+        candidates = [
             RateElement(root.weight.real, "xi-plus", root)
             for root in self.essential
-            if root.weight.is_real and root.weight.real > 0
+            if root.weight.is_real
         ]
-        elements.sort(key=RateElement.sort_key)
+        elements = _by_value([el for el in candidates if el.sign() > 0])
         if elements:
             # an essential root has shift 0, so its source is its eigenvalue
             needed = elements[0].root.source_value
@@ -236,7 +271,7 @@ class LinkAnalysis:
             if position in ("at", "inside"):
                 elements.append(RateElement(-plus.weight.real, "window", plus))
 
-        elements.sort(key=RateElement.sort_key)
+        elements = _by_value(elements)
 
         # Completeness: every negative kappa is already certified listed; the
         # minus branches additionally need the bottom of each list certified.

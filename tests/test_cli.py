@@ -381,6 +381,25 @@ def test_e_plus_certificate_reads_the_listed_eigenvalue(tmp_path, capsys):
     assert "CS order = ~3.793099343184096" in out
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_tiny_kappa_weights_are_signed_exactly(tmp_path, capsys, sign):
+    # kappa = +-10^-30 at n = 6: xi_plus(kappa) = -2 + sqrt(4 + kappa) is
+    # about +-2.5e-31 and its double view is 0.0; the sign is read exactly
+    kappa = f"{sign}1/1{'0' * 30}"
+    code, out, err = _report(tmp_path, capsys, _doc_with_tt([kappa, "12"]))
+    assert code == 0, err
+    rates = out.split("rates:")[1].splitlines()[0]
+    if sign:
+        # -xi_plus(kappa) is the positive window element, the E_minus minimum
+        assert "xi_plus = 2 (witness 2 from Scalar-lambda-direct)" in rates
+        assert "xi_minus = ~0 (witness ~0, part window)" in rates
+        assert "AC order = ~0" in out and "CS order = 2" in out
+    else:
+        # xi_plus(kappa) > 0 is the E_plus minimum, not lambda's xi_plus = 2
+        assert "xi_plus = ~0 (witness ~0 from TT-kappa)" in rates
+        assert "CS order = ~0" in out and "CS order = 2" not in out
+
+
 def test_partial_report_policy(tmp_path, capsys):
     # E_plus needs the TT list below 12, certified only below 1: the rates
     # line degrades to a warning, an end verdict that needs E_plus aborts
@@ -509,6 +528,57 @@ def test_plot_data_row_bound_is_inclusive(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *sweep, "1/5")
     assert code == 3
     assert "at most 5 rows" in err
+
+
+def test_plot_data_integer_sweep_of_exactly_the_row_bound(capsys, monkeypatch):
+    # (10^18 - 1) / 10^12 lies just below 10^6, so this sweep prints exactly
+    # 10^6 rows; a float division of the two ints rounds it to 10^6 and
+    # refuses it.  The sweep stops at its first row.
+    class Started(Exception):
+        pass
+
+    def first_row(n, nu):
+        raise Started
+
+    monkeypatch.setattr(cli, "xi_pair", first_row)
+    step = 10**12
+    sweep = ["plot-data", "--n", "6", "--nu-min=0", "--step", str(step), "--nu-max"]
+    with pytest.raises(Started):
+        main(sweep + [str(MAX_PLOT_ROWS * step - 1)])
+    assert capsys.readouterr().out == "nu,re_xi_plus,re_xi_minus,im_xi_plus\n"
+    code, out, err = run_cli(capsys, *sweep, str(MAX_PLOT_ROWS * step))
+    assert code == 3
+    assert out == ""
+    assert f"at most {MAX_PLOT_ROWS} rows" in err
+
+
+def test_verify_work_bound():
+    # the estimate only: nothing near the bound is run here
+    assert cli.verify_work(4, 3) == 4**3 * 27 + 3**5
+    assert cli.verify_work(4, -1) == cli.verify_work(4, 3)
+    for n, d in ((4, 3), (10, 6), (71, 3), (32, 6), (20, 10), (4, 24)):
+        assert cli.verify_work(n, d) <= cli.MAX_VERIFY_WORK, (n, d)
+    for n, d in ((128, 3), (72, 3), (4, 25), (2**500, 3), (4, 10**9)):
+        assert cli.verify_work(n, d) > cli.MAX_VERIFY_WORK, (n, d)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flat", "--n", "128"],
+        ["all", "--n", str(10**9)],
+        ["flat", "--max-degree", "10000"],
+        ["identities", "--n", "4", "--max-degree", str(2**64)],
+    ],
+)
+def test_verify_refuses_work_beyond_the_bound(capsys, monkeypatch, argv):
+    # refused before any suite runs
+    monkeypatch.setattr(cli, "_verify_flat", None)
+    monkeypatch.setattr(cli, "_verify_identities", None)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 3
+    assert out == ""
+    assert f"must be at most {cli.MAX_VERIFY_WORK}" in err
 
 
 def test_verify_subcommands_pass(capsys):

@@ -4,7 +4,9 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conifold_spectra import (
     DimensionTooSmall,
@@ -19,7 +21,7 @@ from conifold_spectra import (
     xi_pair,
 )
 
-from conifold_spectra.core import SQRT_BITS
+from conifold_spectra.core import SQRT_BITS, real_surd, surd_cmp, surd_sign
 from conifold_spectra.links import EigenvalueEntry, LinkSpectrum, SpectrumList, snap_to_thresholds
 from oracles import branch_pair, eta_of
 
@@ -208,3 +210,88 @@ def test_float_path_has_no_negative_zero():
     for value in (-zero, zero * -2, zero / Scalar(-3), Scalar(-0.0, exact=False), Scalar.parse(-0.0)):
         assert not value.exact and math.copysign(1.0, value.value) == 1.0
         assert str(value) == "0.0"
+
+
+def _assert_normal(value):
+    # an integral exact value is an int, any other rational a Fraction
+    assert type(value) is int or (type(value) is Fraction and value.denominator != 1), value
+
+
+def test_integral_exact_values_are_ints():
+    half = Scalar(Fraction(1, 2))
+    values = [
+        Scalar(Fraction(4, 2)),
+        Scalar(True),
+        Scalar(0.5, exact=True),
+        Scalar.parse("6/3"),
+        Scalar.parse("1/3"),
+        half + half,
+        half * Scalar(4),
+        Scalar(6) / Scalar(3),
+        Scalar(1) / Scalar(2),
+        Scalar(9).sqrt(),
+        Scalar(Fraction(9, 4)).sqrt(),
+        -Scalar(Fraction(8, 4)),
+    ]
+    for s in values:
+        assert s.exact
+        _assert_normal(s.value)
+    assert (Scalar(6) / Scalar(4)).value == Fraction(3, 2)
+    assert type((Scalar(6) / Scalar(3)).value) is int
+    for plus, minus in (xi_pair(6, Scalar(12)), xi_pair(5, Scalar(4))):
+        for s in (plus.real, minus.real, plus.base, plus.square, plus.offset):
+            _assert_normal(s.value)
+
+
+def test_int_values_keep_every_fraction_view():
+    # hash, ==, str, repr and the float view match the Fraction they replace
+    for q in (Fraction(7), Fraction(-3), Fraction(2**70), Fraction(0)):
+        s = Scalar(q)
+        assert type(s.value) is int
+        assert hash(s) == hash(q) and s == Scalar(q) and s.value == q
+        assert str(s) == str(q) and repr(s) == f"Scalar({q}, exact)"
+        assert float(s) == float(q.numerator) / float(q.denominator)
+        assert type(s.as_fraction()) is Fraction and s.as_fraction() == q
+    assert type(Scalar(Fraction(1, 3)).as_fraction()) is Fraction
+
+
+def _mp_surd(x):
+    c, s, q = x
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    return mp(c) + s * mpmath.sqrt(mp(q))
+
+
+_small_rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_surds = st.tuples(
+    _small_rationals,
+    st.sampled_from((-1, 0, 1)),
+    st.builds(Fraction, st.integers(0, 60), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_surds, _surds)
+def test_surd_order_matches_a_high_precision_oracle(x, y):
+    # equal values are exactly equal, since sqrt(q1) - sqrt(q2) is
+    # rational only when both are; elsewhere 60 digits settle the sign
+    with mpmath.workdps(60):
+        diff = _mp_surd(x) - _mp_surd(y)
+        expected = 0 if abs(diff) < mpmath.mpf(10) ** -40 else (1 if diff > 0 else -1)
+    assert surd_cmp(x, y) == expected == -surd_cmp(y, x)
+    assert surd_sign(*x) == surd_cmp(x, (0, 0, 0))
+
+
+def test_exact_sign_of_a_cancelling_weight():
+    # xi_plus(1e-30) at n = 6 is about 2.5e-31, but its double view is 0.0
+    tiny = Fraction(1, 10**30)
+    plus, minus = xi_pair(6, Scalar(tiny))
+    assert plus.real.value == 0.0
+    assert surd_sign(*real_surd(plus)) == 1 and surd_sign(*real_surd(minus)) == -1
+    plus_neg, _ = xi_pair(6, Scalar(-tiny))
+    assert surd_sign(*real_surd(plus_neg)) == -1
+    assert surd_cmp(real_surd(plus), real_surd(plus_neg)) == 1
+    # a rational weight is its own value, the float path has no surd
+    assert real_surd(xi_pair(6, Scalar(12))[0]) == (2, 0, 0)
+    assert real_surd(xi_pair(6, Scalar(0.5))[0]) is None

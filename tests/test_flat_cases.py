@@ -21,7 +21,7 @@ from conifold_spectra.flatcone import (
     trace,
     verify_case,
 )
-from conifold_spectra.flatcone.harmonics import _monomials
+from conifold_spectra.flatcone.harmonics import _monomials, _seed_monomial
 
 
 def test_all_cases_pass_at_n4():
@@ -121,6 +121,29 @@ def test_all_cases_pass_at_n10_up_to_degree6():
             report = verify_case(case_id, n, d)
             assert report.passed, (case_id, d, report)
             assert report.degenerate == ((case_id, d) in degenerate), (case_id, d)
+
+
+@pytest.mark.parametrize("case_id", ["v", "vi"])
+def test_last_coordinate_seeds_pass_at_n10_up_to_degree6(case_id):
+    # seed -1 is x_10^d, which the x_n rewrite expands the most
+    n = 10
+    for d in range(1, 7):
+        assert _seed_monomial(n, d, -1) == (0,) * (n - 1) + (d,)
+        report = verify_case(case_id, n, d, -1)
+        assert report.passed, (case_id, d, report)
+        dual = [b for b in report.branches if b.bianchi_expected == "nonzero"][0]
+        assert type(dual.coefficient) is Fraction and dual.coefficient == dual.expected_coefficient
+
+
+def test_seed_monomial_is_the_listed_one():
+    for n in range(1, 7):
+        for d in range(0, 6):
+            alphas = _monomials(n, d)
+            for seed in range(-2, len(alphas) + 2):
+                assert _seed_monomial(n, d, seed) == alphas[seed % len(alphas)]
+    # far beyond any listing: C(529, 500) monomials
+    assert _seed_monomial(30, 500, 0) == (500,) + (0,) * 29
+    assert _seed_monomial(30, 500, -1) == (0,) * 29 + (500,)
 
 
 def test_gauge_branches_are_tt_where_claimed():

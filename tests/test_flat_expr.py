@@ -253,3 +253,53 @@ def test_proportionality_rejects_non_proportional_pairs(data):
     f = g.scale(c) + g.mul_r_power(s)
     assert proportionality(f, g) is None
     assert proportionality(g, f) is None
+
+
+def _assert_normal(value):
+    assert type(value) is int or (type(value) is Fraction and value.denominator != 1), value
+
+
+def test_integral_powers_and_coefficients_are_ints():
+    # the x_n rewrite, products, derivatives and r-power shifts all keep an
+    # integral r-power or coefficient an int; here every r-power is integral
+    n = 6
+    h = sym_gradient(gradient(harmonic_polynomial(n, 4, -1).mul_r_power(Fraction(2 - n - 8))))
+    h = h.mul_r_power(Fraction(1, 2)).mul_r_power(Fraction(3, 2)).scale(Fraction(4, 2))
+    xn_squared = PolyR.monomial(n, (0,) * (n - 1) + (2,), coeff=Fraction(1, 3), r_power=Fraction(-2))
+    h = h + h.scale_poly(xn_squared)
+    polys = list(h.comps.values()) + [laplacian(h).comps[(0, 0)], bianchi_op(h).comps[(0,)]]
+    for poly in polys:
+        assert poly.terms
+        for (alpha, s), c in poly.terms.items():
+            assert all(type(e) is int for e in alpha)
+            assert type(s) is int
+            _assert_normal(c)
+    assert any(type(c) is Fraction for poly in polys for c in poly.terms.values())
+    assert [type(s) for (_a, s) in PolyR.r_power(n, Fraction(1, 2)).terms] == [Fraction]
+
+
+def test_proportionality_returns_a_fraction_for_int_coefficients():
+    n = 4
+    g = gradient(harmonic_polynomial(n, 2))
+    c = proportionality(g.scale(2), g)
+    assert type(c) is Fraction and c == 2
+    c = proportionality(g.scale(3), g.scale(2))
+    assert type(c) is Fraction and c == Fraction(3, 2)
+    assert type(proportionality(FieldExpr(n, 1), g)) is Fraction
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_sum_walks_only_present_components(data):
+    # the sum equals the componentwise sum over every key, and a zero
+    # operand leaves the other field's components as they are
+    n = data.draw(st.integers(3, 8))
+    f, g = data.draw(fields(n)), data.draw(fields(n))
+    assume(f.rank == g.rank)
+    total = f + g
+    for key in f.keys():
+        expected = f.component(*key) + g.component(*key)
+        assert total.component(*key).terms == expected.terms
+    assert all(poly.terms for poly in total.comps.values())
+    zero = FieldExpr(n, f.rank)
+    assert (f + zero).comps == f.comps and (zero + f).comps == f.comps
