@@ -1,7 +1,9 @@
 """Hypothesis properties of the weight algebra and the rate sets.
 
 * On random exact links whose discriminants are perfect squares, E_plus and
-  E_minus equal the brute-force sets of ``tests/oracles.py``.
+  E_minus equal the brute-force sets of ``tests/oracles.py``; with kappa
+  within 10^-8 to 10^-40 of 0 or of the resonance, irrational radicals
+  included, they equal and are ordered as a 120-digit evaluation.
 * On random rationals nu, irrational radicals included, eta inverts both
   branches exactly, the pair sum and product are exact, and dual_weight is
   an involution exchanging the branches.
@@ -70,6 +72,50 @@ def test_rate_sets_match_the_brute_force_oracle(case):
     link, n, kappas, lambdas = case
     assert {v.as_fraction() for v in e_plus_set(link).values()} == brute_e_plus(n, kappas, lambdas)
     assert {v.as_fraction() for v in e_minus_set(link).values()} == brute_e_minus(n, kappas, lambdas)
+
+
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _real_parts(n, nu):
+    """Re of both branch roots at 120 digits; a complex pair shares one."""
+    disc = _mp(Fraction((n - 2) ** 2, 4) + nu)
+    half = _mp(Fraction(-(n - 2), 2))
+    if disc < 0:
+        return [half]
+    return [half + mpmath.sqrt(disc), half - mpmath.sqrt(disc)]
+
+
+def _distinct(values):
+    out = []
+    for v in sorted(values):
+        if not out or v - out[-1] > mpmath.mpf(10) ** -100:
+            out.append(v)
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(4, 10), st.integers(8, 40), st.sampled_from((1, -1)), st.booleans())
+def test_rate_sets_near_the_thresholds_match_a_high_precision_oracle(n, k, sign, at_resonance):
+    # kappa = +-10^-k off 0 or off -(n-2)^2/4: the double views of the
+    # nearby weights cancel to 0.0 or coincide; the exact sign and order do not
+    edge = Fraction(-((n - 2) ** 2), 4) if at_resonance else Fraction(0)
+    kappa = edge + Fraction(sign, 10**k)
+    top = Fraction(3 * n)
+    link = synthetic_link(n, kappas=[kappa, top])
+    with mpmath.workdps(120):
+        roots = [r for nu in (kappa, top, Fraction(2 * n)) for r in _real_parts(n, nu)]
+        oracles = ([r for r in roots if r > 0], [-r for r in roots if r < 0])
+        for rates, expected in zip((e_plus_set(link), e_minus_set(link)), oracles):
+            got = []
+            for el in rates.elements:
+                c, s, q = el.surd()
+                got.append(_mp(Fraction(c)) + s * mpmath.sqrt(_mp(Fraction(q))))
+            assert got == sorted(got)
+            got, expected = _distinct(got), _distinct(expected)
+            assert len(got) == len(expected)
+            assert all(abs(a - b) < mpmath.mpf(10) ** -100 for a, b in zip(got, expected))
 
 
 @PROPERTY_SETTINGS
