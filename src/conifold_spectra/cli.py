@@ -96,18 +96,17 @@ def _cmd_report(args) -> int:
         raise SchemaError(f"--max-roots must be non-negative, got {args.max_roots}")
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+            try:
+                document = json.load(fh)
+            except (UnicodeDecodeError, RecursionError) as exc:
+                raise SchemaError(f"cannot read the document: {exc}") from None
         link = load_spectrum(document, eps=args.epsilon)
     else:
         nontrivial = None if args.quotient is None else args.quotient == "nontrivial"
         link = builtin_link(args.builtin, args.n, gamma_nontrivial=nontrivial)
     report = build_report(link, ReportOptions(epsilon=args.epsilon, max_roots=args.max_roots))
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(report))
-    else:
-        sys.stdout.write(render_text(report))
+    render = {"table": render_text, "json": render_json, "csv": render_csv}[args.format]
+    sys.stdout.write(render(report))
     return 0
 
 

@@ -17,7 +17,8 @@ provenance (source eigenvalue, branch, shift) plus two flags: whether the
 root survives the linearized Bianchi gauge, and whether its eigentensor is a
 Lie derivative of the cone metric.  The gauge-compatible roots form E_B; the
 gauge-compatible non-Lie-derivative ones (TT and direct scalar families
-only) form the essential set E feeding the rate computation.
+only) form the essential set E feeding the rate computation.  The three
+set functions are views of the stages of ``rates.LinkAnalysis``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List, Optional, Tuple, Union
 
 from .core import DEFAULT_EPSILON, Scalar, Weight, check_dimension, dual_weight, eta, xi_pair
 from .errors import UnknownMultiplicity
-from .links import LinkSpectrum, SpectrumMode, snap_to_thresholds
+from .links import LinkSpectrum, SpectrumMode
 
 
 class Box1Family(str, Enum):
@@ -326,12 +327,16 @@ def indicial_roots(table: List[TangentialEigenvalue], n: int) -> List[IndicialRo
 
 def indicial_set_full(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:
     """E_L: all indicial roots of the Lichnerowicz Laplacian on the cone."""
-    return indicial_roots(boxL_spectrum(snap_to_thresholds(link, eps)), link.n)
+    from .rates import LinkAnalysis  # rates imports this module
+
+    return LinkAnalysis(link, eps).full
 
 
 def indicial_set_bianchi(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:
     """E_B: the roots surviving the linearized Bianchi gauge."""
-    return [r for r in indicial_set_full(link, eps) if r.bianchi_compatible]
+    from .rates import LinkAnalysis
+
+    return LinkAnalysis(link, eps).bianchi
 
 
 def indicial_set_essential(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:
@@ -342,11 +347,9 @@ def indicial_set_essential(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> 
     the Lie derivative of the metric along the radial field); the excluded
     variant with 0 adjoined is recorded by the report layer, not here.
     """
-    return [
-        r
-        for r in indicial_set_full(link, eps)
-        if r.bianchi_compatible and not r.lie_derivative
-    ]
+    from .rates import LinkAnalysis
+
+    return LinkAnalysis(link, eps).essential
 
 
 def eigenspace_dimension(entry: TangentialEigenvalue, link: LinkSpectrum) -> int:

@@ -144,8 +144,11 @@ def snap_to_thresholds(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> Link
     exact.  Thresholds: -(n-2)^2/4 and 0 for kappa, n-2 for mu, n-1 and 2n
     for lambda (where the lambda2-plus tangential value is 0).  A moved
     entry stays a float and keeps the document's value in ``given``; when
-    nothing moves, ``link`` itself is returned.
+    nothing moves, ``link`` itself is returned.  A non-finite or negative
+    ``eps`` is a ``SchemaError``.
     """
+    if not 0 <= eps < math.inf:
+        raise SchemaError(f"epsilon must be finite and non-negative, got {eps!r}")
     n = link.n
     moved = {}
     for label, thresholds in (

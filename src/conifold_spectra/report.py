@@ -13,20 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from json.encoder import INFINITY, encode_basestring_ascii
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
 from .core import DEFAULT_EPSILON, Scalar, Weight
 from .errors import EmptyRateSet, InsufficientSpectrum
 from .indicial import IndicialRoot, TangentialEigenvalue
 from .links import LinkSpectrum
-from .rates import (
-    AdmMassReport,
-    EndOrderReport,
-    LinkAnalysis,
-    Rates,
-    ResonanceAnalysis,
-    StabilityReport,
-)
+from .rates import EndOrderReport, LinkAnalysis, Rates
 
 
 def fmt_scalar(s: Scalar) -> str:
@@ -72,22 +66,29 @@ class ReportOptions:
 
 @dataclass
 class Report:
+    """A view of one ``LinkAnalysis``, plus what only the report derives.
+
+    ``link`` is the link as given (the analysis holds it snapped); the
+    indicial sets and the resonance are read from the analysis.
+    """
+
     link: LinkSpectrum
     options: ReportOptions
-    box1: List[TangentialEigenvalue]
-    boxL: List[TangentialEigenvalue]
-    roots_full: List[IndicialRoot]
-    roots_bianchi: List[IndicialRoot]
-    roots_essential: List[IndicialRoot]
+    analysis: LinkAnalysis
     rates: Optional[Rates]
     rate_error: Optional[str]
-    resonance: ResonanceAnalysis
-    stability: StabilityReport
-    adm: AdmMassReport
     end_orders: List[EndOrderReport]
     warnings: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
+    roots_full = property(attrgetter("analysis.full"))
+    roots_bianchi = property(attrgetter("analysis.bianchi"))
+    roots_essential = property(attrgetter("analysis.essential"))
+    resonance = property(attrgetter("analysis.resonance"))
+
+
+# a link's spectrum lists: (attribute and JSON key, symbol in the text report)
+_LISTS = (("scalar", "lambda"), ("coclosed_one_form", "mu"), ("tt_einstein", "kappa"))
 
 _STANDING_NOTES = [
     "essential set emitted without the zero root; the variant adjoining 0 "
@@ -101,14 +102,8 @@ def build_report(link: LinkSpectrum, options: Optional[ReportOptions] = None) ->
     opts = options or ReportOptions()
     analysis = LinkAnalysis(link, opts.epsilon)
     # Stages are read in chain order: the first one that raises decides the error.
-    box1 = analysis.box1
-    boxL = analysis.boxL
-    full = analysis.full
-    bianchi = analysis.bianchi
-    essential = analysis.essential
-    resonance = analysis.resonance
-    stability = analysis.stability
-    adm = analysis.adm
+    for stage in ("box1", "boxL", "full", "bianchi", "essential", "resonance", "stability", "adm"):
+        getattr(analysis, stage)
     ends = [analysis.end_order(kind) for kind in link.ends]
     rates: Optional[Rates] = None
     rate_error: Optional[str] = None
@@ -123,44 +118,45 @@ def build_report(link: LinkSpectrum, options: Optional[ReportOptions] = None) ->
             "upper-bound-set inputs: computed orders are lower bounds, "
             "reported with '>='"
         )
-    for entry in boxL:
+    for entry in analysis.boxL:
         if entry.note and "possibly vanishing" in entry.note:
             warnings.append(entry.note)
-    for value in resonance.coercions:
+    for value in analysis.resonance.coercions:
         warnings.append(
             f"float-path value {fmt_scalar(value)} within epsilon of the "
             "resonance threshold was coerced to exactly resonant"
         )
-    warnings.extend(resonance.tangential_warnings)
-    warnings.extend(stability.warnings)
+    warnings.extend(analysis.resonance.tangential_warnings)
+    warnings.extend(analysis.stability.warnings)
     if rate_error:
         warnings.append(f"rates unavailable: {rate_error}")
-    for label, lst in (
-        ("scalar", link.scalar),
-        ("coclosed_one_form", link.coclosed_one_form),
-        ("tt_einstein", link.tt_einstein),
-    ):
+    for label, _symbol in _LISTS:
         warnings.append(
             f"completeness margin: {label} certified below "
-            f"{fmt_scalar(lst.complete_below)}"
+            f"{fmt_scalar(getattr(link, label).complete_below)}"
         )
-    return Report(
-        link=link,
-        options=opts,
-        box1=box1,
-        boxL=boxL,
-        roots_full=full,
-        roots_bianchi=bianchi,
-        roots_essential=essential,
-        rates=rates,
-        rate_error=rate_error,
-        resonance=resonance,
-        stability=stability,
-        adm=adm,
-        end_orders=ends,
-        warnings=warnings,
-        notes=list(_STANDING_NOTES),
-    )
+    return Report(link, opts, analysis, rates, rate_error, ends, warnings, list(_STANDING_NOTES))
+
+
+def _root_sets(report: Report, entry) -> List[Tuple[int, list]]:
+    """(size, [entry(root) for each shown root]) for E_L, E_B and E, in order.
+
+    E_B and E list E_L's root objects again; ``entry`` runs once per
+    distinct root, and the memo lives only as long as this call.
+    """
+    limit = report.options.max_roots
+    memo: Dict[int, object] = {}
+    sets = []
+    for roots in (report.roots_full, report.roots_bianchi, report.roots_essential):
+        shown = roots if limit is None else roots[:limit]
+        rows = []
+        for root in shown:
+            row = memo.get(id(root))
+            if row is None:
+                row = memo[id(root)] = entry(root)
+            rows.append(row)
+        sets.append((len(roots), rows))
+    return sets
 
 
 def end_order_line(r: EndOrderReport) -> str:
@@ -177,7 +173,7 @@ def _root_row(root: IndicialRoot) -> str:
     if not root.lie_derivative:
         flags.append("essential")
     return (
-        f"{fmt_weight(root.weight):>14}  {root.family.value:<22} "
+        f"  {fmt_weight(root.weight):>14}  {root.family.value:<22} "
         f"i={root.source_index:<3} branch={root.branch} shift={root.shift:+d}  "
         f"[{','.join(flags) if flags else '-'}]"
     )
@@ -192,17 +188,10 @@ def _tangential_row(entry: TangentialEigenvalue) -> str:
 def render_text(report: Report) -> str:
     link = report.link
     opts = report.options
-    limit = opts.max_roots
+    analysis = report.analysis
     lines: List[str] = []
     lines.append(f"link: {link.name} (n={link.n})")
-    modes = ", ".join(
-        f"{label}={lst.mode.value}"
-        for label, lst in (
-            ("lambda", link.scalar),
-            ("mu", link.coclosed_one_form),
-            ("kappa", link.tt_einstein),
-        )
-    )
+    modes = ", ".join(f"{symbol}={getattr(link, label).mode.value}" for label, symbol in _LISTS)
     lines.append(f"modes: {modes}")
     lines.append(
         f"killing fields: {'yes' if link.has_killing_fields else 'no'}; "
@@ -210,22 +199,16 @@ def render_text(report: Report) -> str:
     )
     lines.append(f"epsilon (float-path thresholds): {opts.epsilon:g}")
     lines.append("")
-    lines.append("tangential spectrum of the 1-form operator:")
-    for entry in report.box1:
-        lines.append("  " + _tangential_row(entry))
-    lines.append("tangential spectrum of the Lichnerowicz operator:")
-    for entry in report.boxL:
-        lines.append("  " + _tangential_row(entry))
-    for title, roots in (
-        ("E_L (all indicial roots)", report.roots_full),
-        ("E_B (Bianchi-gauge roots)", report.roots_bianchi),
-        ("E (essential roots)", report.roots_essential),
+    for name, table in (("1-form", analysis.box1), ("Lichnerowicz", analysis.boxL)):
+        lines.append(f"tangential spectrum of the {name} operator:")
+        lines.extend("  " + _tangential_row(entry) for entry in table)
+    for title, (count, rows) in zip(
+        ("E_L (all indicial roots)", "E_B (Bianchi-gauge roots)", "E (essential roots)"),
+        _root_sets(report, _root_row),
     ):
         lines.append("")
-        shown = roots if limit is None else roots[:limit]
-        lines.append(f"{title}: {len(roots)} roots" + ("" if shown is roots else f" (showing {len(shown)})"))
-        for root in shown:
-            lines.append("  " + _root_row(root))
+        lines.append(f"{title}: {count} roots" + ("" if opts.max_roots is None else f" (showing {len(rows)})"))
+        lines.extend(rows)
     lines.append("")
     if report.rates is not None:
         xp, xm = report.rates.xi_plus, report.rates.xi_minus
@@ -241,14 +224,14 @@ def render_text(report: Report) -> str:
     lines.append(
         "resonance-dominated: " + ("yes" if report.resonance.dominated else "no")
     )
-    if report.stability.stable:
+    if analysis.stability.stable:
         lines.append("linear stability: stable")
     else:
         lines.append(
             f"linear stability: unstable (witness kappa = "
-            f"{fmt_scalar(report.stability.witness)})"
+            f"{fmt_scalar(analysis.stability.witness)})"
         )
-    lines.append(f"ADM mass: {report.adm.verdict} ({report.adm.reason})")
+    lines.append(f"ADM mass: {analysis.adm.verdict} ({analysis.adm.reason})")
     for r in report.end_orders:
         lines.append(end_order_line(r))
     if report.warnings:
@@ -299,12 +282,7 @@ def report_dict(report: Report) -> Dict:
 def _report_tree(report: Report, root_entry) -> Dict:
     """The JSON schema of a report; each indicial root is ``root_entry(root)``."""
     link = report.link
-    limit = report.options.max_roots
-
-    def roots_block(roots):
-        shown = roots if limit is None else roots[:limit]
-        return {"count": len(roots), "roots": [root_entry(r) for r in shown]}
-
+    analysis = report.analysis
     rates_block = None
     if report.rates is not None:
         rates_block = {
@@ -346,32 +324,27 @@ def _report_tree(report: Report, root_entry) -> Dict:
             "dim_cone": link.n,
             "has_killing_fields": link.has_killing_fields,
             "is_round_sphere": link.is_round_sphere,
-            "modes": {
-                "scalar": link.scalar.mode.value,
-                "coclosed_one_form": link.coclosed_one_form.mode.value,
-                "tt_einstein": link.tt_einstein.mode.value,
-            },
+            "modes": {label: getattr(link, label).mode.value for label, _symbol in _LISTS},
         },
         "tangential": {
-            "one_form": [_tangential_json(e) for e in report.box1],
-            "lichnerowicz": [_tangential_json(e) for e in report.boxL],
+            "one_form": [_tangential_json(e) for e in analysis.box1],
+            "lichnerowicz": [_tangential_json(e) for e in analysis.boxL],
         },
         "indicial_sets": {
-            "full": roots_block(report.roots_full),
-            "bianchi": roots_block(report.roots_bianchi),
-            "essential": roots_block(report.roots_essential),
+            key: {"count": count, "roots": rows}
+            for key, (count, rows) in zip(("full", "bianchi", "essential"), _root_sets(report, root_entry))
         },
         "rates": rates_block,
         "rate_error": report.rate_error,
         "resonance_dominated": report.resonance.dominated,
         "linear_stability": {
-            "stable": report.stability.stable,
+            "stable": analysis.stability.stable,
             "witness": None
-            if report.stability.witness is None
-            else scalar_json(report.stability.witness),
-            "boundary": [scalar_json(v) for v in report.stability.boundary],
+            if analysis.stability.witness is None
+            else scalar_json(analysis.stability.witness),
+            "boundary": [scalar_json(v) for v in analysis.stability.boundary],
         },
-        "adm_mass": {"verdict": report.adm.verdict, "reason": report.adm.reason},
+        "adm_mass": {"verdict": analysis.adm.verdict, "reason": analysis.adm.reason},
         "end_orders": ends,
         "warnings": report.warnings,
         "notes": report.notes,
@@ -459,30 +432,23 @@ def render_csv(report: Report) -> str:
         rows.append(("rates", "xi_plus", csv_number(report.rates.xi_plus.value)))
         rows.append(("rates", "xi_minus", csv_number(report.rates.xi_minus.value)))
     rows.append(("verdict", "resonance_dominated", str(report.resonance.dominated)))
-    rows.append(("verdict", "stable", str(report.stability.stable)))
-    rows.append(("verdict", "adm_mass", report.adm.verdict))
+    rows.append(("verdict", "stable", str(report.analysis.stability.stable)))
+    rows.append(("verdict", "adm_mass", report.analysis.adm.verdict))
     for r in report.end_orders:
         rows.append(("end", r.end_kind.value, end_order_line(r)))
-    limit = report.options.max_roots
-    for name, roots in (
-        ("EL", report.roots_full),
-        ("EB", report.roots_bianchi),
-        ("E", report.roots_essential),
-    ):
-        shown = roots if limit is None else roots[:limit]
-        for i, root in enumerate(shown):
-            rows.append(
-                (
-                    name,
-                    str(i),
-                    f"{fmt_weight(root.weight)}|{root.family.value}|{root.source_index}"
-                    f"|{root.branch}|{root.shift:+d}",
-                )
-            )
+    for name, (_count, cells) in zip(("EL", "EB", "E"), _root_sets(report, _root_cell)):
+        rows.extend((name, str(i), cell) for i, cell in enumerate(cells))
     out = []
     for row in rows:
         out.append(",".join(_csv_escape(cell) for cell in row))
     return "\n".join(out) + "\n"
+
+
+def _root_cell(root: IndicialRoot) -> str:
+    return (
+        f"{fmt_weight(root.weight)}|{root.family.value}|{root.source_index}"
+        f"|{root.branch}|{root.shift:+d}"
+    )
 
 
 def _csv_escape(cell: str) -> str:

@@ -13,15 +13,21 @@ from conifold_spectra import (
     box1_spectrum,
     boxL_spectrum,
     end_order,
+    indicial_set_bianchi,
+    indicial_set_essential,
     indicial_set_full,
     linear_stability,
+    load_spectrum,
     resonance_analysis,
     sphere_link,
     sphere_quotient_link,
     xi_rates,
 )
 from conifold_spectra import indicial, rates, report
-from conifold_spectra.report import build_report, render_json
+from conifold_spectra.report import build_report, render_csv, render_json, render_text
+
+from test_golden import _irrational_document
+from test_report import _float_document
 
 
 def _count_calls(monkeypatch, module, name):
@@ -116,3 +122,33 @@ def test_render_json_formats_each_distinct_root_once(monkeypatch):
     set_pad = "\n" + "  " * 4
     assert sorted(key for key, pad in formatted if pad == set_pad) == sorted(distinct)
     assert len(formatted) <= len(distinct) + 2 + len(built.end_orders)
+
+
+@pytest.mark.parametrize("render", [render_text, render_csv])
+def test_text_and_csv_format_each_distinct_root_once(monkeypatch, render):
+    built = build_report(sphere_link(6, count=16))
+    listed = built.roots_full + built.roots_bianchi + built.roots_essential
+    distinct = {id(root) for root in listed}
+    assert len(distinct) < len(listed)
+    calls = _count_calls(monkeypatch, report, "fmt_weight")
+    render(built)
+    # plus the two rate witnesses and one witness per end
+    assert len(calls) <= len(distinct) + 2 + len(built.end_orders)
+
+
+@pytest.mark.parametrize(
+    "link, eps",
+    [
+        (load_spectrum(_float_document(), eps=1e-9), 1e-9),
+        (load_spectrum(_irrational_document()), 1e-12),
+    ],
+    ids=["float-document", "irrational-document"],
+)
+def test_set_functions_are_views(monkeypatch, link, eps):
+    analysis = LinkAnalysis(link, eps)
+    stages = analysis.full, analysis.bianchi, analysis.essential
+    boxL_calls = _count_calls(monkeypatch, rates, "boxL_spectrum")
+    views = indicial_set_full(link, eps), indicial_set_bianchi(link, eps), indicial_set_essential(link, eps)
+    assert views == stages
+    # each is one fresh LinkAnalysis, which builds box_L once
+    assert len(boxL_calls) == 3

@@ -14,6 +14,7 @@ from conifold_spectra.links import MAX_PLOT_ROWS
 from conifold_spectra.report import build_report, render_csv, render_json, render_text, report_dict
 
 from test_golden import GOLDEN, _case
+from test_report import _float_document
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -251,6 +252,43 @@ def test_exit_code_nan_kappa(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+def test_exit_code_bad_epsilon(tmp_path, capsys, epsilon):
+    # with epsilon = inf the float kappa = 5.0 would be snapped onto 0, and
+    # the report would print AC order ~8 and a vanishing kappa_1
+    doc = _float_document()
+    doc["tt_einstein"] = {
+        "entries": [{"value": 5.0, "multiplicity": None}],
+        "complete_below": 6.0,
+        "mode": "exact",
+    }
+    path = tmp_path / "kappa5.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "report", "--input", str(path))
+    assert code == 0
+    assert "AC order = ~8.5825756949558389" in out
+    assert "all TT-Einstein eigenvalues are positive" in out
+    for source in (["--input", str(path)], ["--builtin", "sphere", "--n", "6"]):
+        for fmt in ("table", "json"):
+            code, out, err = run_cli(capsys, "report", *source, "--format", fmt, "--epsilon", epsilon)
+            assert code == 3
+            assert out == ""
+            assert "epsilon must be finite and non-negative" in err
+
+
+def test_exit_code_unreadable_document(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    code, out, err = run_cli(capsys, "report", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert "'utf-8' codec can't decode" in err
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert "recursion" in err
 
 
 def test_exit_code_dim_cone_below_four(tmp_path, capsys):
