@@ -22,6 +22,7 @@ from .errors import (
     InsufficientSpectrum,
     InvariantViolation,
     SchemaError,
+    UnsupportedDimension,
 )
 from .links import (
     BUILTIN_LINKS,
@@ -29,6 +30,7 @@ from .links import (
     MAX_PLOT_ROWS,
     _parse_number,
     builtin_link,
+    check_cone_dimension,
     load_spectrum,
 )
 from .report import ReportOptions, build_report, csv_number, render_csv, render_json, render_text
@@ -102,6 +104,8 @@ def _cmd_report(args) -> int:
                 raise SchemaError(f"cannot read the document: {exc}") from None
         link = load_spectrum(document, eps=args.epsilon)
     else:
+        if args.n is not None:
+            check_cone_dimension(args.n, "--n")
         nontrivial = None if args.quotient is None else args.quotient == "nontrivial"
         link = builtin_link(args.builtin, args.n, gamma_nontrivial=nontrivial)
     report = build_report(link, ReportOptions(epsilon=args.epsilon, max_roots=args.max_roots))
@@ -274,7 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InsufficientSpectrum as exc:
         print(f"error: insufficient spectrum: {exc}", file=sys.stderr)
         return 2
-    except (SchemaError, InvariantViolation, json.JSONDecodeError) as exc:
+    except (SchemaError, InvariantViolation, UnsupportedDimension, json.JSONDecodeError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return 3
     except (ConifoldSpectraError, OSError, ValueError) as exc:

@@ -565,3 +565,45 @@ def resonance_pair(n: int) -> Tuple[Weight, Weight]:
     check_dimension(n)
     half = Scalar(Fraction(-(n - 2), 2))
     return (Weight(half), Weight(half, ZERO, True))
+
+
+class Record:
+    """Base of the records that a ``NamedTuple`` cannot express.
+
+    A subclass names its fields in ``_shown`` (and in ``__slots__``, unless
+    it needs a ``__dict__``) and sets each once in ``__init__`` with
+    ``object.__setattr__``; assigning or deleting one later raises
+    ``AttributeError``.  Two records of one class are equal, and hash
+    alike, when their ``_compared`` fields are; ``repr`` shows the
+    ``_shown`` fields as ``Name(field=value, ...)``.  The constructor takes
+    the slots in order (``_shown`` when there are none), which is how
+    ``copy`` and ``pickle`` rebuild a record.
+    """
+
+    __slots__ = ()
+    _compared: Tuple[str, ...] = ()
+    _shown: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__ or self._shown)

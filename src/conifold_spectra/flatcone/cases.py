@@ -27,9 +27,8 @@ dual and the reference field from one generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..errors import UnsupportedCase
 from .expr import (
@@ -49,8 +48,7 @@ from .expr import (
 from .harmonics import harmonic_polynomial, rotational_form
 
 
-@dataclass(frozen=True)
-class BranchCheck:
+class BranchCheck(NamedTuple):
     branch: str
     harmonic: bool
     bianchi_expected: str           # "zero" | "nonzero"
@@ -75,8 +73,7 @@ class BranchCheck:
         return True
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     case_id: str
     n: int
     degree: Optional[int]
@@ -221,8 +218,7 @@ def _green_hessian(n: int, d: int, seed: int) -> Built:
     return minus, minus.mul_r_power(n + 2), radial_form(n)
 
 
-@dataclass(frozen=True)
-class _Case:
+class _Case(NamedTuple):
     """One gauge case: its construction and what its dual branch must show."""
 
     gauge: str                                  # the gauge-compatible branch
@@ -393,8 +389,7 @@ def verify_case(case_id: str, n: int, degree: int = 2, seed: int = 0) -> CaseRep
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     cases: int
     failures: int
@@ -497,8 +492,7 @@ def identity_case_harmonics(n: int, max_degree: int = 3) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheegerTianRecord:
+class CheegerTianRecord(NamedTuple):
     harmonic_function: bool
     tensor_componentwise_harmonic: bool
     homogeneity_degree: Optional[Fraction]

@@ -18,9 +18,8 @@ resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from ..core import Scalar, check_dimension, critical_eigenvalue, xi_pair
 from ..errors import UnsupportedCase
@@ -107,8 +106,7 @@ def conical_apply(n: int, nu: Fraction, u: RadialLogPoly) -> RadialLogPoly:
     return ddu.scale(-1) + du.scale(-(n - 1)).shift_power(-1) + u.scale(nu).shift_power(-2)
 
 
-@dataclass(frozen=True)
-class OdeCheck:
+class OdeCheck(NamedTuple):
     n: int
     nu: Fraction
     branch: str                 # "plus" | "minus" | "log"

@@ -23,11 +23,10 @@ set functions are views of the stages of ``rates.LinkAnalysis``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .core import DEFAULT_EPSILON, Scalar, Weight, check_dimension, dual_weight, eta, xi_pair
+from .core import DEFAULT_EPSILON, Record, Scalar, Weight, check_dimension, dual_weight, eta, xi_pair
 from .errors import UnknownMultiplicity
 from .links import LinkSpectrum, SpectrumMode
 
@@ -55,8 +54,10 @@ class DropReason(str, Enum):
     CONSTANT = "constant-function"
 
 
-@dataclass(frozen=True)
-class TangentialEigenvalue:
+_set = object.__setattr__
+
+
+class TangentialEigenvalue(Record):
     """One eigenvalue of a tangential operator, with provenance.
 
     ``source_value`` is the generating link eigenvalue (a lambda, mu or
@@ -64,21 +65,37 @@ class TangentialEigenvalue:
     entries record the would-be value together with the reason.
     ``branches`` is the xi_pair of the family input (mu+1, lambda or a
     special value) behind a box_L entry, built once and shared by every
-    entry of that input and by its roots; TT entries carry none.
+    entry of that input and by its roots; TT entries carry none.  It is a
+    cache, so ``==``, ``hash`` and ``repr`` leave it out.
     """
 
-    value: Scalar
-    family: Union[Box1Family, BoxLFamily]
-    source_index: int
-    source_value: Scalar
-    dropped: bool = False
-    drop_reason: Optional[DropReason] = None
-    note: Optional[str] = None
-    branches: Optional[Tuple[Weight, Weight]] = field(default=None, compare=False, repr=False)
+    _compared = _shown = (
+        "value", "family", "source_index", "source_value", "dropped", "drop_reason", "note",
+    )
+    __slots__ = _shown + ("branches",)
+
+    def __init__(
+        self,
+        value: Scalar,
+        family: Union[Box1Family, BoxLFamily],
+        source_index: int,
+        source_value: Scalar,
+        dropped: bool = False,
+        drop_reason: Optional[DropReason] = None,
+        note: Optional[str] = None,
+        branches: Optional[Tuple[Weight, Weight]] = None,
+    ):
+        _set(self, "value", value)
+        _set(self, "family", family)
+        _set(self, "source_index", source_index)
+        _set(self, "source_value", source_value)
+        _set(self, "dropped", dropped)
+        _set(self, "drop_reason", drop_reason)
+        _set(self, "note", note)
+        _set(self, "branches", branches)
 
 
-@dataclass(frozen=True)
-class IndicialRoot:
+class IndicialRoot(NamedTuple):
     """An indicial root of the Lichnerowicz Laplacian with provenance.
 
     ``branch`` is the xi-branch of the *source* eigenvalue and ``shift`` the
@@ -290,20 +307,11 @@ _SHIFTED = {
 def _roots_for(entry: TangentialEigenvalue, n: int) -> List[IndicialRoot]:
     fam = entry.family
     base = entry.source_value
+    index, value, lie, note = entry.source_index, entry.value, fam not in _NOT_LIE, entry.note
 
-    def root(weight, branch, shift, compatible, note=None):
-        return IndicialRoot(
-            weight=weight,
-            family=fam,
-            source_index=entry.source_index,
-            source_value=base,
-            branch=branch,
-            shift=shift,
-            tangential_value=entry.value,
-            bianchi_compatible=compatible,
-            lie_derivative=fam not in _NOT_LIE,
-            note=note if note is not None else entry.note,
-        )
+    def root(weight, branch, shift, compatible):
+        # positional: a NamedTuple builds faster without keywords
+        return IndicialRoot(weight, fam, index, base, branch, shift, value, compatible, lie, note)
 
     plus, minus = xi_pair(n, base) if fam is BoxLFamily.TT_KAPPA else entry.branches
     if fam in _NOT_LIE:

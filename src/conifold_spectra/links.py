@@ -17,11 +17,10 @@ order, never claimed optimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from .core import DEFAULT_EPSILON, Scalar, check_dimension
+from .core import DEFAULT_EPSILON, Record, Scalar, check_dimension
 from .errors import (
     InsufficientSpectrum,
     InvariantViolation,
@@ -40,34 +39,46 @@ class EndKind(str, Enum):
     CS = "CS"
 
 
-@dataclass(frozen=True)
-class EigenvalueEntry:
+_set = object.__setattr__
+
+
+class EigenvalueEntry(Record):
     """One eigenvalue with an optional multiplicity (None = unknown).
 
     Multiplicities are reporting data only; no rate computation reads them.
-    ``given`` is the document's value when ``snap_to_thresholds`` moved it.
+    ``given`` is the document's value when ``snap_to_thresholds`` moved it;
+    ``==`` and ``hash`` leave it out.
     """
 
-    value: Scalar
-    multiplicity: Optional[int] = None
-    given: Optional[Scalar] = field(default=None, compare=False)
+    __slots__ = _shown = ("value", "multiplicity", "given")
+    _compared = ("value", "multiplicity")
 
-    def __post_init__(self):
-        if self.multiplicity is not None and self.multiplicity < 1:
+    def __init__(self, value: Scalar, multiplicity: Optional[int] = None, given: Optional[Scalar] = None):
+        if multiplicity is not None and multiplicity < 1:
             raise InvariantViolation("multiplicity must be a positive integer")
+        _set(self, "value", value)
+        _set(self, "multiplicity", multiplicity)
+        _set(self, "given", given)
 
 
-@dataclass(frozen=True)
-class SpectrumList:
-    entries: Tuple[EigenvalueEntry, ...]
-    complete_below: Scalar
-    mode: SpectrumMode = SpectrumMode.EXACT
+class SpectrumList(Record):
+    """Strictly increasing entries, their completeness certificate and mode."""
 
-    def __post_init__(self):
-        values = [e.value for e in self.entries]
+    __slots__ = _compared = _shown = ("entries", "complete_below", "mode")
+
+    def __init__(
+        self,
+        entries: Tuple[EigenvalueEntry, ...],
+        complete_below: Scalar,
+        mode: SpectrumMode = SpectrumMode.EXACT,
+    ):
+        values = [e.value for e in entries]
         for a, b in zip(values, values[1:]):
             if not a < b:
                 raise InvariantViolation("spectrum entries must be strictly increasing")
+        _set(self, "entries", entries)
+        _set(self, "complete_below", complete_below)
+        _set(self, "mode", mode)
 
     def values(self) -> List[Scalar]:
         return [e.value for e in self.entries]
@@ -81,8 +92,7 @@ class SpectrumList:
         return self.entries[index].multiplicity
 
 
-@dataclass(frozen=True)
-class LinkSpectrum:
+class LinkSpectrum(NamedTuple):
     """Spectral data of one link (M-hat, g-hat) for a cone of dimension n."""
 
     n: int
@@ -145,10 +155,12 @@ def snap_to_thresholds(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> Link
     for lambda (where the lambda2-plus tangential value is 0).  A moved
     entry stays a float and keeps the document's value in ``given``; when
     nothing moves, ``link`` itself is returned.  A non-finite or negative
-    ``eps`` is a ``SchemaError``.
+    ``eps`` is a ``SchemaError``, and so is one of ``MAX_EPSILON`` or more.
     """
     if not 0 <= eps < math.inf:
         raise SchemaError(f"epsilon must be finite and non-negative, got {eps!r}")
+    if eps >= MAX_EPSILON:
+        raise SchemaError(f"epsilon must be below {MAX_EPSILON:g}, got {eps!r}")
     n = link.n
     moved = {}
     for label, thresholds in (
@@ -168,12 +180,12 @@ def snap_to_thresholds(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> Link
         if changes:
             entries = tuple(changes.get(i, entry) for i, entry in enumerate(lst.entries))
             try:
-                moved[label] = replace(lst, entries=entries)
+                moved[label] = SpectrumList(entries, lst.complete_below, lst.mode)
             except InvariantViolation:
                 raise InvariantViolation(
                     f"{label}: two entries lie within epsilon {eps:g} of one threshold"
                 ) from None
-    return replace(link, **moved) if moved else link
+    return link._replace(**moved) if moved else link
 
 
 def require_complete(spectrum: SpectrumList, threshold) -> None:
@@ -360,7 +372,21 @@ _TOP_KEYS = {
 # every such conversion below the double range (2**1024).
 MAX_EXACT_BITS = 1000       # |p| and q below 2**1000, about 1.07e301
 MAX_DIM_CONE_BITS = 500     # dim_cone below 2**500
+# The snap's epsilon stays below half the smallest gap between two thresholds
+# of one list (1/2: kappa's -1 and 0 at n = 4), so it can move a value onto
+# one threshold only; 1e-3 is far below that and far above the rounding
+# error of a float spectrum.
+MAX_EPSILON = 1e-3
 MAX_PLOT_ROWS = 10**6       # rows of one plot-data sweep
+
+
+def check_cone_dimension(n: int, where: str) -> None:
+    """Refuse a cone dimension below 4, where box_L is undefined, or of
+    2**MAX_DIM_CONE_BITS or more, beyond the double range of the float path."""
+    if n < 4:
+        raise SchemaError(f"{where} must be at least 4, got {n}")
+    if n.bit_length() > MAX_DIM_CONE_BITS:
+        raise SchemaError(f"{where} must be below 2**{MAX_DIM_CONE_BITS}")
 
 
 def _parse_number(value, where: str) -> Scalar:
@@ -441,10 +467,7 @@ def load_spectrum(
     n = document["dim_cone"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise SchemaError("dim_cone must be an integer")
-    if n < 4:
-        raise SchemaError(f"dim_cone must be at least 4, got {n}")
-    if n.bit_length() > MAX_DIM_CONE_BITS:
-        raise SchemaError(f"dim_cone must be below 2**{MAX_DIM_CONE_BITS}")
+    check_cone_dimension(n, "dim_cone")
     name = document["name"]
     if not isinstance(name, str):
         raise SchemaError("name must be a string")
@@ -472,6 +495,6 @@ def load_spectrum(
         raise SchemaError(str(exc)) from exc
     if killing is None:
         killing = any(e.value == n - 2 for e in link.coclosed_one_form.entries)
-        link = replace(link, has_killing_fields=killing)
+        link = link._replace(has_killing_fields=killing)
     link.validate(validate_obata=validate_obata)
     return link

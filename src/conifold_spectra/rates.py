@@ -29,13 +29,13 @@ module-level functions are views of its stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .core import (
     DEFAULT_EPSILON,
+    Record,
     Scalar,
     check_dimension,
     critical_eigenvalue,
@@ -57,8 +57,10 @@ from .indicial import (
 from .links import EndKind, LinkSpectrum, SpectrumMode, snap_to_thresholds
 
 
-@dataclass(frozen=True)
-class RateElement:
+_set = object.__setattr__
+
+
+class RateElement(NamedTuple):
     value: Scalar
     part: str                       # "xi-plus" | "minus-branch" | "window" | "below-window"
     root: Optional[IndicialRoot]
@@ -93,15 +95,17 @@ def _by_value(elements: List[RateElement]) -> List[RateElement]:
     return sorted(elements, key=lambda el: (float(el.value), el.part))
 
 
-@dataclass(frozen=True)
-class RateSet:
-    side: str                       # "plus" | "minus"
-    elements: Tuple[RateElement, ...]
+class RateSet(Record):
+    """``side`` is "plus" or "minus"; every element is strictly positive."""
 
-    def __post_init__(self):
-        for el in self.elements:
+    __slots__ = _compared = _shown = ("side", "elements")
+
+    def __init__(self, side: str, elements: Tuple[RateElement, ...]):
+        for el in elements:
             if el.sign() <= 0:
                 raise AssertionError("rate-set values must be strictly positive")
+        _set(self, "side", side)
+        _set(self, "elements", elements)
 
     def minimum(self) -> RateElement:
         if not self.elements:
@@ -112,8 +116,7 @@ class RateSet:
         return [el.value for el in self.elements]
 
 
-@dataclass(frozen=True)
-class EndOrderReport:
+class EndOrderReport(NamedTuple):
     end_kind: EndKind
     order: Scalar
     weak: bool
@@ -121,22 +124,19 @@ class EndOrderReport:
     bound_only: bool
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     stable: bool
     witness: Optional[Scalar]       # violating kappa when unstable
     boundary: Tuple[Scalar, ...]    # kappa exactly at -(n-2)^2/4
     warnings: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AdmMassReport:
+class AdmMassReport(NamedTuple):
     verdict: str                    # "vanishes" | "unknown"
     reason: str
 
 
-@dataclass(frozen=True)
-class ResonanceAnalysis:
+class ResonanceAnalysis(NamedTuple):
     dominated: bool
     resonant_present: bool
     window_values: Tuple[Scalar, ...]
@@ -154,14 +154,12 @@ def _classify_kappa(kappa: Scalar, n: int) -> str:
     return "inside" if kappa < 0 else "above"
 
 
-@dataclass(frozen=True)
-class Rates:
+class Rates(NamedTuple):
     xi_plus: RateElement
     xi_minus: RateElement
 
 
-@dataclass(frozen=True)
-class LinkAnalysis:
+class LinkAnalysis(Record):
     """One analysis pass over a link snapped once at ``eps`` (on construction).
 
     The stages follow the chain spec(box_L) -> E_L ⊇ E_B ⊇ E -> E± ->
@@ -169,13 +167,15 @@ class LinkAnalysis:
     analysis, so box_L and the indicial sets are built once however many
     verdicts are read.  A stage that raises keeps nothing and raises again
     when asked again.  The module-level functions are views of one stage.
+    Analyses compare by (link, eps); the stages live in the instance
+    ``__dict__``, where ``cached_property`` writes them.
     """
 
-    link: LinkSpectrum
-    eps: float = DEFAULT_EPSILON
+    _compared = _shown = ("link", "eps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "link", snap_to_thresholds(self.link, self.eps))
+    def __init__(self, link: LinkSpectrum, eps: float = DEFAULT_EPSILON):
+        _set(self, "link", snap_to_thresholds(link, eps))
+        _set(self, "eps", eps)
 
     @cached_property
     def lambdas(self):

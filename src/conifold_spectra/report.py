@@ -11,10 +11,9 @@ Rendering conventions, fixed for reproducibility:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import INFINITY, encode_basestring_ascii
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import DEFAULT_EPSILON, Scalar, Weight
 from .errors import EmptyRateSet, InsufficientSpectrum
@@ -58,13 +57,11 @@ def csv_number(s: Scalar) -> str:
     return format(float(s), ".17g")
 
 
-@dataclass(frozen=True)
-class ReportOptions:
+class ReportOptions(NamedTuple):
     epsilon: float = DEFAULT_EPSILON
     max_roots: Optional[int] = None
 
 
-@dataclass
 class Report:
     """A view of one ``LinkAnalysis``, plus what only the report derives.
 
@@ -72,14 +69,25 @@ class Report:
     indicial sets and the resonance are read from the analysis.
     """
 
-    link: LinkSpectrum
-    options: ReportOptions
-    analysis: LinkAnalysis
-    rates: Optional[Rates]
-    rate_error: Optional[str]
-    end_orders: List[EndOrderReport]
-    warnings: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    def __init__(
+        self,
+        link: LinkSpectrum,
+        options: ReportOptions,
+        analysis: LinkAnalysis,
+        rates: Optional[Rates],
+        rate_error: Optional[str],
+        end_orders: List[EndOrderReport],
+        warnings: List[str],
+        notes: List[str],
+    ):
+        self.link = link
+        self.options = options
+        self.analysis = analysis
+        self.rates = rates
+        self.rate_error = rate_error
+        self.end_orders = end_orders
+        self.warnings = warnings
+        self.notes = notes
 
     roots_full = property(attrgetter("analysis.full"))
     roots_bianchi = property(attrgetter("analysis.bianchi"))

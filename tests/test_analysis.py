@@ -1,7 +1,5 @@
 """The single analysis pass: every stage is built once per LinkAnalysis."""
 
-from dataclasses import replace
-
 import pytest
 
 from conifold_spectra import (
@@ -80,7 +78,7 @@ def test_public_functions_are_views():
 
 def test_failed_stage_raises_again():
     link = sphere_link(6)
-    shallow = replace(link, tt_einstein=SpectrumList((), Scalar(-1)))
+    shallow = link._replace(tt_einstein=SpectrumList((), Scalar(-1)))
     analysis = LinkAnalysis(shallow)
     for _ in range(2):
         with pytest.raises(InsufficientSpectrum):

@@ -1,7 +1,7 @@
 """CLI surfaces, report rendering, exit codes and plot data."""
 
-import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +10,7 @@ import pytest
 
 from conifold_spectra import cli, product_einstein_example, sphere_quotient_link
 from conifold_spectra.cli import main
-from conifold_spectra.links import MAX_PLOT_ROWS
+from conifold_spectra.links import MAX_DIM_CONE_BITS, MAX_EPSILON, MAX_PLOT_ROWS
 from conifold_spectra.report import build_report, render_csv, render_json, render_text, report_dict
 
 from test_golden import GOLDEN, _case
@@ -131,7 +131,7 @@ def test_report_csv_cli(capsys):
     ids=["comma", "quote", "newline", "plain"],
 )
 def test_report_csv_quotes_special_cells(name, cell):
-    link = dataclasses.replace(sphere_quotient_link(5, True), name=name)
+    link = sphere_quotient_link(5, True)._replace(name=name)
     assert f"\nlink,name,{cell}\n" in render_csv(build_report(link))
 
 
@@ -254,10 +254,8 @@ def test_exit_code_nan_kappa(tmp_path, capsys):
     assert "non-finite" in err
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
-def test_exit_code_bad_epsilon(tmp_path, capsys, epsilon):
-    # with epsilon = inf the float kappa = 5.0 would be snapped onto 0, and
-    # the report would print AC order ~8 and a vanishing kappa_1
+def _kappa5_document(tmp_path):
+    """The n = 10 float document with the single kappa = 5.0, as a file."""
     doc = _float_document()
     doc["tt_einstein"] = {
         "entries": [{"value": 5.0, "multiplicity": None}],
@@ -266,6 +264,14 @@ def test_exit_code_bad_epsilon(tmp_path, capsys, epsilon):
     }
     path = tmp_path / "kappa5.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+def test_exit_code_bad_epsilon(tmp_path, capsys, epsilon):
+    # with epsilon = inf the float kappa = 5.0 would be snapped onto 0, and
+    # the report would print AC order ~8 and a vanishing kappa_1
+    path = _kappa5_document(tmp_path)
     code, out, _ = run_cli(capsys, "report", "--input", str(path))
     assert code == 0
     assert "AC order = ~8.5825756949558389" in out
@@ -276,6 +282,47 @@ def test_exit_code_bad_epsilon(tmp_path, capsys, epsilon):
             assert code == 3
             assert out == ""
             assert "epsilon must be finite and non-negative" in err
+
+
+def test_exit_code_epsilon_at_or_above_the_bound(tmp_path, capsys):
+    # a finite epsilon as large as 1e300 snapped kappa = 5.0 onto 0 just as
+    # inf did; one just below the bound still reports
+    path = _kappa5_document(tmp_path)
+    for epsilon in ("1e300", repr(MAX_EPSILON)):
+        code, out, err = run_cli(capsys, "report", "--input", str(path), "--epsilon", epsilon)
+        assert (code, out) == (3, "")
+        assert f"epsilon must be below {MAX_EPSILON:g}" in err
+    below = repr(math.nextafter(MAX_EPSILON, 0))
+    code, out, _ = run_cli(capsys, "report", "--input", str(path), "--epsilon", below)
+    assert code == 0
+    assert "AC order = ~8.5825756949558389" in out
+    assert "all TT-Einstein eigenvalues are positive" in out
+
+
+@pytest.mark.parametrize(
+    "builtin, n, message",
+    [
+        ("sphere", "3", "--n must be at least 4, got 3"),
+        ("sphere-quotient", "2", "--n must be at least 4, got 2"),
+        ("sphere", "-4", "--n must be at least 4, got -4"),
+        ("sphere", "1" + "0" * 160, f"--n must be below 2**{MAX_DIM_CONE_BITS}"),
+        ("sphere", str(2**MAX_DIM_CONE_BITS), f"--n must be below 2**{MAX_DIM_CONE_BITS}"),
+        ("product-einstein-10", "5", "exists only for n = 10"),
+    ],
+    ids=["sphere-3", "quotient-2", "sphere-negative", "sphere-1e160", "sphere-2**500", "product-5"],
+)
+def test_exit_code_builtin_dimension_out_of_range(capsys, builtin, n, message):
+    # the rule of a document's dim_cone: at least 4, below 2**MAX_DIM_CONE_BITS
+    code, out, err = run_cli(capsys, "report", "--builtin", builtin, "--n", n)
+    assert (code, out) == (3, "")
+    assert message in err
+
+
+def test_builtin_dimension_just_below_the_bound_reports(capsys):
+    n = 2**MAX_DIM_CONE_BITS - 1
+    code, out, _ = run_cli(capsys, "report", "--builtin", "sphere", "--n", str(n), "--format", "csv")
+    assert code == 0
+    assert f"link,dim_cone,{n}\n" in out
 
 
 def test_exit_code_unreadable_document(tmp_path, capsys):
@@ -466,6 +513,28 @@ def test_report_process_does_not_import_the_verifier():
         "cli.main(['report', '--builtin', 'sphere', '--n', '4', '--format', 'csv']); "
         "sys.exit('conifold_spectra.flatcone' in sys.modules)"
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+_STDLIB_HEAVY = ["dataclasses", "inspect"]
+
+
+@pytest.mark.parametrize(
+    "script, unwanted",
+    [
+        ("import conifold_spectra.cli", _STDLIB_HEAVY),
+        ("import conifold_spectra.flatcone", _STDLIB_HEAVY),
+        (
+            "import conifold_spectra.cli as cli; cli.main(['report', '--builtin', 'sphere'])",
+            _STDLIB_HEAVY + ["conifold_spectra.flatcone"],
+        ),
+    ],
+    ids=["import-cli", "import-flatcone", "report"],
+)
+def test_cold_start_loads_no_dataclasses(script, unwanted):
+    # dataclasses pulls in inspect, ast, dis and tokenize, and each dataclass
+    # execs its generated methods at import; a report loads no verifier either
+    proc = _python(f"import sys; {script}; sys.exit([m for m in {unwanted!r} if m in sys.modules] or None)")
     assert proc.returncode == 0, proc.stderr
 
 

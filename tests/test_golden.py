@@ -9,7 +9,6 @@ commit and says why.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 
@@ -166,7 +165,7 @@ def _case(name):
     name, _, limit = name.partition(" max-roots=")
     link, options = _untruncated_case(name)
     if limit:
-        options = dataclasses.replace(options, max_roots=int(limit))
+        options = options._replace(max_roots=int(limit))
     return link, options
 
 
