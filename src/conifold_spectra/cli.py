@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .core import DEFAULT_EPSILON, Scalar, xi_pair
 from .errors import (
@@ -114,7 +114,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _verify_flat(n: int, max_degree: int) -> List[str]:
+def _verify_flat(n: int, max_degree: int) -> Tuple[List[str], bool]:
     from .flatcone import flat_schedule, verify_case
 
     lines = []
@@ -130,10 +130,10 @@ def _verify_flat(n: int, max_degree: int) -> List[str]:
         lines.append(f"  {label:<28} {status}")
     lines.insert(0, f"flat-cone gauge cases on R^{n}:")
     lines.append(f"  failures: {failures}")
-    return lines if failures == 0 else lines + ["FLAT-SUITE-FAILED"]
+    return lines, failures > 0
 
 
-def _verify_ode() -> List[str]:
+def _verify_ode() -> Tuple[List[str], bool]:
     from .flatcone.ode import COEFFICIENT_NOTE, default_grid, ode_residual
 
     lines = ["radial ODE checks:"]
@@ -150,10 +150,10 @@ def _verify_ode() -> List[str]:
         )
     lines.append(f"  coefficient note: {COEFFICIENT_NOTE}")
     lines.append(f"  failures: {failures}")
-    return lines if failures == 0 else lines + ["ODE-SUITE-FAILED"]
+    return lines, failures > 0
 
 
-def _verify_identities(n: int) -> List[str]:
+def _verify_identities(n: int) -> Tuple[List[str], bool]:
     from .flatcone import (
         identity_b_dstar,
         identity_case_harmonics,
@@ -179,10 +179,10 @@ def _verify_identities(n: int) -> List[str]:
         if rep.detail:
             lines.append(f"    {rep.detail}")
     lines.append(f"  failures: {failures}")
-    return lines if failures == 0 else lines + ["IDENTITY-SUITE-FAILED"]
+    return lines, failures > 0
 
 
-def _verify_cheeger_tian() -> List[str]:
+def _verify_cheeger_tian() -> Tuple[List[str], bool]:
     from .flatcone import cheeger_tian_example
 
     record = cheeger_tian_example(4)
@@ -196,9 +196,7 @@ def _verify_cheeger_tian() -> List[str]:
         f"  printed -4 variant harmonic: {record.printed_variant_harmonic} (recorded)",
         f"  note: {record.note}",
     ]
-    if not record.passed:
-        lines.append("CHEEGER-TIAN-FAILED")
-    return lines
+    return lines, not record.passed
 
 
 def _cmd_verify(args) -> int:
@@ -210,24 +208,16 @@ def _cmd_verify(args) -> int:
             f"verify --n {args.n} --max-degree {args.max_degree} is beyond the work "
             f"bound: n^3*d^3 + d^5 with d = max(degree, 3) must be at most {MAX_VERIFY_WORK}"
         )
-    suites = (
-        ["ode", "flat", "identities", "cheeger-tian"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    run = {
+        "ode": _verify_ode,
+        "flat": lambda: _verify_flat(args.n, args.max_degree),
+        "identities": lambda: _verify_identities(args.n),
+        "cheeger-tian": _verify_cheeger_tian,
+    }
     failed = False
-    for suite in suites:
-        if suite == "ode":
-            lines = _verify_ode()
-        elif suite == "flat":
-            lines = _verify_flat(args.n, args.max_degree)
-        elif suite == "identities":
-            lines = _verify_identities(args.n)
-        else:
-            lines = _verify_cheeger_tian()
-        if lines and lines[-1].endswith("FAILED"):
-            failed = True
-            lines = lines[:-1]
+    for suite in run if args.suite == "all" else [args.suite]:
+        lines, suite_failed = run[suite]()
+        failed = failed or suite_failed
         sys.stdout.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 

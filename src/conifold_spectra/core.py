@@ -18,12 +18,12 @@ puts every exact value in that form, so integers skip the pure-Python
 the numeric *views* on Python floats (IEEE doubles).  A single global
 epsilon (default 1e-12) snaps float eigenvalues onto their thresholds once
 (``links.snap_to_thresholds``); all comparisons after that are exact.  A
-discriminant's square root is taken in integer arithmetic at 169 bits (50
-significant digits), each step correctly rounded, and then rounded once
-more to 53 bits; every other float operation is a double operation.  A
-rational p/q becomes float(p)/float(q): both operands round before the
-quotient does.  The sign and order of a weight base + sign*sqrt(square) are
-decided exactly (``surd_sign``, ``surd_cmp``), not on its view.
+square root or a weight view is the correctly rounded double of the exact
+value (``round_surd``), a float input counting as its exact binary
+rational; every other float operation is a double operation, and a
+rational p/q meets a float as float(p)/float(q).  The sign and order of a
+weight base + sign*sqrt(square) are decided exactly (``surd_sign``,
+``surd_cmp``), not on its view.
 
 A weight is one exact value, base + sign*sqrt(square) on the real or the
 imaginary axis: for every rational eigenvalue, irrational radicals
@@ -41,7 +41,6 @@ from typing import Optional, Tuple
 from .errors import DimensionTooSmall
 
 DEFAULT_EPSILON = 1e-12
-SQRT_BITS = 169  # 50 significant digits
 _DIGITS17 = Context(prec=17, rounding=ROUND_HALF_UP)
 
 
@@ -72,44 +71,41 @@ def _to_float(value) -> float:
     return float(value) + 0.0
 
 
-def _round_bits(man: int, exp: int, bits: int) -> Tuple[int, int]:
-    """man * 2**exp (man > 0) rounded half-even to ``bits`` bits.
+def round_surd(c, s: int, q) -> float:
+    """The double nearest to c + s*sqrt(q), ties to even: one rounding.
 
-    The lowest bit of ``man`` may be a sticky bit standing for a nonzero
-    remainder below it.
+    c and q >= 0 are ints, Fractions or floats, a float counting as its
+    exact binary rational; s is -1, 0 or +1.  sqrt(q) = sqrt(a*b)/b for
+    q = a/b is bracketed by isqrt(a*b * 4**k) and that plus one; where c
+    and s*sqrt(q) have opposite signs the value is taken as the conjugate
+    quotient (c^2 - q)/(c - s*sqrt(q)), which does not cancel.  Either way
+    the bracket's relative width is about 2**-64 on the first pass, and k
+    grows until both ends round to the same double (Ziv's loop); it ends
+    at once when sqrt(q) is rational, and otherwise because an irrational
+    value is never a rounding boundary.
     """
-    extra = man.bit_length() - bits
-    if extra <= 0:
-        return man, exp
-    low = man & ((1 << extra) - 1)
-    man >>= extra
-    half = 1 << (extra - 1)
-    if low > half or (low == half and man & 1):
-        man += 1
-    return man, exp + extra
-
-
-def _float_sqrt(value) -> float:
-    """sqrt(value) for a positive Fraction or float, as a double.
-
-    The chain is fixed: p and q round to SQRT_BITS bits, then p/q does; the
-    square root is taken correctly rounded to SQRT_BITS bits and rounded
-    once more, half-even, to 53 bits.
-    """
-    p, q = value.as_integer_ratio()
-    p, pe = _round_bits(p, 0, SQRT_BITS)
-    q, qe = _round_bits(q, 0, SQRT_BITS)
-    shift = max(SQRT_BITS + 2 + q.bit_length() - p.bit_length(), 0)
-    quo, rem = divmod(p << shift, q)
-    man, exp = _round_bits((quo << 1) | (rem != 0), pe - qe - shift - 1, SQRT_BITS)
-    if exp & 1:
-        man, exp = man << 1, exp - 1
-    shift = max(2 * (SQRT_BITS + 2) - man.bit_length() + 1, 0) // 2
-    radicand = man << (2 * shift)
-    root = math.isqrt(radicand)
-    man, exp = _round_bits((root << 1) | (root * root != radicand), exp // 2 - shift - 1, SQRT_BITS)
-    man, exp = _round_bits(man, exp, 53)
-    return math.ldexp(man, exp)
+    cn, cd = c.as_integer_ratio()
+    a, b = q.as_integer_ratio()
+    if not s or not a:
+        return cn / cd + 0.0
+    ab = a * b
+    cancels = s * cn < 0
+    k = max(64 - (ab.bit_length() >> 1), 0)
+    while True:
+        radicand = ab << 2 * k
+        root = math.isqrt(radicand)
+        scale = b << k
+        if cancels:
+            num = (cn * cn * b - a * cd * cd) << k
+            den = cd * (cn * scale - s * cd * root)
+            lo, hi = num / den, num / (den - s * cd * cd)
+        else:
+            den = cd * scale
+            num = cn * scale + s * cd * root
+            lo, hi = num / den, (num + s * cd) / den
+        if lo == hi or root * root == radicand:
+            return lo + 0.0
+        k = 2 * k + 64
 
 
 def _nstr17(x: float) -> str:
@@ -170,8 +166,8 @@ class Scalar:
     (``rational``) and are closed under +, -, *, / and comparison;
     ``as_fraction`` reads the value as a ``Fraction``.  Float scalars wrap a
     ``float``; any operation touching a float scalar yields a float scalar,
-    computed in double precision.  Only ``sqrt`` works at more bits
-    (SQRT_BITS) before it rounds to a double.
+    computed in double precision.  ``sqrt`` of an irrational is the
+    correctly rounded double of the exact root.
     """
 
     __slots__ = ("value", "exact")
@@ -309,18 +305,14 @@ class Scalar:
         return self.value == 0
 
     def sqrt(self) -> "Scalar":
-        """Nonnegative square root: exact if rational, else a double.
-
-        An irrational root is taken at SQRT_BITS bits and rounded once to
-        53 (see ``_float_sqrt``).
-        """
+        """Nonnegative square root: exact if rational, else the nearest double."""
         if self < 0:
             raise ValueError("sqrt of a negative scalar")
         if self.exact:
             root = _exact_sqrt(self.value)
             if root is not None:
                 return _raw(rational(root), True)
-        return _raw(_float_sqrt(self.value), False)
+        return _raw(round_surd(0, 1, self.value), False)
 
 
 ZERO = Scalar(0)
@@ -333,15 +325,16 @@ class Weight:
     ``imaginary`` is set; ``base``, ``square`` and ``sign`` (-1, 0 or +1)
     are exact whenever the eigenvalue is.  ``offset`` is the signed radical
     sign*sqrt(square), shared by a branch pair, its shifts and its duals.
-    ``real`` and ``imag`` are the numeric views (exact when possible, else
-    floats); ``real`` is computed on first read and cached.  ``log_factor``
-    marks the companion solution r^{-(n-2)/2} * log(r) at the resonance.
+    ``real`` and ``imag`` are the numeric views: exact when possible, else
+    the correctly rounded double of the exact value; ``real`` is computed
+    on first read and cached.  ``log_factor`` marks the companion solution
+    r^{-(n-2)/2} * log(r) at the resonance.
 
     ``Weight(real, imag, log_factor)`` builds a weight from its views.
     Weights compare and hash by (real, imag, log_factor).
     """
 
-    __slots__ = ("base", "square", "sign", "imaginary", "log_factor", "offset", "_real", "_origin")
+    __slots__ = ("base", "square", "sign", "imaginary", "log_factor", "offset", "_real")
 
     def __init__(self, real: Scalar, imag: Scalar = ZERO, log_factor: bool = False):
         self.base = real
@@ -351,36 +344,29 @@ class Weight:
         self.offset = imag if self.imaginary else ZERO
         self.log_factor = log_factor
         self._real = real
-        self._origin = None
 
     @staticmethod
     def _surd(base: Scalar, square: Scalar, sign: int, imaginary: bool, offset: Scalar,
-              log_factor: bool = False, origin=None) -> "Weight":
+              log_factor: bool = False) -> "Weight":
         w = object.__new__(Weight)
         w.base, w.square, w.sign, w.imaginary = base, square, sign, imaginary
-        w.offset, w.log_factor, w._real, w._origin = offset, log_factor, None, origin
+        w.offset, w.log_factor, w._real = offset, log_factor, None
         return w
 
     @property
     def real(self) -> Scalar:
         if self._real is None:
-            if self._origin is not None:
-                parent, delta = self._origin
-                self._real = parent.real + delta
-            elif self.imaginary or self.sign == 0:
+            if self.imaginary or self.sign == 0:
                 self._real = self.base
-            else:
+            elif self.base.exact and self.offset.exact:
                 self._real = self.base + self.offset
+            else:
+                self._real = _raw(round_surd(self.base.value, self.sign, self.square.value), False)
         return self._real
 
     @property
     def imag(self) -> Scalar:
         return self.offset if self.imaginary else ZERO
-
-    @property
-    def imag_sq(self) -> Scalar:
-        """The exact square of the imaginary part."""
-        return self.square if self.imaginary else ZERO
 
     @property
     def is_real(self) -> bool:
@@ -400,23 +386,9 @@ class Weight:
     def __repr__(self) -> str:
         return f"Weight(real={self.real!r}, imag={self.imag!r}, log_factor={self.log_factor!r})"
 
-    def __str__(self) -> str:
-        if self.is_real:
-            base = str(self.real)
-        elif self.imag < 0:
-            base = f"({self.real}-{-self.imag}i)"
-        else:
-            base = f"({self.real}+{self.imag}i)"
-        return base + ("*log(r)" if self.log_factor else "")
-
     def _shift(self, delta: Scalar) -> "Weight":
-        """x + delta: the base moves and the radical stays.
-
-        The float view is this weight's view plus delta, which is how its
-        rounding is defined; eta and dual_weight work on the exact base.
-        """
-        return Weight._surd(self.base + delta, self.square, self.sign, self.imaginary,
-                            self.offset, origin=(self, delta))
+        """x + delta: the base moves and the radical stays."""
+        return Weight._surd(self.base + delta, self.square, self.sign, self.imaginary, self.offset)
 
     def __sub__(self, other) -> "Weight":
         return self._shift(-Scalar.wrap(other))

@@ -274,7 +274,7 @@ def test_exit_code_bad_epsilon(tmp_path, capsys, epsilon):
     path = _kappa5_document(tmp_path)
     code, out, _ = run_cli(capsys, "report", "--input", str(path))
     assert code == 0
-    assert "AC order = ~8.5825756949558389" in out
+    assert "AC order = ~8.5825756949558407" in out
     assert "all TT-Einstein eigenvalues are positive" in out
     for source in (["--input", str(path)], ["--builtin", "sphere", "--n", "6"]):
         for fmt in ("table", "json"):
@@ -295,7 +295,7 @@ def test_exit_code_epsilon_at_or_above_the_bound(tmp_path, capsys):
     below = repr(math.nextafter(MAX_EPSILON, 0))
     code, out, _ = run_cli(capsys, "report", "--input", str(path), "--epsilon", below)
     assert code == 0
-    assert "AC order = ~8.5825756949558389" in out
+    assert "AC order = ~8.5825756949558407" in out
     assert "all TT-Einstein eigenvalues are positive" in out
 
 
@@ -469,7 +469,8 @@ def test_e_plus_certificate_reads_the_listed_eigenvalue(tmp_path, capsys):
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_tiny_kappa_weights_are_signed_exactly(tmp_path, capsys, sign):
     # kappa = +-10^-30 at n = 6: xi_plus(kappa) = -2 + sqrt(4 + kappa) is
-    # about +-2.5e-31 and its double view is 0.0; the sign is read exactly
+    # about +-2.5e-31; the sign is read exactly, and the view is the double
+    # nearest to the exact value, not the cancelled -2.0 + fl(sqrt(4 + kappa))
     kappa = f"{sign}1/1{'0' * 30}"
     code, out, err = _report(tmp_path, capsys, _doc_with_tt([kappa, "12"]))
     assert code == 0, err
@@ -477,12 +478,12 @@ def test_tiny_kappa_weights_are_signed_exactly(tmp_path, capsys, sign):
     if sign:
         # -xi_plus(kappa) is the positive window element, the E_minus minimum
         assert "xi_plus = 2 (witness 2 from Scalar-lambda-direct)" in rates
-        assert "xi_minus = ~0 (witness ~0, part window)" in rates
-        assert "AC order = ~0" in out and "CS order = 2" in out
+        assert "xi_minus = ~2.5000000000000002e-31 (witness ~-2.5000000000000002e-31, part window)" in rates
+        assert "AC order = ~2.5000000000000002e-31" in out and "CS order = 2" in out
     else:
         # xi_plus(kappa) > 0 is the E_plus minimum, not lambda's xi_plus = 2
-        assert "xi_plus = ~0 (witness ~0 from TT-kappa)" in rates
-        assert "CS order = ~0" in out and "CS order = 2" not in out
+        assert "xi_plus = ~2.5000000000000002e-31 (witness ~2.5000000000000002e-31 from TT-kappa)" in rates
+        assert "CS order = ~2.5000000000000002e-31" in out and "CS order = 2" not in out
 
 
 def test_partial_report_policy(tmp_path, capsys):
@@ -494,7 +495,7 @@ def test_partial_report_policy(tmp_path, capsys):
     code, out, err = _report(tmp_path, capsys, doc)
     assert code == 0, err
     assert "rates: unavailable (tt_einstein list certified below 1" in out
-    assert "AC order = ~0.26794919243112281" in out  # the window branch 2 - sqrt(3)
+    assert "AC order = ~0.2679491924311227" in out  # the window branch 2 - sqrt(3)
     doc["ends"] = [{"kind": "CS"}]
     code, out, err = _report(tmp_path, capsys, doc)
     assert code == 2
@@ -695,6 +696,24 @@ def test_verify_subcommands_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "flat", "--max-degree", "2")
     assert code == 0
     assert "case (vii)" in out
+
+
+def test_verify_exits_1_when_a_case_fails(capsys, monkeypatch):
+    # a failing case is counted and sets the exit code; no marker line is printed
+    from conifold_spectra import flatcone
+    from conifold_spectra.flatcone import BranchCheck, CaseReport
+
+    def failing(case_id, n, degree):
+        check = BranchCheck("+", False, "zero", "zero", "exactly-zero")
+        return CaseReport(case_id, n, degree, (check,))
+
+    monkeypatch.setattr(flatcone, "verify_case", failing)
+    for suite in ("flat", "all"):
+        code, out, _ = run_cli(capsys, "verify", suite, "--max-degree", "2")
+        fails = out.count(" FAIL\n")
+        assert code == 1
+        assert fails > 0 and f"  failures: {fails}\n" in out
+        assert not any(line.endswith("FAILED") for line in out.splitlines())
 
 
 @pytest.mark.parametrize(

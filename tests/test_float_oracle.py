@@ -1,10 +1,13 @@
 """The float path against mpmath, used here as an independent oracle.
 
-The library runs on Python floats with one integer square root; these
-properties pin it to the chain it replaces, bit for bit:
+The library runs on Python floats with one integer-exact rounding routine;
+these properties pin it to the correctly rounded values, bit for bit:
 
-* ``Scalar.sqrt`` of an irrational equals ``mpmath.sqrt`` at 50 digits
-  (169 bits, with p and q each rounded first), rounded to 53 bits;
+* ``Scalar.sqrt`` of an irrational is ``mpmath.sqrt`` at 120 digits,
+  rounded to the nearest double;
+* every real and imaginary view of a branch weight, of its shifts and of
+  its dual is the 120-digit value of the exact weight rounded to the
+  nearest double, a float input counting as its exact binary rational;
 * a rational p/q on the float path equals mpf(p)/mpf(q) at 53 bits;
 * ``str`` of a float scalar equals ``mpmath.nstr(x, 17)``.
 """
@@ -14,7 +17,7 @@ from fractions import Fraction
 import mpmath
 from hypothesis import example, given, settings, strategies as st
 
-from conifold_spectra import Scalar
+from conifold_spectra import Scalar, dual_weight, xi_pair
 
 ORACLE_SETTINGS = settings(max_examples=400, deadline=None)
 
@@ -31,14 +34,20 @@ near_powers = st.builds(
 )
 
 
+def _mp(value):
+    """An int, Fraction or float as an mpf at the working precision."""
+    p, q = value.as_integer_ratio()
+    return mpmath.mpf(p) / q
+
+
+def _nearest_double(value) -> float:
+    """The 120-digit value of ``value()`` rounded to the nearest double."""
+    with mpmath.workdps(120):
+        return float(value())
+
+
 def _oracle_sqrt(value) -> float:
-    with mpmath.workdps(50):
-        if isinstance(value, Fraction):
-            x = mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-        else:
-            x = mpmath.mpf(value)
-        root = mpmath.sqrt(x)
-    return float(root * 1)  # *1 rounds to the 53-bit default context
+    return _nearest_double(lambda: mpmath.sqrt(_mp(value)))
 
 
 @ORACLE_SETTINGS
@@ -47,13 +56,13 @@ def _oracle_sqrt(value) -> float:
 @example(7, 1)
 @example(10**45 - 1, 3)
 @example(1, 10**45 - 7)
-# Near-ties, found by search around (odd 54-bit integer)^2: each fails if
-# one step of the chain is dropped or rounds differently (168 bits, no
-# sticky bit, p and q not rounded first, ties away from even).
+# Near-ties, found by search around (odd 54-bit integer)^2.  In the /49
+# case two roundings (to 169 bits, then to 53) give 1.2474269432948923e+25,
+# one ulp above the nearest double 1.247426943294892e+25.
 @example(4086661673366335789516336381710662071727884811108360, 3)
 @example(7624762496404386811301294406514830295260873726361577, 49)
 @example(14220629755558932422102392407796305152590084346802684543972660330433095439220701, 17180131329)
-def test_sqrt_of_rationals_matches_the_50_digit_chain(p, q):
+def test_sqrt_of_rationals_is_correctly_rounded(p, q):
     value = Fraction(p, q)
     root = Scalar(value).sqrt()
     if root.exact:
@@ -67,8 +76,58 @@ def test_sqrt_of_rationals_matches_the_50_digit_chain(p, q):
 @example(2.0)
 @example(5e-324)
 @example(1.7976931348623157e308)
-def test_sqrt_of_floats_matches_the_50_digit_chain(x):
+def test_sqrt_of_floats_is_correctly_rounded(x):
     assert Scalar(x, exact=False).sqrt().value == _oracle_sqrt(x)
+
+
+@st.composite
+def cones_and_eigenvalues(draw):
+    """(n, nu): nu exact or a float, anywhere or within 1e-8..1e-40 of 0 or the resonance."""
+    n = draw(st.integers(3, 12))
+    edge = draw(st.sampled_from((0, Fraction(-((n - 2) ** 2), 4))))
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("rational", "near", "float", "near float")))
+    if kind == "rational":
+        return n, Fraction(draw(st.integers(-(10**6), 10**6)), draw(st.integers(1, 10**4)))
+    if kind == "near":
+        return n, edge + sign * Fraction(draw(st.integers(1, 99)), 10 ** draw(st.integers(10, 40)))
+    if kind == "float":
+        return n, draw(st.floats(-1e6, 1e6))
+    return n, float(edge) + sign * draw(st.floats(1e-40, 1e-8))
+
+
+def _oracle_views(n, nu, base, sign):
+    """The nearest doubles to Re and Im of base + sign*sqrt(disc), disc = (n-2)^2/4 + nu.
+
+    A float nu meets (n-2)^2/4 in one double add, as on the float path; the
+    sum then counts as its exact binary rational.
+    """
+    disc = Fraction((n - 2) ** 2, 4)
+    disc = disc + nu if isinstance(nu, Fraction) else Fraction(float(disc) + nu)
+    root = lambda: sign * mpmath.sqrt(_mp(abs(disc)))  # noqa: E731
+    if disc < 0:
+        return _nearest_double(lambda: _mp(base)), _nearest_double(root)
+    return _nearest_double(lambda: _mp(base) + root()), 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones_and_eigenvalues())
+@example((6, Fraction(1, 10**30)))  # xi_plus is 2.5e-31, not -2.0 + fl(sqrt(4 + 1e-30)) = 0.0
+@example((6, Fraction(-1, 10**30)))
+@example((6, Fraction(-4) + Fraction(1, 10**40)))
+@example((6, Fraction(3)))
+@example((6, Fraction(-1)))
+@example((10, 5.0))
+@example((10, Fraction(319, 27)))  # the shift by 2 of xi_minus was one ulp off
+def test_weight_views_are_correctly_rounded(case):
+    n, nu = case
+    half = Fraction(-(n - 2), 2)
+    for sign, weight in zip((1, -1), xi_pair(n, nu)):
+        views = [(weight, half, sign), (dual_weight(n, weight), 2 - n - half, -sign)]
+        views += [(weight + d, half + d, sign) for d in (1, -1, 2, -2)]
+        for view, base, s in views:
+            expected = _oracle_views(n, nu, base, s)
+            assert (float(view.real.value), float(view.imag.value)) == expected, (base, s)
 
 
 @ORACLE_SETTINGS

@@ -102,9 +102,9 @@ GOLDEN = {
         "38fb30f08724327671068c0f2ba19bb0028d02320120af908f3b7e7c27e83892",
     ),
     "irrational-document": (
-        "09343639a3f7d56bc26ff9cd769a355e2da9a15b2b478619c09506f8b9f236f2",
-        "ec54d24f22c1a576f51c2667449e5f8a474b43b99b683297ceca17ddb06df1a7",
-        "5137c2c7d1851fe3827c452f4d2adf6bf4c814fd7c57504e00462ed71ad66ce0",
+        "f86f997f2ebdea082b5afb573d40522135fa724b28eb01a95d3c2d2fef9dd9c1",
+        "8ca3eafb4ccd8e2210a82a0b392dcc3c2a2d024cd8e420d11bf6f96f37bef26c",
+        "dad833aa38073f81a0e23501459a2ef9f2f4245ae50158fe8ec86170b3918599",
     ),
     "float-document": (
         "50a11387f1fce5edd09286f8249145d72b558a008326e6fd88329aec90c6a91e",
@@ -122,14 +122,14 @@ GOLDEN = {
         "b702ff1681f22b37b71a1dd2e59fae8133d399ba989c6eed06f1d8c6f52cf906",
     ),
     "irrational-document max-roots=0": (
-        "0a8aa3f291749ae78a9b57707cd6b007f715ff363d2a29b9625add47e2ddd83b",
-        "0133328bd19bc7bf6db6b2359aceee07e433d8b27a5e5885f836762ed9185c7f",
-        "8a2ac73fa176049e38c64a14a290c3f43b0cdabb07527ea1c98c7e7f021e49cc",
+        "d34cb7dba2815cff87ebe45710597d86c75558d3b856b23ea00c99f14148ae01",
+        "5b19fcbf717fed5b4dedd5ace90df1543892ee4829a72ea34054388182915fdb",
+        "566bf943ecc2ff51b908acdd2b13dcec804f926d7663c67b1c1d41ca11e95e36",
     ),
     "irrational-document max-roots=2": (
-        "1947ea3f07384758ea26196372b4e1961bc5605f44c466d8c237d661e8cdd543",
-        "cd4b3949b3d112286afeae49c72b790c1cca6dbfe6c7def4fe0ab412ab4b2014",
-        "19e130ab6f0e0bc57256271505cab04e2948b6b5a57bc463c8a239cf7b241305",
+        "7ab0c025c3a283fec1aaded3812906cc17e7ab610f3b607c384ab652714fd4b9",
+        "1b97e713c82229416b096e9e2c5e428328fb66e5257b379e7a404e1b1ff940aa",
+        "0c4dad13f4510d47d5541f32f674730a55358c158504ec0b594601d625433037",
     ),
 }
 
@@ -201,7 +201,7 @@ def test_plot_data_sweep_is_byte_identical():
     assert code == 0
     assert len(out.getvalue().splitlines()) == 258
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    assert digest == "94eb123118e01ea6ab7abd3f21c90ace4d8d023546fb40f1bd989429a3186039"
+    assert digest == "a91577c044654971130254d56b3a3865dc664e1c7650f689d2d2aca1b372a42c"
 
 
 # argv -> sha256 of the stdout of a ``verify`` run

@@ -210,7 +210,7 @@ def test_full_set_duality_with_complex_roots():
     assert len(complex_roots) == 2  # the kappa below the window
     for r in complex_roots:
         assert r.weight.real == Scalar(-2)  # -(n-2)/2
-        assert r.weight.imag_sq == Scalar(3)  # |disc| = 3, irrational radical
+        assert r.weight.square == Scalar(3)  # |disc| = 3, irrational radical
         assert not r.weight.imag.exact
     reals = Counter(r.weight.real.value for r in full)
     assert reals == Counter(Fraction(2 - 6) - v for v in reals.elements())

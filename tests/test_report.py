@@ -147,8 +147,8 @@ def test_e_plus_completeness_is_read_exactly():
     report = build_report(load_spectrum(_sqrt7_document("3")))
     assert report.rate_error is None
     text = render_text(report)
-    assert "rates: xi_plus = ~0.64575131106459072" in text
-    assert "CS order = ~0.64575131106459072" in text
+    assert "rates: xi_plus = ~0.64575131106459061" in text
+    assert "CS order = ~0.64575131106459061" in text
 
 
 def test_e_plus_completeness_message_text():
@@ -157,7 +157,7 @@ def test_e_plus_completeness_message_text():
         LinkAnalysis(link).e_plus
     assert str(info.value) == (
         "tt_einstein list certified below 5/2, but the E_plus minimum "
-        "0.64575131106459072 needs completeness below 3"
+        "0.64575131106459061 needs completeness below 3"
     )
 
 
