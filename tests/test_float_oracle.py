@@ -12,6 +12,7 @@ these properties pin it to the correctly rounded values, bit for bit:
 * ``str`` of a float scalar equals ``mpmath.nstr(x, 17)``.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -96,14 +97,14 @@ def cones_and_eigenvalues(draw):
     return n, float(edge) + sign * draw(st.floats(1e-40, 1e-8))
 
 
-def _oracle_views(n, nu, base, sign):
-    """The nearest doubles to Re and Im of base + sign*sqrt(disc), disc = (n-2)^2/4 + nu.
-
-    A float nu meets (n-2)^2/4 in one double add, as on the float path; the
-    sum then counts as its exact binary rational.
-    """
+def _discriminant(n, nu) -> Fraction:
+    """(n-2)^2/4 + nu; a float nu meets (n-2)^2/4 in one double add, as on the float path."""
     disc = Fraction((n - 2) ** 2, 4)
-    disc = disc + nu if isinstance(nu, Fraction) else Fraction(float(disc) + nu)
+    return disc + nu if isinstance(nu, Fraction) else Fraction(float(disc) + nu)
+
+
+def _oracle_views(disc, base, sign):
+    """The nearest doubles to Re and Im of base + sign*sqrt(disc)."""
     root = lambda: sign * mpmath.sqrt(_mp(abs(disc)))  # noqa: E731
     if disc < 0:
         return _nearest_double(lambda: _mp(base)), _nearest_double(root)
@@ -122,12 +123,18 @@ def _oracle_views(n, nu, base, sign):
 def test_weight_views_are_correctly_rounded(case):
     n, nu = case
     half = Fraction(-(n - 2), 2)
+    disc = _discriminant(n, nu)
+    # a view is exact where the value is rational and nu exact, else a float
+    exact_root = isinstance(nu, Fraction) and all(
+        math.isqrt(v) ** 2 == v for v in (abs(disc.numerator), disc.denominator)
+    )
+    exact = (exact_root or (isinstance(nu, Fraction) and disc < 0), exact_root or disc >= 0)
     for sign, weight in zip((1, -1), xi_pair(n, nu)):
         views = [(weight, half, sign), (dual_weight(n, weight), 2 - n - half, -sign)]
         views += [(weight + d, half + d, sign) for d in (1, -1, 2, -2)]
         for view, base, s in views:
-            expected = _oracle_views(n, nu, base, s)
-            assert (float(view.real.value), float(view.imag.value)) == expected, (base, s)
+            assert (float(view.real.value), float(view.imag.value)) == _oracle_views(disc, base, s), (base, s)
+            assert (view.real.exact, view.imag.exact) == exact
 
 
 @ORACLE_SETTINGS
