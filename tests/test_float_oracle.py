@@ -41,14 +41,10 @@ def _mp(value):
     return mpmath.mpf(p) / q
 
 
-def _nearest_double(value) -> float:
-    """The 120-digit value of ``value()`` rounded to the nearest double."""
-    with mpmath.workdps(120):
-        return float(value())
-
-
 def _oracle_sqrt(value) -> float:
-    return _nearest_double(lambda: mpmath.sqrt(_mp(value)))
+    """sqrt(value) at 120 digits, rounded to the nearest double by ``float``."""
+    with mpmath.workdps(120):
+        return float(mpmath.sqrt(_mp(value)))
 
 
 @ORACLE_SETTINGS
@@ -104,11 +100,12 @@ def _discriminant(n, nu) -> Fraction:
 
 
 def _oracle_views(disc, base, sign):
-    """The nearest doubles to Re and Im of base + sign*sqrt(disc)."""
-    root = lambda: sign * mpmath.sqrt(_mp(abs(disc)))  # noqa: E731
-    if disc < 0:
-        return _nearest_double(lambda: _mp(base)), _nearest_double(root)
-    return _nearest_double(lambda: _mp(base) + root()), 0.0
+    """Re and Im of base + sign*sqrt(disc) at 120 digits, rounded to the nearest doubles."""
+    with mpmath.workdps(120):
+        root = sign * mpmath.sqrt(_mp(abs(disc)))
+        if disc < 0:
+            return float(_mp(base)), float(root)
+        return float(_mp(base) + root), 0.0
 
 
 @settings(max_examples=300, deadline=None)
