@@ -179,6 +179,40 @@ def test_scalar_sqrt_paths():
         Scalar(-1).sqrt()
 
 
+def _nearest_double_to_surd(view, c, s, q):
+    # view is the double nearest c + s*sqrt(q) for irrational sqrt(q): the
+    # root s*(view - c) lies strictly inside view's half-ulp interval
+    half_ulp = Fraction(math.ulp(view)) / 2
+    lo, hi = sorted((s * (Fraction(view) - c - half_ulp), s * (Fraction(view) - c + half_ulp)))
+    return 0 <= lo and lo * lo < q < hi * hi
+
+
+def test_float_views_are_double_precision():
+    # The square root and every weight view are doubles, each the double
+    # nearest its exact value: xi_plus = -2 + sqrt(7) is rounded once, not
+    # as the double sum -2.0 + fl(sqrt(7)).
+    plus, minus = xi_pair(6, Scalar(3))
+    root = Scalar(7).sqrt().value
+    assert type(root) is float and _nearest_double_to_surd(root, 0, 1, 7)
+    for weight, sign in ((plus, 1), (minus, -1)):
+        assert type(weight.real.value) is float
+        assert _nearest_double_to_surd(weight.real.value, -2, sign, 7)
+        assert abs(weight.real.value - (-2.0 + sign * root)) <= math.ulp(weight.real.value)
+
+
+def test_shifted_view_is_the_view_plus_the_shift():
+    # x + d moves the base by d and keeps the radical; its float view is the
+    # exact value x + d rounded once.  For this weight the double sum
+    # view(x) + d is one ulp off.
+    _, minus = xi_pair(10, Scalar(Fraction(319, 27)))
+    shifted = minus + 2
+    assert shifted.base == minus.base + 2
+    assert (shifted.square, shifted.sign, shifted.offset) == (minus.square, minus.sign, minus.offset)
+    assert _nearest_double_to_surd(shifted.real.value, -2, -1, Fraction(751, 27))
+    assert shifted.real.value - (minus.real + 2).value == math.ulp(shifted.real.value)
+    assert eta(10, shifted) == (minus.base + 2 + minus.offset) * (minus.base + 2 + minus.offset + 8)
+
+
 def test_float_path_has_no_negative_zero():
     # A float view is never -0.0, so it renders as 0 in every format.
     zero = Scalar(0.0, exact=False)
