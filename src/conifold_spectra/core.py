@@ -11,19 +11,18 @@ Negative discriminants follow the convention sqrt(x) = sqrt(|x|)*i, so a
 weight is a complex number together with a flag for the logarithmic
 solution at the resonance value nu = -(n-2)^2/4.
 
-Arithmetic runs on two paths.  Rational inputs stay exact: an integral
-value is a Python int and any other rational a ``Fraction`` (``rational``
-puts every exact value in that form, so integers skip the pure-Python
-``Fraction`` arithmetic).  Float inputs and non-square discriminants put
-the numeric *views* on Python floats (IEEE doubles).  A single global
-epsilon (default 1e-12) snaps float eigenvalues onto their thresholds once
-(``links.snap_to_thresholds``); all comparisons after that are exact.  A
-square root or a weight view is the correctly rounded double of the exact
-value (``round_surd``), a float input counting as its exact binary
-rational; every other float operation is a double operation, and a
-rational p/q meets a float as float(p)/float(q).  The sign and order of a
-weight base + sign*sqrt(square) are decided exactly (``surd_sign``,
-``surd_cmp``), not on its view.
+Arithmetic is exact.  An integral value is a Python int and any other
+rational a ``Fraction`` (``rational``), so integers skip the pure-Python
+``Fraction`` arithmetic.  A float input keeps its double, which means its
+exact binary rational: it enters +, * and / through ``rational``, and
+Python compares and hashes it exactly.  A value's ``exact`` flag is
+provenance only, False where a float input went in or the value is
+irrational; it picks how the value is shown.  A single global epsilon
+(default 1e-12) snaps float eigenvalues onto their thresholds once
+(``links.snap_to_thresholds``).  Each shown value is rounded once, to the
+double nearest the exact value: ``float`` of a rational, ``round_surd`` of
+a surd.  Signs and order of a weight base + sign*sqrt(square) are decided
+exactly (``surd_sign``, ``surd_cmp``), not on its view.
 
 A weight is one exact value, base + sign*sqrt(square) on the real or the
 imaginary axis: for every rational eigenvalue, irrational radicals
@@ -59,16 +58,6 @@ def rational(x):
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-def _to_float(value) -> float:
-    """A double; a rational p/q rounds p and q first, then the quotient.
-
-    Adding 0.0 turns -0.0 into 0.0: float views carry no signed zero.
-    """
-    if isinstance(value, Fraction):
-        return float(value.numerator) / float(value.denominator)
-    return float(value) + 0.0
 
 
 def round_surd(c, s: int, q) -> float:
@@ -143,31 +132,39 @@ def _exact_sqrt(value) -> Optional[Fraction]:
     return None
 
 
+def _exact(x):
+    """An int or ``Fraction`` as it is; a float as its exact binary rational."""
+    return Fraction(x) if type(x) is float else x
+
+
+def _value(other):
+    """The number behind an operand: a Scalar's value, else the operand."""
+    return other.value if isinstance(other, Scalar) else other
+
+
 def _operand(other):
-    """(value, exact) of an operand; ints and Fractions are used as they are."""
+    """(exact rational value, exact flag) of an arithmetic operand."""
     if isinstance(other, Scalar):
-        return other.value, other.exact
-    if isinstance(other, (int, Fraction)):
-        return other, True
-    return _to_float(other), False
+        return _exact(other.value), other.exact
+    return _exact(other), isinstance(other, (int, Fraction))
 
 
 def _raw(value, exact: bool) -> "Scalar":
-    """A scalar around an exact rational (``rational``), or a float that is not -0.0."""
+    """A scalar around an int, a ``Fraction`` or a float that is not -0.0."""
     s = object.__new__(Scalar)
     s.value, s.exact = value, exact
     return s
 
 
 class Scalar:
-    """A number on the exact-rational or the float path.
+    """An exact rational, with its provenance.
 
-    Exact scalars hold an int when integral and a ``Fraction`` otherwise
-    (``rational``) and are closed under +, -, *, / and comparison;
-    ``as_fraction`` reads the value as a ``Fraction``.  Float scalars wrap a
-    ``float``; any operation touching a float scalar yields a float scalar,
-    computed in double precision.  ``sqrt`` of an irrational is the
-    correctly rounded double of the exact root.
+    ``value`` is an int when integral, else a ``Fraction`` (``rational``),
+    or a float input kept as its double, which means its exact binary
+    rational.  +, -, * and / are exact, and so are comparison and ``hash``.
+    ``exact`` is False when a float input went into the value, or when the
+    value is the correctly rounded double of an irrational (``sqrt``,
+    ``Weight.real``); it picks the "~" prefix and the JSON number.
     """
 
     __slots__ = ("value", "exact")
@@ -179,21 +176,14 @@ class Scalar:
             return
         if exact is None:
             exact = isinstance(value, (int, Fraction))
-        if exact:
-            self.value = rational(value)
-        else:
-            self.value = _to_float(value)
+        self.value = value + 0.0 if type(value) is float and not exact else rational(value)
         self.exact = exact
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def wrap(value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(value)
-        return _raw(_to_float(value), False)
+        return value if isinstance(value, Scalar) else Scalar(value)
 
     @staticmethod
     def parse(text) -> "Scalar":
@@ -210,40 +200,39 @@ class Scalar:
         if isinstance(text, float):
             if not math.isfinite(text):
                 raise ValueError(f"non-finite number {text!r}")
-            return _raw(_to_float(text), False)
+            return _raw(text + 0.0, False)
         raise ValueError(f"unsupported numeric literal: {text!r}")
 
     # -- representation -----------------------------------------------
 
     def __repr__(self) -> str:
-        tag = "exact" if self.exact else "float"
-        return f"Scalar({self.value}, {tag})"
+        if self.exact:
+            return f"Scalar({self.value}, exact)"
+        return f"Scalar({float(self.value)}, float)"
 
     def __str__(self) -> str:
         if self.exact:
             return str(self.value)
-        return _nstr17(self.value)
+        return _nstr17(float(self.value))
 
     def as_fraction(self) -> Fraction:
-        if not self.exact:
-            raise ValueError("scalar is on the float path")
+        """The exact value as a ``Fraction``."""
         return Fraction(self.value)
 
     def __float__(self) -> float:
+        """The view: the double nearest the exact value."""
         return float(self.value)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         value, exact = _operand(other)
-        if self.exact and exact:
-            return _raw(rational(self.value + value), True)
-        return _raw(_to_float(self.value) + _to_float(value), False)
+        return _raw(rational(_exact(self.value) + value), self.exact and exact)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.value, exact=self.exact)
+        return _raw(-self.value, self.exact) if self.value else self
 
     def __sub__(self, other):
         return self + (-Scalar.wrap(other))
@@ -253,53 +242,36 @@ class Scalar:
 
     def __mul__(self, other):
         value, exact = _operand(other)
-        if self.exact and exact:
-            return _raw(rational(self.value * value), True)
-        return _raw(_to_float(self.value) * _to_float(value) + 0.0, False)
+        return _raw(rational(_exact(self.value) * value), self.exact and exact)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         value, exact = _operand(other)
-        if self.exact and exact:
-            return _raw(rational(Fraction(self.value) / value), True)
-        return _raw(_to_float(self.value) / _to_float(value) + 0.0, False)
+        return _raw(rational(Fraction(self.value) / value), self.exact and exact)
 
     def __rtruediv__(self, other):
         return Scalar.wrap(other) / self
 
     # -- comparison ----------------------------------------------------
 
-    def _cmp_value(self, other):
-        value, exact = _operand(other)
-        if self.exact and exact:
-            return self.value, value
-        return _to_float(self.value), _to_float(value)
-
     def __eq__(self, other):
-        a, b = self._cmp_value(other)
-        return a == b
+        return self.value == _value(other)
 
     def __lt__(self, other):
-        a, b = self._cmp_value(other)
-        return a < b
+        return self.value < _value(other)
 
     def __le__(self, other):
-        a, b = self._cmp_value(other)
-        return a <= b
+        return self.value <= _value(other)
 
     def __gt__(self, other):
-        a, b = self._cmp_value(other)
-        return a > b
+        return self.value > _value(other)
 
     def __ge__(self, other):
-        a, b = self._cmp_value(other)
-        return a >= b
+        return self.value >= _value(other)
 
     def __hash__(self):
-        if self.exact:
-            return hash(self.value)
-        return hash(float(self.value))
+        return hash(self.value)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -308,11 +280,11 @@ class Scalar:
         """Nonnegative square root: exact if rational, else the nearest double."""
         if self < 0:
             raise ValueError("sqrt of a negative scalar")
-        if self.exact:
-            root = _exact_sqrt(self.value)
-            if root is not None:
-                return _raw(rational(root), True)
-        return _raw(round_surd(0, 1, self.value), False)
+        value = rational(self.value)
+        root = _exact_sqrt(value)
+        if root is not None:
+            return _raw(rational(root), self.exact)
+        return _raw(round_surd(0, 1, value), False)
 
 
 ZERO = Scalar(0)
@@ -323,12 +295,12 @@ class Weight:
 
     The radical lies on the real axis, or on the imaginary axis when
     ``imaginary`` is set; ``base``, ``square`` and ``sign`` (-1, 0 or +1)
-    are exact whenever the eigenvalue is.  ``offset`` is the signed radical
-    sign*sqrt(square), shared by a branch pair, its shifts and its duals.
-    ``real`` and ``imag`` are the numeric views: exact when possible, else
-    the correctly rounded double of the exact value; ``real`` is computed
-    on first read and cached.  ``log_factor`` marks the companion solution
-    r^{-(n-2)/2} * log(r) at the resonance.
+    are exact.  ``offset`` is the signed radical sign*sqrt(square), shared
+    by a branch pair, its shifts and its duals; an irrational one is held as
+    its correctly rounded double (``_irrational``).  ``real`` and ``imag``
+    are exact when rational, else the correctly rounded double of the exact
+    value; ``real`` is computed on first read and cached.  ``log_factor``
+    marks the companion solution r^{-(n-2)/2} * log(r) at the resonance.
 
     ``Weight(real, imag, log_factor)`` builds a weight from its views.
     Weights compare and hash by (real, imag, log_factor).
@@ -358,10 +330,10 @@ class Weight:
         if self._real is None:
             if self.imaginary or self.sign == 0:
                 self._real = self.base
-            elif self.base.exact and self.offset.exact:
-                self._real = self.base + self.offset
-            else:
+            elif _irrational(self):
                 self._real = _raw(round_surd(self.base.value, self.sign, self.square.value), False)
+            else:
+                self._real = self.base + self.offset
         return self._real
 
     @property
@@ -397,13 +369,16 @@ class Weight:
         return self._shift(Scalar.wrap(other))
 
 
+def _irrational(w: Weight) -> bool:
+    """Whether the real radical of w is irrational: its offset is then a double."""
+    return type(w.offset.value) is float
+
+
 def real_surd(w: Weight):
-    """Re(w) as (c, s, q), meaning c + s*sqrt(q) in exact rationals; None on the float path."""
-    if w.imaginary or w.offset.exact:
-        return (w.real.value, 0, 0) if w.real.exact else None
-    if w.base.exact and w.square.exact:
-        return (w.base.value, w.sign, w.square.value)
-    return None
+    """Re(w) as (c, s, q), meaning c + s*sqrt(q) in exact rationals; a rational radical folds into c."""
+    if w.imaginary or not _irrational(w):
+        return (_exact(w.real.value), 0, 0)
+    return (w.base.value, w.sign, w.square.value)
 
 
 def _sign(x) -> int:
@@ -482,9 +457,7 @@ def xi_pair(n: int, nu) -> Tuple[Weight, Weight]:
     is obtained via resonance_pair.
     """
     disc = discriminant(n, nu)
-    half = Scalar(Fraction(-(n - 2), 2))
-    if not disc.exact:
-        half = _raw(_to_float(half.value), False)
+    half = Scalar(Fraction(-(n - 2), 2), disc.exact)
     if disc.is_zero():
         return (Weight._surd(half, ZERO, 0, False, ZERO), Weight._surd(half, ZERO, 0, False, ZERO))
     imaginary = disc < 0
@@ -503,7 +476,8 @@ def eta(n: int, x):
     result is real, otherwise a (real, imag) pair of Scalars.  On a branch
     weight a = base, eta = a(a+n-2) -+ square + offset*(2a+n-2), so the round
     trip eta(xi_pm(nu)) == nu is exact for every rational nu, including
-    irrational and imaginary radicals.
+    irrational and imaginary radicals.  The eta of a real irrational weight
+    is the surd a(a+n-2) + square + sign*(2a+n-2)*sqrt(square), rounded once.
     """
     check_dimension(n)
     if not isinstance(x, Weight):
@@ -511,15 +485,18 @@ def eta(n: int, x):
     a = x.base
     if x.sign == 0:
         return a * (a + (n - 2))
-    if x.imaginary or not x.offset.exact:
-        cross = a + a + (n - 2)
-        if x.imaginary:
-            re = a * (a + (n - 2)) - x.square
-            return re if cross.is_zero() else (re, x.offset * cross)
-        if cross.is_zero():
-            return a * (a + (n - 2)) + x.square
-    root = a + x.offset
-    return root * (root + (n - 2))
+    if not (x.imaginary or _irrational(x)):
+        root = a + x.offset
+        return root * (root + (n - 2))
+    cross = a + a + (n - 2)
+    if x.imaginary:
+        re = a * (a + (n - 2)) - x.square
+        return re if cross.is_zero() else (re, x.offset * cross)
+    c = a * (a + (n - 2)) + x.square
+    if cross.is_zero():
+        return c
+    sign = x.sign if cross > 0 else -x.sign
+    return _raw(round_surd(c.value, sign, (x.square * cross * cross).value), False)
 
 
 def dual_weight(n: int, x: Weight) -> Weight:

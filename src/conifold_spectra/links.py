@@ -20,7 +20,7 @@ import math
 from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple
 
-from .core import DEFAULT_EPSILON, Record, Scalar, check_dimension
+from .core import DEFAULT_EPSILON, Record, Scalar, check_dimension, critical_eigenvalue
 from .errors import (
     InsufficientSpectrum,
     InvariantViolation,
@@ -150,10 +150,11 @@ class LinkSpectrum(NamedTuple):
 def snap_to_thresholds(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> LinkSpectrum:
     """``link`` with each float entry within ``eps`` of a threshold moved onto it.
 
-    The package's one tolerance comparison; every comparison after it is
-    exact.  Thresholds: -(n-2)^2/4 and 0 for kappa, n-2 for mu, n-1 and 2n
-    for lambda (where the lambda2-plus tangential value is 0).  A moved
-    entry stays a float and keeps the document's value in ``given``; when
+    The package's one tolerance comparison, on the exact distance; every
+    comparison after it is exact.  Thresholds: -(n-2)^2/4 and 0 for kappa,
+    n-2 for mu, n-1 and 2n for lambda (where the lambda2-plus tangential
+    value is 0).  A moved entry is the exact threshold of float provenance
+    and keeps the document's value in ``given``; when
     nothing moves, ``link`` itself is returned.  A non-finite or negative
     ``eps`` is a ``SchemaError``, and so is one of ``MAX_EPSILON`` or more.
     """
@@ -164,19 +165,21 @@ def snap_to_thresholds(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> Link
     n = link.n
     moved = {}
     for label, thresholds in (
-        ("scalar", (float(n - 1), float(2 * n))),
-        ("coclosed_one_form", (float(n - 2),)),
-        ("tt_einstein", (-((n - 2) ** 2) / 4, 0.0)),
+        ("scalar", (n - 1, 2 * n)),
+        ("coclosed_one_form", (n - 2,)),
+        ("tt_einstein", (critical_eigenvalue(n).value, 0)),
     ):
         lst = getattr(link, label)
+        views = [(t, float(t)) for t in thresholds]
         changes = {}
         for i, entry in enumerate(lst.entries):
-            if not entry.value.exact:
-                x = float(entry.value)
-                nearest = min(thresholds, key=lambda t: abs(x - t))
-                if x != nearest and abs(x - nearest) <= eps:
-                    snapped = Scalar(nearest, exact=False)
-                    changes[i] = EigenvalueEntry(snapped, entry.multiplicity, entry.value)
+            x = entry.value
+            for t, view in views:
+                # a double within eps of t lies within 2*eps of the double
+                # nearest t, so every other double skips the exact distance
+                far = type(x.value) is float and abs(x.value - view) > 2 * eps
+                if not (x.exact or far) and x != t and abs(x.as_fraction() - t) <= eps:
+                    changes[i] = EigenvalueEntry(Scalar(t, exact=False), entry.multiplicity, x)
         if changes:
             entries = tuple(changes.get(i, entry) for i, entry in enumerate(lst.entries))
             try:
@@ -367,9 +370,9 @@ _TOP_KEYS = {
 }
 
 
-# Exact numbers meet floats on the float path, where p/q becomes
-# float(p)/float(q) and -(n-2)^2/4 becomes a float too.  These bounds keep
-# every such conversion below the double range (2**1024).
+# Every shown value is a view, the double nearest an exact value.  These
+# bounds keep the views of inputs, thresholds and rates below the double
+# range (2**1024), so every view is a finite double.
 MAX_EXACT_BITS = 1000       # |p| and q below 2**1000, about 1.07e301
 MAX_DIM_CONE_BITS = 500     # dim_cone below 2**500
 # The snap's epsilon stays below half the smallest gap between two thresholds
@@ -382,7 +385,7 @@ MAX_PLOT_ROWS = 10**6       # rows of one plot-data sweep
 
 def check_cone_dimension(n: int, where: str) -> None:
     """Refuse a cone dimension below 4, where box_L is undefined, or of
-    2**MAX_DIM_CONE_BITS or more, beyond the double range of the float path."""
+    2**MAX_DIM_CONE_BITS or more, whose thresholds have no finite view."""
     if n < 4:
         raise SchemaError(f"{where} must be at least 4, got {n}")
     if n.bit_length() > MAX_DIM_CONE_BITS:
@@ -449,10 +452,11 @@ def load_spectrum(
 ) -> LinkSpectrum:
     """Build a validated LinkSpectrum from a parsed interchange document.
 
-    Numbers given as "p/q" strings are exact rationals; bare JSON numbers go
-    to the float path.  Unknown keys are rejected, and so are a dim_cone
-    below 4, where box_L is undefined, and numbers beyond the double range
-    of the float path (``MAX_EXACT_BITS``, ``MAX_DIM_CONE_BITS``).  The
+    Numbers given as "p/q" strings are exact rationals; a bare JSON number
+    is its exact binary rational with float provenance, shown with "~".
+    Unknown keys are rejected, and so are a dim_cone below 4, where box_L
+    is undefined, and numbers whose views would leave the double range
+    (``MAX_EXACT_BITS``, ``MAX_DIM_CONE_BITS``).  The
     link is snapped (``snap_to_thresholds``) before ``has_killing_fields``
     is inferred from the 1-form list, when absent, and before validation.
     """

@@ -18,7 +18,7 @@ the n = 6 cone with the single listed kappa = eta(-3) = -3 in the window,
 E_minus holds both 1 and 3, the order at which the Stenzel metric on T*S^3
 converges, and its minimum is 1.
 
-Window membership, resonance and signs are exact comparisons: a float
+Window membership, resonance and signs are exact comparisons: a float input
 within epsilon of a threshold was snapped onto it once, first
 (``links.snap_to_thresholds``), so a kappa snapped to the resonance has the
 real double root, and the report flags it as coerced.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import groupby
 from typing import List, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -66,33 +67,34 @@ class RateElement(NamedTuple):
     root: Optional[IndicialRoot]
 
     def surd(self):
-        """The exact value as (c, s, q) = c + s*sqrt(q), or None on the float path.
+        """The exact value as (c, s, q) = c + s*sqrt(q), which signs and order read.
 
-        ``value`` is a double view, which cancels to 0.0 for a weight as
-        small as xi_plus(1e-30); signs and order are read from this instead.
+        ``value`` is the nearest double, which distinct values may share.
         """
         if self.part == "below-window":
             return (self.value.value, 0, 0)
-        x = real_surd(self.root.weight)
-        if x is None or self.part == "xi-plus":
-            return x
-        c, s, q = x
-        return (-c, -s, q)
+        c, s, q = real_surd(self.root.weight)
+        return (c, s, q) if self.part == "xi-plus" else (-c, -s, q)
 
     def sign(self) -> int:
-        x = self.surd()
-        return surd_sign(*x) if x is not None else (self.value > 0) - (self.value < 0)
+        return surd_sign(*self.surd())
+
+
+def _exact_order(a: RateElement, b: RateElement) -> int:
+    return surd_cmp(a.surd(), b.surd()) or (a.part > b.part) - (a.part < b.part)
 
 
 def _by_value(elements: List[RateElement]) -> List[RateElement]:
-    """Sort by value, then part: exactly when every value is exact, else on float views."""
-    keyed = [(el.surd(), el.part, el) for el in elements]
-    if all(x is not None for x, _, _ in keyed):
-        def order(a, b):
-            return surd_cmp(a[0], b[0]) or (a[1] > b[1]) - (a[1] < b[1])
-        keyed.sort(key=cmp_to_key(order))
-        return [el for _, _, el in keyed]
-    return sorted(elements, key=lambda el: (float(el.value), el.part))
+    """Sort by exact value, then part: on the views, then each run of equal views exactly.
+
+    A view is the correctly rounded double of the value, and rounding is
+    monotone, so only a run of equal views can be out of exact order.
+    """
+    out: List[RateElement] = []
+    ordered = sorted(elements, key=lambda el: (float(el.value), el.part))
+    for _, run in groupby(ordered, key=lambda el: float(el.value)):
+        out += sorted(run, key=cmp_to_key(_exact_order))
+    return out
 
 
 class RateSet(Record):

@@ -2,9 +2,10 @@
 
 Rendering conventions, fixed for reproducibility:
 
-  * exact rationals render as "p/q" strings in JSON (and bare in text);
-    float-path values render as JSON numbers and with a "~" prefix in text,
-    so every numeric entry carries its arithmetic path;
+  * values of exact provenance render as "p/q" strings in JSON (and bare
+    in text); values from a float input or irrational values render as
+    JSON numbers and with a "~" prefix in text, each the double nearest
+    the exact value, so every numeric entry carries its provenance;
   * CSV numeric cells use 17 significant digits via float conversion;
   * output is byte-deterministic for a given link and option set.
 """

@@ -463,7 +463,9 @@ def test_e_plus_certificate_reads_the_listed_eigenvalue(tmp_path, capsys):
     doc["scalar"]["complete_below"] = 100.0
     code, out, err = _report(tmp_path, capsys, doc)
     assert code == 0, err
-    assert "CS order = ~3.793099343184096" in out
+    # -2 + sqrt(4 + 29.56) = 3.793099343184095502743839661243071346009...
+    # for the double 29.56, rounded once
+    assert "CS order = ~3.7930993431840956" in out
 
 
 @pytest.mark.parametrize("sign", ["", "-"])
@@ -484,6 +486,47 @@ def test_tiny_kappa_weights_are_signed_exactly(tmp_path, capsys, sign):
         # xi_plus(kappa) > 0 is the E_plus minimum, not lambda's xi_plus = 2
         assert "xi_plus = ~2.5000000000000002e-31 (witness ~2.5000000000000002e-31 from TT-kappa)" in rates
         assert "CS order = ~2.5000000000000002e-31" in out and "CS order = 2" not in out
+
+
+def _n1000_document(kappa):
+    # the float kappa is far above epsilon but below half an ulp of
+    # (n-2)^2/4 = 249001, so a double add would absorb it
+    return {
+        "dim_cone": 1000,
+        "name": "n = 1000",
+        "scalar": {
+            "entries": [{"value": 0, "multiplicity": 1}, {"value": 2000, "multiplicity": None}],
+            "complete_below": 2000,
+            "mode": "exact",
+        },
+        "coclosed_one_form": {
+            "entries": [{"value": 1000, "multiplicity": None}],
+            "complete_below": 1000,
+            "mode": "exact",
+        },
+        "tt_einstein": {
+            "entries": [{"value": kappa, "multiplicity": None}, {"value": 5000.0, "multiplicity": None}],
+            "complete_below": 10**6,
+            "mode": "exact",
+        },
+        "ends": [{"kind": "AC"}, {"kind": "CS"}],
+    }
+
+
+def test_a_float_kappa_below_half_an_ulp_of_the_discriminant_keeps_its_rate(tmp_path, capsys):
+    # xi_plus(2e-12) = -499 + sqrt(249001 + 2e-12), the double 2e-12 read as
+    # its exact binary rational, is 2.004008016032064083925097324840141398879e-15
+    code, out, err = _report(tmp_path, capsys, _n1000_document(2e-12))
+    assert code == 0, err
+    rates = out.split("rates:")[1].splitlines()[0]
+    assert "xi_plus = ~2.0040080160320639e-15 (witness ~2.0040080160320639e-15 from TT-kappa)" in rates
+    assert "CS order = ~2.0040080160320639e-15" in out and "CS order = 2" not in out
+    # its window element -xi_plus(-2e-12) is the E_minus minimum
+    code, out, err = _report(tmp_path, capsys, _n1000_document(-2e-12))
+    assert code == 0, err
+    rates = out.split("rates:")[1].splitlines()[0]
+    assert "xi_minus = ~2.0040080160320639e-15 (witness ~-2.0040080160320639e-15, part window)" in rates
+    assert "AC order = ~2.0040080160320639e-15" in out and "CS order = 2" in out
 
 
 def test_partial_report_policy(tmp_path, capsys):

@@ -210,7 +210,23 @@ def test_shifted_view_is_the_view_plus_the_shift():
     assert (shifted.square, shifted.sign, shifted.offset) == (minus.square, minus.sign, minus.offset)
     assert _nearest_double_to_surd(shifted.real.value, -2, -1, Fraction(751, 27))
     assert shifted.real.value - (minus.real + 2).value == math.ulp(shifted.real.value)
-    assert eta(10, shifted) == (minus.base + 2 + minus.offset) * (minus.base + 2 + minus.offset + 8)
+    # eta(x) = x(x + 8) = -12 + q - 4*sqrt(q) for x = -2 - sqrt(q), q = 751/27,
+    # about -5.281086138617750944488641939069273753360, rounded once
+    value = eta(10, shifted)
+    assert not value.exact and type(value.value) is float
+    assert _nearest_double_to_surd(value.value, Fraction(751, 27) - 12, -1, 16 * Fraction(751, 27))
+
+
+def test_a_float_with_a_square_discriminant_keeps_the_exact_formulas():
+    # kappa = 5.0 at n = 6: the discriminant 9 is a square, read from the
+    # value, so the weights, eta and the surd are exact rationals, shown "~"
+    plus, minus = xi_pair(6, Scalar(5.0))
+    assert (plus.real.value, minus.real.value) == (1, -5)
+    assert type(plus.real.value) is int and not plus.real.exact
+    value = eta(6, plus + 1)  # 2 * (2 + 4)
+    assert value == 12 and type(value.value) is int and not value.exact
+    assert real_surd(minus) == (-5, 0, 0)
+    assert str(plus.real) == "1.0" and repr(plus.real) == "Scalar(1.0, float)"
 
 
 def test_float_path_has_no_negative_zero():
@@ -302,6 +318,8 @@ def test_exact_sign_of_a_cancelling_weight():
     plus_neg, _ = xi_pair(6, Scalar(-tiny))
     assert surd_sign(*real_surd(plus_neg)) == -1
     assert surd_cmp(real_surd(plus), real_surd(plus_neg)) == 1
-    # a rational weight is its own value, the float path has no surd
+    # a rational weight is its own value, also from a float input; a float
+    # input is its exact binary rational, so its weight has an exact surd
     assert real_surd(xi_pair(6, Scalar(12))[0]) == (2, 0, 0)
-    assert real_surd(xi_pair(6, Scalar(0.5))[0]) is None
+    assert real_surd(xi_pair(6, Scalar(12.0))[0]) == (2, 0, 0)
+    assert real_surd(xi_pair(6, Scalar(0.5))[0]) == (-2, 1, Fraction(9, 2))

@@ -1,14 +1,18 @@
-"""The float path against mpmath, used here as an independent oracle.
+"""Float inputs and views against mpmath, used here as an independent oracle.
 
-The library runs on Python floats with one integer-exact rounding routine;
-these properties pin it to the correctly rounded values, bit for bit:
+A float input is its exact binary rational, and every shown value is one
+rounding of an exact value; these properties pin it to the correctly
+rounded values, bit for bit:
 
 * ``Scalar.sqrt`` of an irrational is ``mpmath.sqrt`` at 120 digits,
   rounded to the nearest double;
 * every real and imaginary view of a branch weight, of its shifts and of
   its dual is the 120-digit value of the exact weight rounded to the
   nearest double, a float input counting as its exact binary rational;
-* a rational p/q on the float path equals mpf(p)/mpf(q) at 53 bits;
+* with float kappa near 0 and near -(n-2)^2/4, for n up to 10^4, E_plus and
+  E_minus hold the elements, signs, minima and views of a 400-digit
+  evaluation of each float's exact binary rational;
+* a rational of float provenance is its exact value, shown as float(p/q);
 * ``str`` of a float scalar equals ``mpmath.nstr(x, 17)``.
 """
 
@@ -18,7 +22,7 @@ from fractions import Fraction
 import mpmath
 from hypothesis import example, given, settings, strategies as st
 
-from conifold_spectra import Scalar, dual_weight, xi_pair
+from conifold_spectra import DEFAULT_EPSILON, LinkAnalysis, Scalar, dual_weight, load_spectrum, xi_pair
 
 ORACLE_SETTINGS = settings(max_examples=400, deadline=None)
 
@@ -39,6 +43,16 @@ def _mp(value):
     """An int, Fraction or float as an mpf at the working precision."""
     p, q = value.as_integer_ratio()
     return mpmath.mpf(p) / q
+
+
+def _double(x) -> float:
+    """The double nearest an mpf, ties to even.
+
+    ``float(mpf)`` rounds to 53 bits before it scales, which rounds twice
+    where the result is subnormal; the exact dyadic value rounds once.
+    """
+    man, exp = x.man_exp  # the mantissa of abs(x)
+    return math.copysign(float(Fraction(man) * Fraction(2) ** exp), x)
 
 
 def _oracle_sqrt(value) -> float:
@@ -94,18 +108,24 @@ def cones_and_eigenvalues(draw):
 
 
 def _discriminant(n, nu) -> Fraction:
-    """(n-2)^2/4 + nu; a float nu meets (n-2)^2/4 in one double add, as on the float path."""
-    disc = Fraction((n - 2) ** 2, 4)
-    return disc + nu if isinstance(nu, Fraction) else Fraction(float(disc) + nu)
+    """(n-2)^2/4 + nu, exactly; a float nu is its exact binary rational."""
+    return Fraction((n - 2) ** 2, 4) + Fraction(nu)
 
 
 def _oracle_views(disc, base, sign):
-    """Re and Im of base + sign*sqrt(disc) at 120 digits, rounded to the nearest doubles."""
+    """Re and Im of base + sign*sqrt(disc) at 120 digits, rounded to the nearest doubles.
+
+    Where base and the root have opposite signs, the real value is taken as
+    (base^2 - disc)/(base - root), which does not cancel: a float nu such as
+    4e-159 at n = 3 leaves xi_plus far below 10^-120 of the terms.
+    """
     with mpmath.workdps(120):
         root = sign * mpmath.sqrt(_mp(abs(disc)))
         if disc < 0:
-            return float(_mp(base)), float(root)
-        return float(_mp(base) + root), 0.0
+            return _double(_mp(base)), _double(root)
+        if base * sign < 0:
+            return _double(_mp(base * base - disc) / (_mp(base) - root)), 0.0
+        return _double(_mp(base) + root), 0.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,6 +137,10 @@ def _oracle_views(disc, base, sign):
 @example((6, Fraction(-1)))
 @example((10, 5.0))
 @example((10, Fraction(319, 27)))  # the shift by 2 of xi_minus was one ulp off
+# the float 1.032456302611813e-09 is absorbed by a double add to 1/4: xi_plus
+# is 1.032456301545847..e-09, not 1.0324562860651457e-09
+@example((3, 1.032456302611813e-09))
+@example((6, 29.56))  # 3.7930993431840955027...: one ulp below fl(-2 + fl(sqrt(33.56)))
 def test_weight_views_are_correctly_rounded(case):
     n, nu = case
     half = Fraction(-(n - 2), 2)
@@ -134,13 +158,110 @@ def test_weight_views_are_correctly_rounded(case):
             assert (view.real.exact, view.imag.exact) == exact
 
 
+@st.composite
+def float_kappas_near_thresholds(draw):
+    """(n, kappas, eps): one float kappa near -(n-2)^2/4 and one near 0.
+
+    Each is a few ulps off its threshold, or the threshold's double plus an
+    offset between 1e-300 and 1e-3, which a double add may absorb.
+    """
+    n = draw(st.one_of(st.integers(4, 12), st.integers(13, 10**4)))
+
+    def near(edge):
+        x = float(edge)
+        if draw(st.booleans()):
+            return x + draw(st.integers(-64, 64)) * math.ulp(x)
+        return x + draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(1e-300, 1e-3))
+
+    kappas = (near(Fraction(-((n - 2) ** 2), 4)), near(0))
+    return n, kappas, draw(st.sampled_from((0.0, DEFAULT_EPSILON)))
+
+
+def _link_document(n, kappas):
+    # lambda = 3n and mu = n - 1 are exact and far from every threshold
+    def block(values, top):
+        return {"entries": [{"value": v, "multiplicity": None} for v in values],
+                "complete_below": top, "mode": "exact"}
+
+    scalar = block([0, str(3 * n)], str(3 * n))
+    scalar["entries"][0]["multiplicity"] = 1
+    return {
+        "dim_cone": n,
+        "name": "float kappa near a threshold",
+        "scalar": scalar,
+        "coclosed_one_form": block([str(n - 1)], str(n - 1)),
+        "tt_einstein": block(list(kappas), str(3 * n)),
+        "ends": [{"kind": "AC"}, {"kind": "CS"}],
+    }
+
+
+def _oracle_rate_sets(n, kappas, eps):
+    """E_plus values and E_minus (value, part) pairs, at the working precision.
+
+    Each float kappa is its exact binary rational, moved onto -(n-2)^2/4 or
+    0 when its exact distance is at most eps.  xi_plus(nu) = -h + sqrt(h^2 +
+    nu) is evaluated as nu/(h + sqrt(h^2 + nu)), which does not cancel.
+    """
+    h = Fraction(n - 2, 2)
+    critical = -h * h
+    plus, minus = [], []
+    lam = Fraction(3 * n)
+    for nu in [Fraction(k) for k in kappas] + [lam]:
+        nearest = min((critical, Fraction(0)), key=lambda t: abs(nu - t))
+        if nu is not lam and abs(nu - nearest) <= eps:
+            nu = nearest
+        if h * h + nu < 0:
+            minus.append((_mp(h), "below-window"))
+            continue
+        root = mpmath.sqrt(_mp(h * h + nu))
+        xi_plus = _mp(nu) / (_mp(h) + root)
+        if nu > 0:
+            plus.append(xi_plus)
+        minus.append((_mp(h) + root, "minus-branch"))
+        if nu is not lam and critical <= nu < 0:
+            minus.append((-xi_plus, "window"))
+    return plus, minus
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_kappas_near_thresholds())
+@example((1000, (-249001.0, 2e-12), DEFAULT_EPSILON))  # xi_plus was 0.0: CS order 2
+@example((1000, (-249001.0, -2e-12), DEFAULT_EPSILON))  # window view 0.0 raised AssertionError
+@example((6, (-4.0, 1e-16), 0.0))
+@example((6, (-4.0 - 8 * math.ulp(4.0), -1e-16), 0.0))
+@example((10**4, (-24980001.0 + math.ulp(24980001.0), 5e-324), 0.0))
+@example((4, (-1.0, 1.5e-323), 0.0))  # rounds down from just below a tie
+@example((4, (-1.0, -5e-324), 0.0))  # the window view rounds up from just above a tie
+def test_float_kappa_rate_sets_match_a_high_precision_oracle(case):
+    n, kappas, eps = case
+    analysis = LinkAnalysis(load_spectrum(_link_document(n, kappas), eps=eps), eps)
+    # 400 digits, not 120: xi_plus(1.5e-323) at n = 4 lies within a relative
+    # 2**-1076 of the midpoint between two subnormals
+    with mpmath.workdps(400):
+        plus, minus = _oracle_rate_sets(n, kappas, eps)
+        e_plus, e_minus = analysis.e_plus.elements, analysis.e_minus.elements
+        assert all(el.sign() == 1 for el in e_plus + e_minus)
+        # ordered by exact value: the views are the sorted oracle values, rounded
+        assert [float(el.value) for el in e_plus] == [_double(v) for v in sorted(plus)]
+        assert [float(el.value) for el in e_minus] == [_double(v) for v, _ in sorted(minus)]
+        assert sorted((float(el.value), el.part) for el in e_minus) == sorted(
+            (_double(v), part) for v, part in minus
+        )
+        xi_plus, xi_minus = analysis.rates
+        assert float(xi_plus.value) == _double(min(plus))
+        best, part = min(minus)
+        assert (float(xi_minus.value), xi_minus.part) == (_double(best), part)
+
+
 @ORACLE_SETTINGS
 @given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
-def test_rationals_round_both_operands_before_the_quotient(p, q):
+def test_float_provenance_rationals_are_rounded_once(p, q):
+    # p/q keeps its exact value when a float meets it; only its view rounds,
+    # once: float(Fraction) is the double nearest p/q, not float(p)/float(q)
     value = Fraction(p, q)  # in lowest terms
-    expected = float(mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator))
-    assert Scalar(value, exact=False).value == expected
-    assert (Scalar(value) + Scalar(0.0, exact=False)).value == expected
+    for s in (Scalar(value, exact=False), Scalar(value) + Scalar(0.0, exact=False)):
+        assert not s.exact and s == value and s.value == value
+        assert float(s) == float(value)
 
 
 @ORACLE_SETTINGS

@@ -102,8 +102,8 @@ GOLDEN = {
         "38fb30f08724327671068c0f2ba19bb0028d02320120af908f3b7e7c27e83892",
     ),
     "irrational-document": (
-        "f86f997f2ebdea082b5afb573d40522135fa724b28eb01a95d3c2d2fef9dd9c1",
-        "8ca3eafb4ccd8e2210a82a0b392dcc3c2a2d024cd8e420d11bf6f96f37bef26c",
+        "b3507a88e9ce176c06b645f57569c0f821b51f8f213f649831a72a8cd15d5925",
+        "90ec76811c26a2fc00a55c5cc4cf6001433eecee153c5fbb5f466b17f5768c69",
         "dad833aa38073f81a0e23501459a2ef9f2f4245ae50158fe8ec86170b3918599",
     ),
     "float-document": (
@@ -122,13 +122,13 @@ GOLDEN = {
         "b702ff1681f22b37b71a1dd2e59fae8133d399ba989c6eed06f1d8c6f52cf906",
     ),
     "irrational-document max-roots=0": (
-        "d34cb7dba2815cff87ebe45710597d86c75558d3b856b23ea00c99f14148ae01",
-        "5b19fcbf717fed5b4dedd5ace90df1543892ee4829a72ea34054388182915fdb",
+        "d3c17840d6faef6cf07bf4b27b81b5b546626fb336fa3fe54ee03d9ffcd7c04d",
+        "933d323bcf8cadb05a661bb6b1ec364ed9ab211edd5f31ad5151abbb3088bed9",
         "566bf943ecc2ff51b908acdd2b13dcec804f926d7663c67b1c1d41ca11e95e36",
     ),
     "irrational-document max-roots=2": (
-        "7ab0c025c3a283fec1aaded3812906cc17e7ab610f3b607c384ab652714fd4b9",
-        "1b97e713c82229416b096e9e2c5e428328fb66e5257b379e7a404e1b1ff940aa",
+        "d0f2f7ecc17e31b75084b9838a8cf0a0ebcbad078f0578686720b8311bd1e94c",
+        "9572a9e3bf96b12adbab56750e77aa9ee4c5aedc5cfe9f2bb7017055d0b1a85c",
         "0c4dad13f4510d47d5541f32f674730a55358c158504ec0b594601d625433037",
     ),
 }

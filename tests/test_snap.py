@@ -12,8 +12,10 @@ from conifold_spectra import (
     LinkSpectrum,
     Scalar,
     SpectrumList,
+    build_report,
     indicial_set_full,
     load_spectrum,
+    render_text,
     sphere_link,
 )
 from conifold_spectra.links import snap_to_thresholds
@@ -193,3 +195,38 @@ def test_rounded_derived_value_on_the_bound_does_not_warn():
     value = next(e.value for e in LinkAnalysis(link).boxL if e.family.value == "Scalar-lambda2-plus")
     assert float(value) == -1.0
     assert _bound_warnings(3.00000001) == []
+
+
+def test_snap_reads_the_exact_distance_from_the_threshold():
+    # At n = 2**30 + 1 the resonance -(n-2)^2/4 = -(2**58 - 2**29) - 1/4 has
+    # no double.  Its nearest double lies exactly 1/4 above it, far beyond
+    # epsilon, so it is not snapped: it sits inside the window, with the
+    # real branch pair -(n-2)/2 +- 1/2, and no coercion is reported.
+    n = 2**30 + 1
+    kappa = float(_resonance(n))
+    assert Fraction(kappa) - _resonance(n) == Fraction(1, 4)
+    top = str(3 * n)
+    doc = {
+        "dim_cone": n,
+        "name": "resonance without a double",
+        "scalar": {"entries": [{"value": 0, "multiplicity": 1}, {"value": str(2 * n), "multiplicity": None}],
+                   "complete_below": top, "mode": "exact"},
+        "coclosed_one_form": {"entries": [{"value": str(n), "multiplicity": None}],
+                              "complete_below": top, "mode": "exact"},
+        "tt_einstein": {"entries": [{"value": kappa, "multiplicity": None}], "complete_below": top, "mode": "exact"},
+        "ends": [{"kind": "AC"}, {"kind": "CS"}],
+    }
+    link = load_spectrum(doc)
+    entry = link.tt_einstein.entries[0]
+    assert entry.value == kappa and entry.given is None and not entry.value.exact
+    analysis = LinkAnalysis(link)
+    resonance = analysis.resonance
+    assert not resonance.resonant_present and not resonance.dominated
+    assert resonance.window_values == (kappa,) and resonance.coercions == ()
+    plus, minus = (r.weight for r in analysis.essential if r.family.value == "TT-kappa")
+    half = Fraction(-(n - 2), 2)
+    assert {minus.real, plus.real} == {half - Fraction(1, 2), half + Fraction(1, 2)}
+    assert analysis.rates.xi_minus.part == "window"
+    assert analysis.rates.xi_minus.value == -half - Fraction(1, 2)
+    text = render_text(build_report(link))
+    assert "resonance-dominated: no" in text and "coerced" not in text

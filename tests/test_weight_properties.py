@@ -7,8 +7,11 @@
 * On random rationals nu, irrational radicals included, eta inverts both
   branches exactly, the pair sum and product are exact, and dual_weight is
   an involution exchanging the branches.
-* Away from the thresholds nu = -(n-2)^2/4 and nu = 0, the float path
-  agrees with the exact path to 1e-12 relative.
+* Away from the thresholds nu = -(n-2)^2/4 and nu = 0, a float input
+  agrees with the exact input to 1e-12 relative.
+* A document of small dyadic floats k/2^j, which are exact binary
+  rationals, gives the same verdicts, E± minima and root values as the
+  same document written as "p/q" strings.
 """
 
 from fractions import Fraction
@@ -17,6 +20,8 @@ import mpmath
 from hypothesis import assume, given, settings, strategies as st
 
 from conifold_spectra import (
+    EndKind,
+    LinkAnalysis,
     Scalar,
     dual_weight,
     e_minus_set,
@@ -29,6 +34,7 @@ from conifold_spectra import (
     xi_rates,
 )
 
+from conifold_spectra.core import real_surd
 from oracles import brute_e_minus, brute_e_plus
 from test_rates import synthetic_link
 
@@ -136,7 +142,7 @@ def test_branch_algebra_is_exact(n, nu):
 
 
 def _exact_value(s):
-    return mpmath.mpf(s.value.numerator) / s.value.denominator if s.exact else s.value
+    return mpmath.mpf(s.value.numerator) / s.value.denominator if s.exact else float(s)
 
 
 @PROPERTY_SETTINGS
@@ -189,3 +195,60 @@ def test_float_document_rates_agree_with_exact_document(n, kappa_sevenths):
         assert f.part == e.part
         ev, fv = _exact_value(e.value), _exact_value(f.value)
         assert abs(fv - ev) <= 1e-12 * abs(ev)
+
+
+@st.composite
+def dyadic_spectra(draw):
+    """(n, lambdas, mus, kappas): strictly increasing dyadic rationals k/2^j.
+
+    Lambdas are 0 and values from n - 1 up, mus from n - 2 up, kappas from
+    below the window to above 0; thresholds themselves are allowed.
+    """
+    n = draw(st.integers(4, 9))
+    j = draw(st.integers(0, 6))
+
+    def dyadics(low, high, **size):
+        ks = draw(st.lists(st.integers(low * 2**j, high * 2**j), unique=True, **size))
+        return sorted(Fraction(k, 2**j) for k in ks)
+
+    lambdas = [Fraction(0)] + dyadics(n - 1, 6 * n, min_size=1, max_size=3)
+    mus = dyadics(n - 2, 6 * n, min_size=1, max_size=3)
+    kappas = dyadics(-(n * n), 6 * n, min_size=1, max_size=4)
+    return n, lambdas, mus, kappas
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyadic_spectra())
+def test_dyadic_float_document_matches_the_rational_document(case):
+    n, lambdas, mus, kappas = case
+    top = max(lambdas[-1], mus[-1], kappas[-1]) + 1
+
+    def document(number):
+        def block(values):
+            entries = [{"value": number(v), "multiplicity": None} for v in values]
+            return {"entries": entries, "complete_below": number(top), "mode": "exact"}
+
+        return {
+            "dim_cone": n,
+            "name": "dyadic",
+            "scalar": block(lambdas),
+            "coclosed_one_form": block(mus),
+            "tt_einstein": block(kappas),
+            "ends": [{"kind": "AC"}, {"kind": "CS"}],
+        }
+
+    exact, floats = (LinkAnalysis(load_spectrum(document(number))) for number in (str, float))
+    assert floats.resonance.dominated == exact.resonance.dominated
+    assert floats.stability[:3] == exact.stability[:3]
+    assert floats.adm.verdict == exact.adm.verdict
+    for kind in (EndKind.AC, EndKind.CS):
+        e, f = exact.end_order(kind), floats.end_order(kind)
+        assert (f.order, f.weak) == (e.order, e.weak)
+    for e, f in zip(exact.rates, floats.rates):
+        assert (f.surd(), f.part, f.value) == (e.surd(), e.part, e.value)
+    assert len(floats.full) == len(exact.full)
+    for e, f in zip(exact.full, floats.full):
+        assert (f.family, f.source_index, f.branch, f.shift) == (e.family, e.source_index, e.branch, e.shift)
+        assert (f.weight.real, f.weight.imag, f.tangential_value) == (e.weight.real, e.weight.imag, e.tangential_value)
+        if f.weight.is_real:
+            assert real_surd(f.weight) == real_surd(e.weight)
