@@ -431,7 +431,7 @@ def weight_pair_product(a: Weight, b: Weight) -> Scalar:
         if a.imaginary:
             return a.base * a.base + a.square
         return a.base * a.base - a.square
-    if a.is_real and b.is_real and a.real.exact and b.real.exact:
+    if a.is_real and b.is_real and not (_irrational(a) or _irrational(b)):
         return a.real * b.real
     raise ValueError("weights are not a conjugate pair")
 

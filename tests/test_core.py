@@ -226,6 +226,7 @@ def test_a_float_with_a_square_discriminant_keeps_the_exact_formulas():
     value = eta(6, plus + 1)  # 2 * (2 + 4)
     assert value == 12 and type(value.value) is int and not value.exact
     assert real_surd(minus) == (-5, 0, 0)
+    assert weight_pair_product(plus, xi_pair(6, Scalar(12))[0]) == 2
     assert str(plus.real) == "1.0" and repr(plus.real) == "Scalar(1.0, float)"
 
 

@@ -7,7 +7,7 @@ rounded values, bit for bit:
 * ``Scalar.sqrt`` of an irrational is ``mpmath.sqrt`` at 120 digits,
   rounded to the nearest double;
 * every real and imaginary view of a branch weight, of its shifts and of
-  its dual is the 120-digit value of the exact weight rounded to the
+  its dual is the 400-digit value of the exact weight rounded to the
   nearest double, a float input counting as its exact binary rational;
 * with float kappa near 0 and near -(n-2)^2/4, for n up to 10^4, E_plus and
   E_minus hold the elements, signs, minima and views of a 400-digit
@@ -113,13 +113,16 @@ def _discriminant(n, nu) -> Fraction:
 
 
 def _oracle_views(disc, base, sign):
-    """Re and Im of base + sign*sqrt(disc) at 120 digits, rounded to the nearest doubles.
+    """Re and Im of base + sign*sqrt(disc) at 400 digits, rounded to the nearest doubles.
 
     Where base and the root have opposite signs, the real value is taken as
     (base^2 - disc)/(base - root), which does not cancel: a float nu such as
-    4e-159 at n = 3 leaves xi_plus far below 10^-120 of the terms.
+    4e-159 at n = 3 leaves xi_plus far below 10^-120 of the terms.  400
+    digits, not 120: xi_plus(nu) is about nu/4 at n = 6, which for a
+    subnormal nu such as -2.225073858507e-311 lies within a relative 10^-312
+    of the midpoint between two subnormals.
     """
-    with mpmath.workdps(120):
+    with mpmath.workdps(400):
         root = sign * mpmath.sqrt(_mp(abs(disc)))
         if disc < 0:
             return _double(_mp(base)), _double(root)
@@ -137,10 +140,11 @@ def _oracle_views(disc, base, sign):
 @example((6, Fraction(-1)))
 @example((10, 5.0))
 @example((10, Fraction(319, 27)))  # the shift by 2 of xi_minus was one ulp off
-# the float 1.032456302611813e-09 is absorbed by a double add to 1/4: xi_plus
+# the float 1.032456302611813e-09 loses digits in a double add to 1/4: xi_plus
 # is 1.032456301545847..e-09, not 1.0324562860651457e-09
 @example((3, 1.032456302611813e-09))
-@example((6, 29.56))  # 3.7930993431840955027...: one ulp below fl(-2 + fl(sqrt(33.56)))
+@example((6, 29.56))  # 3.7930993431840955027...: one ulp below the view of -2 + sqrt(fl(4 + 29.56))
+@example((6, -2.225073858507e-311))  # nu/4 is a midpoint of subnormals; xi_plus lies just off it
 def test_weight_views_are_correctly_rounded(case):
     n, nu = case
     half = Fraction(-(n - 2), 2)
@@ -259,9 +263,11 @@ def test_float_provenance_rationals_are_rounded_once(p, q):
     # p/q keeps its exact value when a float meets it; only its view rounds,
     # once: float(Fraction) is the double nearest p/q, not float(p)/float(q)
     value = Fraction(p, q)  # in lowest terms
+    with mpmath.workdps(120):
+        expected = _double(mpmath.mpf(value.numerator) / value.denominator)
     for s in (Scalar(value, exact=False), Scalar(value) + Scalar(0.0, exact=False)):
         assert not s.exact and s == value and s.value == value
-        assert float(s) == float(value)
+        assert float(s) == float(value) == expected
 
 
 @ORACLE_SETTINGS
