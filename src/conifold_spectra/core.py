@@ -17,7 +17,8 @@ rational a ``Fraction`` (``rational``), so integers skip the pure-Python
 exact binary rational: it enters +, * and / through ``rational``, and
 Python compares and hashes it exactly.  A value's ``exact`` flag is
 provenance only, False where a float input went in or the value is
-irrational; it picks how the value is shown.  A single global epsilon
+irrational; ``str`` then shows "~" and the 17 significant digits of its
+double, in tables and messages alike.  A single global epsilon
 (default 1e-12) snaps float eigenvalues onto their thresholds once
 (``links.snap_to_thresholds``).  Each shown value is rounded once, to the
 double nearest the exact value: ``float`` of a rational, ``round_surd`` of
@@ -33,14 +34,12 @@ formulas on (base, square, sign).
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import DimensionTooSmall
 
 DEFAULT_EPSILON = 1e-12
-_DIGITS17 = Context(prec=17, rounding=ROUND_HALF_UP)
 
 
 def check_dimension(n: int, minimum: int = 3) -> None:
@@ -97,32 +96,6 @@ def round_surd(c, s: int, q) -> float:
         k = 2 * k + 64
 
 
-def _nstr17(x: float) -> str:
-    """A double as 17 significant digits, the text every float message uses.
-
-    The exact value is rounded half-up to 17 digits; trailing zeros are
-    stripped.  Decimal exponents from -4 to 16 print in fixed notation,
-    others as "d.ddde+X"/"d.ddde-X"; zero prints as "0.0".
-    """
-    if not math.isfinite(x):
-        return "nan" if x != x else ("+inf" if x > 0 else "-inf")
-    if x == 0:
-        return "0.0"
-    _, digit_tuple, exp = _DIGITS17.plus(Decimal(abs(x))).as_tuple()
-    exponent = exp + len(digit_tuple) - 1
-    digits = "".join(map(str, digit_tuple)).ljust(17, "0")
-    split = 1
-    if -5 < exponent < 17:
-        digits = "0" * -exponent + digits
-        split, exponent = max(exponent, 0) + 1, 0
-    text = (digits[:split] + "." + digits[split:]).rstrip("0")
-    if text.endswith("."):
-        text += "0"
-    if exponent:
-        text += f"e{exponent:+d}"
-    return ("-" if x < 0 else "") + text
-
-
 def _exact_sqrt(value) -> Optional[Fraction]:
     """Square root of a nonnegative rational, or None if irrational."""
     num, den = value.numerator, value.denominator
@@ -164,7 +137,8 @@ class Scalar:
     rational.  +, -, * and / are exact, and so are comparison and ``hash``.
     ``exact`` is False when a float input went into the value, or when the
     value is the correctly rounded double of an irrational (``sqrt``,
-    ``Weight.real``); it picks the "~" prefix and the JSON number.
+    ``Weight.real``); ``str`` is then "~" + ``format(float(value), ".17g")``
+    instead of ``str(value)``, and the JSON value a number.
     """
 
     __slots__ = ("value", "exact")
@@ -213,7 +187,7 @@ class Scalar:
     def __str__(self) -> str:
         if self.exact:
             return str(self.value)
-        return _nstr17(float(self.value))
+        return "~" + format(float(self.value), ".17g")
 
     def as_fraction(self) -> Fraction:
         """The exact value as a ``Fraction``."""
@@ -303,7 +277,8 @@ class Weight:
     marks the companion solution r^{-(n-2)/2} * log(r) at the resonance.
 
     ``Weight(real, imag, log_factor)`` builds a weight from its views.
-    Weights compare and hash by (real, imag, log_factor).
+    Weights compare by exact value (``real_surd``, imaginary sign and square,
+    ``log_factor``) and hash by their views, which equal values share.
     """
 
     __slots__ = ("base", "square", "sign", "imaginary", "log_factor", "offset", "_real")
@@ -344,16 +319,17 @@ class Weight:
     def is_real(self) -> bool:
         return not self.imaginary
 
-    def _view(self):
-        return (self.real, self.imag, self.log_factor)
+    def _exact_key(self):
+        imag = (self.sign, self.square) if self.imaginary else (0, 0)
+        return (real_surd(self), imag, self.log_factor)
 
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
-        return self._view() == other._view()
+        return self._exact_key() == other._exact_key()
 
     def __hash__(self):
-        return hash(self._view())
+        return hash((self.real, self.imag, self.log_factor))
 
     def __repr__(self) -> str:
         return f"Weight(real={self.real!r}, imag={self.imag!r}, log_factor={self.log_factor!r})"
@@ -413,11 +389,16 @@ def _conjugates(a: Weight, b: Weight) -> bool:
 
 
 def weight_pair_sum(a: Weight, b: Weight) -> Scalar:
-    """Exact sum of two conjugate branch weights (radicals cancel)."""
+    """Exact sum of two conjugate branch weights (radicals cancel), or of two
+    real weights with at most one irrational radical, its surd rounded once."""
     if _conjugates(a, b):
         return a.base + b.base
     if a.is_real and b.is_real:
-        return a.real + b.real
+        (c1, s1, q1), (c2, s2, q2) = real_surd(a), real_surd(b)
+        if not (s1 or s2):
+            return a.real + b.real
+        if not (s1 and s2):
+            return _raw(round_surd(c1 + c2, s1 or s2, q1 or q2), False)
     raise ValueError("weights are not a conjugate pair")
 
 

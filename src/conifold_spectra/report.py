@@ -4,8 +4,9 @@ Rendering conventions, fixed for reproducibility:
 
   * values of exact provenance render as "p/q" strings in JSON (and bare
     in text); values from a float input or irrational values render as
-    JSON numbers and with a "~" prefix in text, each the double nearest
-    the exact value, so every numeric entry carries its provenance;
+    JSON numbers and, in tables and messages alike, as ``str(Scalar)``:
+    "~" and the 17 significant digits of the double nearest the exact
+    value, so every numeric entry carries its provenance;
   * CSV numeric cells use 17 significant digits via float conversion;
   * output is byte-deterministic for a given link and option set.
 """
@@ -23,25 +24,14 @@ from .links import LinkSpectrum
 from .rates import EndOrderReport, LinkAnalysis, Rates
 
 
-def fmt_scalar(s: Scalar) -> str:
-    if s.exact:
-        return str(s.value)
-    return "~" + format(float(s.value), ".17g")
-
-
 def fmt_weight(w: Weight) -> str:
-    if w.is_real:
-        body = fmt_scalar(w.real)
-    else:
-        sign = "+" if float(w.imag) >= 0 else "-"
-        body = f"({fmt_scalar(w.real)}{sign}{fmt_scalar(abs_scalar(w.imag))}i)"
+    body = str(w.real)
+    if not w.is_real:
+        sign, im = ("-", -w.imag) if w.imag < 0 else ("+", w.imag)
+        body = f"({body}{sign}{im}i)"
     if w.log_factor:
         body += "*log(r)"
     return body
-
-
-def abs_scalar(s: Scalar) -> Scalar:
-    return -s if s < 0 else s
 
 
 def scalar_json(s: Scalar):
@@ -132,7 +122,7 @@ def build_report(link: LinkSpectrum, options: Optional[ReportOptions] = None) ->
             warnings.append(entry.note)
     for value in analysis.resonance.coercions:
         warnings.append(
-            f"float-path value {fmt_scalar(value)} within epsilon of the "
+            f"float-path value {value} within epsilon of the "
             "resonance threshold was coerced to exactly resonant"
         )
     warnings.extend(analysis.resonance.tangential_warnings)
@@ -142,7 +132,7 @@ def build_report(link: LinkSpectrum, options: Optional[ReportOptions] = None) ->
     for label, _symbol in _LISTS:
         warnings.append(
             f"completeness margin: {label} certified below "
-            f"{fmt_scalar(getattr(link, label).complete_below)}"
+            f"{getattr(link, label).complete_below}"
         )
     return Report(link, opts, analysis, rates, rate_error, ends, warnings, list(_STANDING_NOTES))
 
@@ -170,9 +160,9 @@ def _root_sets(report: Report, entry) -> List[Tuple[int, list]]:
 
 def end_order_line(r: EndOrderReport) -> str:
     if r.weak:
-        return f"{r.end_kind.value}: weakly of order {fmt_scalar(r.order)} (log)"
+        return f"{r.end_kind.value}: weakly of order {r.order} (log)"
     symbol = ">=" if r.bound_only else "="
-    return f"{r.end_kind.value} order {symbol} {fmt_scalar(r.order)}"
+    return f"{r.end_kind.value} order {symbol} {r.order}"
 
 
 def _root_row(root: IndicialRoot) -> str:
@@ -191,7 +181,7 @@ def _root_row(root: IndicialRoot) -> str:
 def _tangential_row(entry: TangentialEigenvalue) -> str:
     status = "dropped:" + entry.drop_reason.value if entry.dropped else "kept"
     fam = entry.family.value
-    return f"{fmt_scalar(entry.value):>10}  {fam:<22} i={entry.source_index:<3} {status}"
+    return f"{entry.value!s:>10}  {fam:<22} i={entry.source_index:<3} {status}"
 
 
 def render_text(report: Report) -> str:
@@ -222,9 +212,9 @@ def render_text(report: Report) -> str:
     if report.rates is not None:
         xp, xm = report.rates.xi_plus, report.rates.xi_minus
         lines.append(
-            f"rates: xi_plus = {fmt_scalar(xp.value)} "
+            f"rates: xi_plus = {xp.value} "
             f"(witness {fmt_weight(xp.root.weight)} from {xp.root.family.value})"
-            f", xi_minus = {fmt_scalar(xm.value)} "
+            f", xi_minus = {xm.value} "
             f"(witness {fmt_weight(xm.root.weight) if xm.root else 'resonance'}"
             f", part {xm.part})"
         )
@@ -238,7 +228,7 @@ def render_text(report: Report) -> str:
     else:
         lines.append(
             f"linear stability: unstable (witness kappa = "
-            f"{fmt_scalar(analysis.stability.witness)})"
+            f"{analysis.stability.witness})"
         )
     lines.append(f"ADM mass: {analysis.adm.verdict} ({analysis.adm.reason})")
     for r in report.end_orders:

@@ -21,7 +21,7 @@ from conifold_spectra import (
     xi_pair,
 )
 
-from conifold_spectra.core import real_surd, surd_cmp, surd_sign
+from conifold_spectra.core import real_surd, round_surd, surd_cmp, surd_sign
 from conifold_spectra.links import EigenvalueEntry, LinkSpectrum, SpectrumList, snap_to_thresholds
 from oracles import branch_pair, eta_of
 
@@ -114,6 +114,29 @@ def test_identities_exact_for_irrational_radicals():
     assert weight_pair_sum(plus, minus) == Scalar(2 - n)
     assert weight_pair_product(plus, minus) == Scalar(-1)
     assert dual_weight(n, plus) == minus
+
+
+def test_a_real_pair_with_one_irrational_radical_sums_with_one_rounding():
+    # at n = 6, xi_plus(3) = -2 + sqrt(7) and xi_plus(5) = -2 + 3 = 1
+    root7, one = xi_pair(6, Scalar(3))[0], xi_pair(6, Scalar(5))[0]
+    for total in (weight_pair_sum(root7, one), weight_pair_sum(one, root7)):
+        assert not total.exact and total.value == round_surd(-1, 1, 7) == 1.6457513110645905
+    assert weight_pair_sum(one, one) == 2 and weight_pair_sum(one, one).exact
+    with pytest.raises(ValueError):
+        weight_pair_sum(root7, xi_pair(6, Scalar(4))[0])  # -2 + sqrt(8): two irrational radicals
+
+
+def test_weights_compare_by_their_exact_values():
+    # xi_minus(10^-30) at n = 6 is -4 - 2.5e-31, whose view is the double -4.0
+    tiny = xi_pair(6, Scalar(Fraction(1, 10**30)))[1]
+    assert float(tiny.real) == -4.0 and tiny != Weight(Scalar(-4))
+    # a rational radical folds into the base: xi_plus(12) = -2 + 4
+    assert xi_pair(6, Scalar(12))[0] == Weight(Scalar(2))
+    assert xi_pair(6, Scalar(-20))[0] == Weight(Scalar(-2), Scalar(4))
+    # the view of -2 + sqrt(2)i is a double whose square is not 2
+    plus = xi_pair(6, Scalar(-6))[0]
+    assert plus != Weight(plus.real, plus.imag)
+    assert resonance_pair(6)[0] != resonance_pair(6)[1]
 
 
 def test_branch_inversion_identities():
@@ -227,15 +250,15 @@ def test_a_float_with_a_square_discriminant_keeps_the_exact_formulas():
     assert value == 12 and type(value.value) is int and not value.exact
     assert real_surd(minus) == (-5, 0, 0)
     assert weight_pair_product(plus, xi_pair(6, Scalar(12))[0]) == 2
-    assert str(plus.real) == "1.0" and repr(plus.real) == "Scalar(1.0, float)"
+    assert str(plus.real) == "~1" and repr(plus.real) == "Scalar(1.0, float)"
 
 
 def test_float_path_has_no_negative_zero():
-    # A float view is never -0.0, so it renders as 0 in every format.
+    # A float view is never -0.0, so it renders as 0 in every format, "~0" in text.
     zero = Scalar(0.0, exact=False)
     for value in (-zero, zero * -2, zero / Scalar(-3), Scalar(-0.0, exact=False), Scalar.parse(-0.0)):
         assert not value.exact and math.copysign(1.0, value.value) == 1.0
-        assert str(value) == "0.0"
+        assert str(value) == "~0"
 
 
 def _assert_normal(value):

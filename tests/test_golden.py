@@ -102,13 +102,13 @@ GOLDEN = {
         "38fb30f08724327671068c0f2ba19bb0028d02320120af908f3b7e7c27e83892",
     ),
     "irrational-document": (
-        "b3507a88e9ce176c06b645f57569c0f821b51f8f213f649831a72a8cd15d5925",
-        "90ec76811c26a2fc00a55c5cc4cf6001433eecee153c5fbb5f466b17f5768c69",
+        "9921d780a7b0d62c7b37a5f9f71b191a997e67cd5e95eace1b8b51132c654127",
+        "8e8a0fb2642cbdd172c9dd44a7e2b387ea7ee15c1d4b9af96bae40199d80cc63",
         "dad833aa38073f81a0e23501459a2ef9f2f4245ae50158fe8ec86170b3918599",
     ),
     "float-document": (
-        "50a11387f1fce5edd09286f8249145d72b558a008326e6fd88329aec90c6a91e",
-        "9b41fd7fa64c5d835e57fd240b9d6c198133754a1d29b86af1c45677d3924574",
+        "404a32aa47f5dfb330e6a009be702430aab4d993e968a1f35937d10e359c5640",
+        "24356d09953135cc7ec3a713f58f463771f124ce8e11d9df7de2c1256659d6ec",
         "c64a91b5017f7ef4efb59706b674a1b079f7dbbf5778183d12585fcd33e32665",
     ),
     "sphere-6-nontrivial max-roots=0": (
@@ -122,13 +122,13 @@ GOLDEN = {
         "b702ff1681f22b37b71a1dd2e59fae8133d399ba989c6eed06f1d8c6f52cf906",
     ),
     "irrational-document max-roots=0": (
-        "d3c17840d6faef6cf07bf4b27b81b5b546626fb336fa3fe54ee03d9ffcd7c04d",
-        "933d323bcf8cadb05a661bb6b1ec364ed9ab211edd5f31ad5151abbb3088bed9",
+        "f289f6c6ba17ad33cfd188906b0f8ddc7000e1522961ff4ae2f7713d3520de9b",
+        "25e18c9763eefe681b9737839e6f276fc4807fb364e17d4fc1db71b2f445c773",
         "566bf943ecc2ff51b908acdd2b13dcec804f926d7663c67b1c1d41ca11e95e36",
     ),
     "irrational-document max-roots=2": (
-        "d0f2f7ecc17e31b75084b9838a8cf0a0ebcbad078f0578686720b8311bd1e94c",
-        "9572a9e3bf96b12adbab56750e77aa9ee4c5aedc5cfe9f2bb7017055d0b1a85c",
+        "cc5f8e1ec72550f264c2b9c436cd3c05c8846b8cf65bb7f36a8c392cca42493d",
+        "c07bf38f7c1c3d3317b9d370b504e1f6f081ad41457cdedef4a25ab88861498b",
         "0c4dad13f4510d47d5541f32f674730a55358c158504ec0b594601d625433037",
     ),
 }

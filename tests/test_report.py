@@ -18,7 +18,6 @@ from conifold_spectra.report import (
     _json_text,
     build_report,
     end_order_line,
-    fmt_scalar,
     fmt_weight,
     render_json,
     render_text,
@@ -78,10 +77,19 @@ def test_text_marks_float_values():
     assert "epsilon (float-path thresholds): 1e-09" in text
 
 
+def test_a_value_reads_the_same_in_its_table_row_and_its_messages():
+    # kappa_1 = -15.9999999999999 snaps onto -16 but keeps its float provenance
+    report = build_report(load_spectrum(_float_document(), eps=1e-9), ReportOptions(epsilon=1e-9))
+    lines = render_text(report).splitlines()
+    assert "        ~-16  TT-kappa               i=1   kept" in lines
+    assert "ADM mass: unknown (kappa_1 = ~-16 < 0 permits decay slower than r^(2-n))" in lines
+    assert "E_plus minimum ~2 needs completeness below ~20" in report.rate_error
+
+
 def test_fmt_helpers():
     from conifold_spectra import Scalar, Weight, xi_pair
 
-    assert fmt_scalar(Scalar(8)) == "8"
+    assert str(Scalar(8)) == "8"
     plus, minus = xi_pair(10, Scalar(-20))
     assert fmt_weight(plus) == "(-4+2i)"
     assert fmt_weight(minus) == "(-4-2i)"
@@ -157,7 +165,7 @@ def test_e_plus_completeness_message_text():
         LinkAnalysis(link).e_plus
     assert str(info.value) == (
         "tt_einstein list certified below 5/2, but the E_plus minimum "
-        "0.64575131106459061 needs completeness below 3"
+        "~0.64575131106459061 needs completeness below 3"
     )
 
 

@@ -23,6 +23,7 @@ from conifold_spectra import (
     EndKind,
     LinkAnalysis,
     Scalar,
+    Weight,
     dual_weight,
     e_minus_set,
     e_plus_set,
@@ -139,6 +140,23 @@ def test_branch_algebra_is_exact(n, nu):
     assert dual_weight(n, plus) == minus
     assert dual_weight(n, minus) == plus
     assert dual_weight(n, dual_weight(n, plus)) == plus
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(3, 12), rationals, st.integers(-3, 3), st.integers(0, 6))
+def test_equal_weights_hash_alike(n, nu, k, j):
+    # one value reached by shifts, duals, float provenance and views
+    dyadic = Fraction(round(nu * 2**j), 2**j)
+    weights = []
+    for value in (Scalar(nu), Scalar(dyadic), Scalar(float(dyadic), exact=False)):
+        plus, minus = xi_pair(n, value)
+        assert (plus + k) - k == plus and dual_weight(n, minus) == plus
+        weights += [plus, minus, (plus + k) - k, dual_weight(n, minus), dual_weight(n, minus + k)]
+        weights += [Weight(plus.real, plus.imag), Weight(minus.real + k)]
+    for a in weights:
+        for b in weights:
+            if a == b:
+                assert hash(a) == hash(b)
 
 
 def _exact_value(s):
