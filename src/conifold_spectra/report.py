@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import DEFAULT_EPSILON, Scalar, Weight
 from .errors import EmptyRateSet, InsufficientSpectrum
-from .indicial import IndicialRoot, TangentialEigenvalue
+from .indicial import Box1Family, BoxLFamily, DropReason, IndicialRoot, TangentialEigenvalue
 from .links import LinkSpectrum
 from .rates import EndOrderReport, LinkAnalysis, Rates
 
@@ -165,23 +165,33 @@ def end_order_line(r: EndOrderReport) -> str:
     return f"{r.end_kind.value} order {symbol} {r.order}"
 
 
+# Row templates read these tables, not ``Enum.value`` (a descriptor call
+# per read); a large render reads a family about 15,000 times.
+_FAMILY_TEXT = {family: family.value for family in (*Box1Family, *BoxLFamily)}
+_FAMILY_CELL = {family: f"{text:<22}" for family, text in _FAMILY_TEXT.items()}
+_FAMILY_JSON = {family: encode_basestring_ascii(text) for family, text in _FAMILY_TEXT.items()}
+_DROP_STATUS = {reason: "dropped:" + reason.value for reason in DropReason}
+_DROP_JSON = {reason: encode_basestring_ascii(reason.value) for reason in DropReason}
+# a root's text flags, keyed by (bianchi_compatible, lie_derivative)
+_ROOT_FLAGS = {
+    (True, True): "[gauge]",
+    (True, False): "[gauge,essential]",
+    (False, True): "[-]",
+    (False, False): "[essential]",
+}
+
+
 def _root_row(root: IndicialRoot) -> str:
-    flags = []
-    if root.bianchi_compatible:
-        flags.append("gauge")
-    if not root.lie_derivative:
-        flags.append("essential")
     return (
-        f"  {fmt_weight(root.weight):>14}  {root.family.value:<22} "
+        f"  {fmt_weight(root.weight):>14}  {_FAMILY_CELL[root.family]} "
         f"i={root.source_index:<3} branch={root.branch} shift={root.shift:+d}  "
-        f"[{','.join(flags) if flags else '-'}]"
+        f"{_ROOT_FLAGS[root.bianchi_compatible, root.lie_derivative]}"
     )
 
 
 def _tangential_row(entry: TangentialEigenvalue) -> str:
-    status = "dropped:" + entry.drop_reason.value if entry.dropped else "kept"
-    fam = entry.family.value
-    return f"{entry.value!s:>10}  {fam:<22} i={entry.source_index:<3} {status}"
+    status = _DROP_STATUS[entry.drop_reason] if entry.dropped else "kept"
+    return f"  {entry.value!s:>10}  {_FAMILY_CELL[entry.family]} i={entry.source_index:<3} {status}"
 
 
 def render_text(report: Report) -> str:
@@ -200,7 +210,7 @@ def render_text(report: Report) -> str:
     lines.append("")
     for name, table in (("1-form", analysis.box1), ("Lichnerowicz", analysis.boxL)):
         lines.append(f"tangential spectrum of the {name} operator:")
-        lines.extend("  " + _tangential_row(entry) for entry in table)
+        lines.extend(_tangential_row(entry) for entry in table)
     for title, (count, rows) in zip(
         ("E_L (all indicial roots)", "E_B (Bianchi-gauge roots)", "E (essential roots)"),
         _root_sets(report, _root_row),
@@ -275,11 +285,12 @@ def _root_json(root: IndicialRoot) -> Dict:
 
 
 def report_dict(report: Report) -> Dict:
-    return _report_tree(report, _root_json)
+    return _report_tree(report, _root_json, _tangential_json)
 
 
-def _report_tree(report: Report, root_entry) -> Dict:
-    """The JSON schema of a report; each indicial root is ``root_entry(root)``."""
+def _report_tree(report: Report, root_entry, tangential_entry) -> Dict:
+    """The JSON schema of a report; each indicial root is ``root_entry(root)``
+    and each tangential entry ``tangential_entry(entry)``."""
     link = report.link
     analysis = report.analysis
     rates_block = None
@@ -326,8 +337,8 @@ def _report_tree(report: Report, root_entry) -> Dict:
             "modes": {label: getattr(link, label).mode.value for label, _symbol in _LISTS},
         },
         "tangential": {
-            "one_form": [_tangential_json(e) for e in analysis.box1],
-            "lichnerowicz": [_tangential_json(e) for e in analysis.boxL],
+            "one_form": [tangential_entry(e) for e in analysis.box1],
+            "lichnerowicz": [tangential_entry(e) for e in analysis.boxL],
         },
         "indicial_sets": {
             key: {"count": count, "roots": rows}
@@ -354,10 +365,16 @@ def render_json(report: Report) -> str:
     """``json.dumps(report_dict(report), indent=2)`` plus a newline, byte for byte.
 
     The stdlib encoder runs in pure Python when ``indent`` is set; here the
-    report tree keeps its ``IndicialRoot`` objects and each distinct root's
-    row is formatted once per indent, however many sets list it.
+    report tree keeps its ``IndicialRoot`` and ``TangentialEigenvalue``
+    objects, each list of them is one join over row templates, and each
+    distinct root's row is formatted once per indent, however many sets
+    list it.
     """
-    return _json_text(_report_tree(report, lambda root: root), "\n", {}) + "\n"
+    return _json_text(_report_tree(report, _same, _same), "\n", {}) + "\n"
+
+
+def _same(value):
+    return value
 
 
 def _json_text(value, pad: str, rows: Dict) -> str:
@@ -372,13 +389,16 @@ def _json_text(value, pad: str, rows: Dict) -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join(_json_text(v, inner, rows) for v in value) + pad + "]"
+        # a list of entries or roots holds nothing else
+        if isinstance(value[0], TangentialEigenvalue):
+            items = [_tangential_json_row(entry, inner) for entry in value]
+        elif isinstance(value[0], IndicialRoot):
+            items = [_root_json_text(root, inner, rows) for root in value]
+        else:
+            items = [_json_text(v, inner, rows) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, IndicialRoot):
-        key = (id(value), pad)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = _root_json_row(value, pad)
-        return row
+        return _root_json_text(value, pad, rows)
     return _json_leaf(value)
 
 
@@ -402,6 +422,39 @@ def _json_leaf(value) -> str:
     return float.__repr__(value)
 
 
+_BOOL_JSON = ("false", "true")
+
+
+def _scalar_leaf(s: Scalar) -> str:
+    """``_json_leaf(scalar_json(s))``: an exact value's digits need no escaping."""
+    return f'"{s.value}"' if s.exact else _json_leaf(float(s.value))
+
+
+def _tangential_json_row(entry: TangentialEigenvalue, pad: str) -> str:
+    """``_json_text(_tangential_json(entry), pad, ...)`` without building the dict."""
+    i = pad + "  "
+    row = (
+        f'{{{i}"value": {_scalar_leaf(entry.value)},'
+        f'{i}"family": {_FAMILY_JSON[entry.family]},'
+        f'{i}"index": {entry.source_index},'
+        f'{i}"source": {_scalar_leaf(entry.source_value)},'
+        f'{i}"dropped": {_BOOL_JSON[entry.dropped]}'
+    )
+    if entry.drop_reason is not None:
+        row += f',{i}"drop_reason": {_DROP_JSON[entry.drop_reason]}'
+    if entry.note:
+        row += f',{i}"note": {encode_basestring_ascii(entry.note)}'
+    return row + pad + "}"
+
+
+def _root_json_text(root: IndicialRoot, pad: str, rows: Dict) -> str:
+    key = (id(root), pad)
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = _root_json_row(root, pad)
+    return row
+
+
 def _root_json_row(root: IndicialRoot, pad: str) -> str:
     """``_json_text(_root_json(root), pad, ...)`` without building the dict."""
     i = pad + "  "
@@ -409,17 +462,17 @@ def _root_json_row(root: IndicialRoot, pad: str) -> str:
     weight = root.weight
     return (
         f'{{{i}"weight": {{'
-        f'{w}"re": {_json_leaf(scalar_json(weight.real))},'
-        f'{w}"im": {_json_leaf(scalar_json(weight.imag))},'
-        f'{w}"log": {_json_leaf(weight.log_factor)}{i}}},'
-        f'{i}"family": {_json_leaf(root.family.value)},'
-        f'{i}"index": {_json_leaf(root.source_index)},'
-        f'{i}"source": {_json_leaf(scalar_json(root.source_value))},'
-        f'{i}"branch": {_json_leaf(root.branch)},'
-        f'{i}"shift": {_json_leaf(root.shift)},'
-        f'{i}"tangential": {_json_leaf(scalar_json(root.tangential_value))},'
-        f'{i}"bianchi_compatible": {_json_leaf(root.bianchi_compatible)},'
-        f'{i}"lie_derivative": {_json_leaf(root.lie_derivative)}{pad}}}'
+        f'{w}"re": {_scalar_leaf(weight.real)},'
+        f'{w}"im": {_scalar_leaf(weight.imag)},'
+        f'{w}"log": {_BOOL_JSON[weight.log_factor]}{i}}},'
+        f'{i}"family": {_FAMILY_JSON[root.family]},'
+        f'{i}"index": {root.source_index},'
+        f'{i}"source": {_scalar_leaf(root.source_value)},'
+        f'{i}"branch": {encode_basestring_ascii(root.branch)},'
+        f'{i}"shift": {root.shift},'
+        f'{i}"tangential": {_scalar_leaf(root.tangential_value)},'
+        f'{i}"bianchi_compatible": {_BOOL_JSON[root.bianchi_compatible]},'
+        f'{i}"lie_derivative": {_BOOL_JSON[root.lie_derivative]}{pad}}}'
     )
 
 
@@ -435,22 +488,21 @@ def render_csv(report: Report) -> str:
     rows.append(("verdict", "adm_mass", report.analysis.adm.verdict))
     for r in report.end_orders:
         rows.append(("end", r.end_kind.value, end_order_line(r)))
+    out = [",".join(_csv_escape(cell) for cell in row) for row in rows]
     for name, (_count, cells) in zip(("EL", "EB", "E"), _root_sets(report, _root_cell)):
-        rows.extend((name, str(i), cell) for i, cell in enumerate(cells))
-    out = []
-    for row in rows:
-        out.append(",".join(_csv_escape(cell) for cell in row))
+        out.extend(f"{name},{i},{cell}" for i, cell in enumerate(cells))
     return "\n".join(out) + "\n"
 
 
 def _root_cell(root: IndicialRoot) -> str:
-    return (
-        f"{fmt_weight(root.weight)}|{root.family.value}|{root.source_index}"
+    """A root's CSV cell, escaped."""
+    return _csv_escape(
+        f"{fmt_weight(root.weight)}|{_FAMILY_TEXT[root.family]}|{root.source_index}"
         f"|{root.branch}|{root.shift:+d}"
     )
 
 
 def _csv_escape(cell: str) -> str:
-    if "," in cell or '"' in cell or "\n" in cell:
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell

@@ -122,6 +122,18 @@ def test_render_json_formats_each_distinct_root_once(monkeypatch):
     assert len(formatted) <= len(distinct) + 2 + len(built.end_orders)
 
 
+def test_render_json_formats_each_tangential_entry_once(monkeypatch):
+    built = build_report(sphere_link(6, count=16))
+    entries = built.analysis.box1 + built.analysis.boxL
+    rows = _count_calls(monkeypatch, report, "_tangential_json_row")
+    dicts = _count_calls(monkeypatch, report, "_tangential_json")
+    render_json(built)
+    # each list sits in the report, tangential and the list
+    assert sorted(id(entry) for entry, _pad in rows) == sorted(id(entry) for entry in entries)
+    assert {pad for _entry, pad in rows} == {"\n" + "  " * 3}
+    assert dicts == []
+
+
 @pytest.mark.parametrize("render", [render_text, render_csv])
 def test_text_and_csv_format_each_distinct_root_once(monkeypatch, render):
     built = build_report(sphere_link(6, count=16))

@@ -1,5 +1,7 @@
 """Report assembly details: float-path annotation, warnings, witnesses."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -19,8 +21,10 @@ from conifold_spectra.report import (
     build_report,
     end_order_line,
     fmt_weight,
+    render_csv,
     render_json,
     render_text,
+    report_dict,
 )
 
 
@@ -190,3 +194,33 @@ _JSON_VALUES = st.recursive(
 @given(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5) | _JSON_VALUES)
 def test_json_emitter_matches_the_stdlib_encoder(value):
     assert _json_text(value, "\n", {}) == json.dumps(value, indent=2)
+
+
+def _irrational_link():
+    from test_golden import _irrational_document
+
+    return load_spectrum(_irrational_document())
+
+
+@pytest.mark.parametrize("max_roots", [None, 0, 2])
+@pytest.mark.parametrize(
+    "make_link, eps",
+    [
+        (lambda: sphere_link(6, count=512), 1e-12),
+        (lambda: load_spectrum(_float_document(), eps=1e-9), 1e-9),
+        (_irrational_link, 1e-12),
+    ],
+    ids=["sphere-512", "float-document", "irrational-document"],
+)
+def test_render_json_is_the_stdlib_encoding_of_report_dict(make_link, eps, max_roots):
+    # the documents' tangential tables hold drop reasons and notes
+    report = build_report(make_link(), ReportOptions(epsilon=eps, max_roots=max_roots))
+    assert render_json(report) == json.dumps(report_dict(report), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["a\rb", "a\nb", "a\r\nb", "a,b", 'a"b'])
+def test_csv_reader_reads_every_row_back_as_three_cells(name):
+    text = render_csv(build_report(sphere_link(6)._replace(name=name)))
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert all(len(row) == 3 for row in rows)
+    assert rows[1] == ["link", "name", name]
