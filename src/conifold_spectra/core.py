@@ -11,19 +11,20 @@ Negative discriminants follow the convention sqrt(x) = sqrt(|x|)*i, so a
 weight is a complex number together with a flag for the logarithmic
 solution at the resonance value nu = -(n-2)^2/4.
 
-Arithmetic is exact.  An integral value is a Python int and any other
-rational a ``Fraction`` (``rational``), so integers skip the pure-Python
-``Fraction`` arithmetic.  A float input keeps its double, which means its
-exact binary rational: it enters +, * and / through ``rational``, and
-Python compares and hashes it exactly.  A value's ``exact`` flag is
-provenance only, False where a float input went in or the value is
-irrational; ``str`` then shows "~" and the 17 significant digits of its
-double, in tables and messages alike.  A single global epsilon
-(default 1e-12) snaps float eigenvalues onto their thresholds once
-(``links.snap_to_thresholds``).  Each shown value is rounded once, to the
-double nearest the exact value: ``float`` of a rational, ``round_surd`` of
-a surd.  Signs and order of a weight base + sign*sqrt(square) are decided
-exactly (``surd_sign``, ``surd_cmp``), not on its view.
+Arithmetic is on plain rationals: an integral value is a Python int and
+any other rational a ``Fraction`` (``rational``), and a float input means
+its exact binary rational.  ``Scalar`` is the type at the boundary
+(ingest, the public records, ``str`` and JSON) and does no arithmetic.
+Each derived value comes from one listed eigenvalue plus n and constants,
+so it is exact when its source is exact and the value is rational: a
+weight carries that one bit (``Weight.exact``).  An inexact value's ``str``
+is "~" and the 17 significant digits of its double, in tables and messages
+alike.  A single global epsilon (default 1e-12) snaps float eigenvalues
+onto their thresholds once (``links.snap_to_thresholds``).  Each shown
+value is rounded once, to the double nearest the exact value: ``float`` of
+a rational, ``round_surd`` of a surd.  Signs and order of a weight
+base + sign*sqrt(square) are decided exactly (``surd_sign``, ``surd_cmp``),
+not on its view.
 
 A weight is one exact value, base + sign*sqrt(square) on the real or the
 imaginary axis: for every rational eigenvalue, irrational radicals
@@ -35,6 +36,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Tuple
 
 from .errors import DimensionTooSmall
@@ -96,30 +100,18 @@ def round_surd(c, s: int, q) -> float:
         k = 2 * k + 64
 
 
-def _exact_sqrt(value) -> Optional[Fraction]:
-    """Square root of a nonnegative rational, or None if irrational."""
+def rational_sqrt(value):
+    """Square root of a nonnegative int or Fraction, as ``rational``; None if irrational."""
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
+        return rn if rd == 1 else Fraction(rn, rd)
     return None
-
-
-def _exact(x):
-    """An int or ``Fraction`` as it is; a float as its exact binary rational."""
-    return Fraction(x) if type(x) is float else x
 
 
 def _value(other):
     """The number behind an operand: a Scalar's value, else the operand."""
     return other.value if isinstance(other, Scalar) else other
-
-
-def _operand(other):
-    """(exact rational value, exact flag) of an arithmetic operand."""
-    if isinstance(other, Scalar):
-        return _exact(other.value), other.exact
-    return _exact(other), isinstance(other, (int, Fraction))
 
 
 def _raw(value, exact: bool) -> "Scalar":
@@ -130,14 +122,15 @@ def _raw(value, exact: bool) -> "Scalar":
 
 
 class Scalar:
-    """An exact rational, with its provenance.
+    """An exact rational, with its provenance: the type at the boundary.
 
     ``value`` is an int when integral, else a ``Fraction`` (``rational``),
     or a float input kept as its double, which means its exact binary
-    rational.  +, -, * and / are exact, and so are comparison and ``hash``.
-    ``exact`` is False when a float input went into the value, or when the
-    value is the correctly rounded double of an irrational (``sqrt``,
-    ``Weight.real``); ``str`` is then "~" + ``format(float(value), ".17g")``
+    rational.  Comparison and ``hash`` are exact, and ``-`` negates; a
+    Scalar does no other arithmetic, which the analysis does on the
+    rationals.  ``exact`` is False when a float input went into the value,
+    or when the value is the correctly rounded double of an irrational
+    (``Weight.real``); ``str`` is then "~" + ``format(float(value), ".17g")``
     instead of ``str(value)``, and the JSON value a number.
     """
 
@@ -197,35 +190,8 @@ class Scalar:
         """The view: the double nearest the exact value."""
         return float(self.value)
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        value, exact = _operand(other)
-        return _raw(rational(_exact(self.value) + value), self.exact and exact)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return _raw(-self.value, self.exact) if self.value else self
-
-    def __sub__(self, other):
-        return self + (-Scalar.wrap(other))
-
-    def __rsub__(self, other):
-        return Scalar.wrap(other) + (-self)
-
-    def __mul__(self, other):
-        value, exact = _operand(other)
-        return _raw(rational(_exact(self.value) * value), self.exact and exact)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        value, exact = _operand(other)
-        return _raw(rational(Fraction(self.value) / value), self.exact and exact)
-
-    def __rtruediv__(self, other):
-        return Scalar.wrap(other) / self
 
     # -- comparison ----------------------------------------------------
 
@@ -250,16 +216,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def sqrt(self) -> "Scalar":
-        """Nonnegative square root: exact if rational, else the nearest double."""
-        if self < 0:
-            raise ValueError("sqrt of a negative scalar")
-        value = rational(self.value)
-        root = _exact_sqrt(value)
-        if root is not None:
-            return _raw(rational(root), self.exact)
-        return _raw(round_surd(0, 1, value), False)
-
 
 ZERO = Scalar(0)
 
@@ -268,65 +224,76 @@ class Weight:
     """A possibly-complex indicial exponent: base + sign*sqrt(square).
 
     The radical lies on the real axis, or on the imaginary axis when
-    ``imaginary`` is set; ``base``, ``square`` and ``sign`` (-1, 0 or +1)
-    are exact.  ``offset`` is the signed radical sign*sqrt(square), shared
-    by a branch pair, its shifts and its duals; an irrational one is held as
-    its correctly rounded double (``_irrational``).  ``real`` and ``imag``
-    are exact when rational, else the correctly rounded double of the exact
-    value; ``real`` is computed on first read and cached.  ``log_factor``
+    ``imaginary`` is set.  ``base`` and ``square`` are ints or Fractions
+    (``rational``) and ``sign`` is -1, 0 or +1; ``root`` is sqrt(square)
+    when that is rational, else None.  ``exact`` is the provenance of the
+    source eigenvalue, one bit shared by a branch pair, its shifts and its
+    duals.  ``real`` and ``imag`` are the views, built as Scalars at the
+    boundary: a rational view is exact when ``exact`` is set, and an
+    irrational one is its correctly rounded double (``round_surd``), never
+    exact; ``real`` is computed on first read and cached.  ``log_factor``
     marks the companion solution r^{-(n-2)/2} * log(r) at the resonance.
 
     ``Weight(real, imag, log_factor)`` builds a weight from its views.
-    Weights compare by exact value (``real_surd``, imaginary sign and square,
-    ``log_factor``) and hash by their views, which equal values share.
+    Weights compare by exact value (``surds`` and ``log_factor``) and hash
+    by their views, which equal values share.
     """
 
-    __slots__ = ("base", "square", "sign", "imaginary", "log_factor", "offset", "_real")
+    __slots__ = ("base", "square", "sign", "imaginary", "root", "exact", "log_factor", "_real")
 
     def __init__(self, real: Scalar, imag: Scalar = ZERO, log_factor: bool = False):
-        self.base = real
+        self.base = rational(real.value)
         self.imaginary = not imag.is_zero()
-        self.square = imag * imag if self.imaginary else ZERO
+        self.root = abs(rational(imag.value))
+        self.square = self.root * self.root
         self.sign = (1 if imag > 0 else -1) if self.imaginary else 0
-        self.offset = imag if self.imaginary else ZERO
+        self.exact = real.exact and imag.exact
         self.log_factor = log_factor
         self._real = real
 
     @staticmethod
-    def _surd(base: Scalar, square: Scalar, sign: int, imaginary: bool, offset: Scalar,
+    def _surd(base, square, sign: int, imaginary: bool, root, exact: bool,
               log_factor: bool = False) -> "Weight":
         w = object.__new__(Weight)
-        w.base, w.square, w.sign, w.imaginary = base, square, sign, imaginary
-        w.offset, w.log_factor, w._real = offset, log_factor, None
+        w.base, w.square, w.sign, w.imaginary, w.root = base, square, sign, imaginary, root
+        w.exact, w.log_factor, w._real = exact, log_factor, None
         return w
 
     @property
     def real(self) -> Scalar:
         if self._real is None:
-            if self.imaginary or self.sign == 0:
-                self._real = self.base
-            elif _irrational(self):
-                self._real = _raw(round_surd(self.base.value, self.sign, self.square.value), False)
+            if self.imaginary:
+                self._real = _raw(self.base, self.exact)
+            elif self.root is None:
+                self._real = _raw(round_surd(self.base, self.sign, self.square), False)
             else:
-                self._real = self.base + self.offset
+                self._real = _raw(rational(self.base + self.sign * self.root), self.exact)
         return self._real
 
     @property
     def imag(self) -> Scalar:
-        return self.offset if self.imaginary else ZERO
+        if not self.imaginary:
+            return ZERO
+        if self.root is None:
+            return _raw(round_surd(0, self.sign, self.square), False)
+        return _raw(self.sign * self.root, self.exact)
 
     @property
     def is_real(self) -> bool:
         return not self.imaginary
 
-    def _exact_key(self):
-        imag = (self.sign, self.square) if self.imaginary else (0, 0)
-        return (real_surd(self), imag, self.log_factor)
+    def surds(self):
+        """(Re, Im) as surds (c, s, q), meaning c + s*sqrt(q); a rational radical folds into c."""
+        if not self.imaginary:
+            return real_surd(self), (0, 0, 0)
+        if self.root is None:
+            return (self.base, 0, 0), (0, self.sign, self.square)
+        return (self.base, 0, 0), (self.sign * self.root, 0, 0)
 
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
-        return self._exact_key() == other._exact_key()
+        return self.surds() == other.surds() and self.log_factor == other.log_factor
 
     def __hash__(self):
         return hash((self.real, self.imag, self.log_factor))
@@ -334,27 +301,23 @@ class Weight:
     def __repr__(self) -> str:
         return f"Weight(real={self.real!r}, imag={self.imag!r}, log_factor={self.log_factor!r})"
 
-    def _shift(self, delta: Scalar) -> "Weight":
-        """x + delta: the base moves and the radical stays."""
-        return Weight._surd(self.base + delta, self.square, self.sign, self.imaginary, self.offset)
+    def _shift(self, delta) -> "Weight":
+        """x + delta for an int or Fraction delta: the base moves and the radical stays."""
+        base = rational(self.base + rational(delta))
+        return Weight._surd(base, self.square, self.sign, self.imaginary, self.root, self.exact)
 
     def __sub__(self, other) -> "Weight":
-        return self._shift(-Scalar.wrap(other))
+        return self._shift(-other)
 
     def __add__(self, other) -> "Weight":
-        return self._shift(Scalar.wrap(other))
-
-
-def _irrational(w: Weight) -> bool:
-    """Whether the real radical of w is irrational: its offset is then a double."""
-    return type(w.offset.value) is float
+        return self._shift(other)
 
 
 def real_surd(w: Weight):
     """Re(w) as (c, s, q), meaning c + s*sqrt(q) in exact rationals; a rational radical folds into c."""
-    if w.imaginary or not _irrational(w):
-        return (_exact(w.real.value), 0, 0)
-    return (w.base.value, w.sign, w.square.value)
+    if w.root is None and not w.imaginary:
+        return (w.base, w.sign, w.square)
+    return (rational(w.real.value), 0, 0)
 
 
 def _sign(x) -> int:
@@ -384,6 +347,39 @@ def surd_cmp(x, y) -> int:
     return left * surd_sign(d * d + s1 * s1 * q1 - s2 * s2 * q2, 2 * d * s1, q1)
 
 
+def _surds_cmp(x, y) -> int:
+    """``surd_cmp`` on tuples of surds, lexicographically."""
+    for a, b in zip(x, y):
+        c = surd_cmp(a, b)
+        if c:
+            return c
+    return 0
+
+
+def exact_sorted(items, key, surds) -> list:
+    """``items`` sorted by ``key``, then each run of equal views stably by exact value.
+
+    ``key(item)`` starts with the view, a correctly rounded double, and
+    ``surds(item)`` is a tuple of surds (c, s, q), compared
+    lexicographically, whose first one the view rounds.  Rounding is
+    monotone, so only a run of equal views can be out of exact order, and
+    equal values keep their ``key`` order.  A run whose surds are all
+    rational sorts on the rationals; ``surd_cmp`` runs only where a run
+    holds an irrational.
+    """
+    out = []
+    keyed = sorted([(key(item), item) for item in items], key=itemgetter(0))
+    for _, group in groupby(keyed, lambda pair: pair[0][0]):
+        run = [(surds(item), item) for _, item in group]
+        if len(run) > 1:
+            if any(s for pair in run for _, s, _ in pair[0]):
+                run.sort(key=cmp_to_key(lambda x, y: _surds_cmp(x[0], y[0])))
+            else:
+                run.sort(key=lambda pair: [c for c, _, _ in pair[0]])
+        out += [item for _, item in run]
+    return out
+
+
 def _conjugates(a: Weight, b: Weight) -> bool:
     return a.imaginary == b.imaginary and a.square == b.square and a.sign == -b.sign
 
@@ -391,12 +387,13 @@ def _conjugates(a: Weight, b: Weight) -> bool:
 def weight_pair_sum(a: Weight, b: Weight) -> Scalar:
     """Exact sum of two conjugate branch weights (radicals cancel), or of two
     real weights with at most one irrational radical, its surd rounded once."""
+    exact = a.exact and b.exact
     if _conjugates(a, b):
-        return a.base + b.base
+        return _raw(rational(a.base + b.base), exact)
     if a.is_real and b.is_real:
         (c1, s1, q1), (c2, s2, q2) = real_surd(a), real_surd(b)
         if not (s1 or s2):
-            return a.real + b.real
+            return _raw(rational(c1 + c2), exact)
         if not (s1 and s2):
             return _raw(round_surd(c1 + c2, s1 or s2, q1 or q2), False)
     raise ValueError("weights are not a conjugate pair")
@@ -408,19 +405,20 @@ def weight_pair_product(a: Weight, b: Weight) -> Scalar:
     (c + t)(c - t) = c^2 - t^2 on the real axis and c^2 + t^2 on the
     imaginary axis, with t^2 carried exactly.
     """
+    exact = a.exact and b.exact
     if _conjugates(a, b) and a.base == b.base:
-        if a.imaginary:
-            return a.base * a.base + a.square
-        return a.base * a.base - a.square
-    if a.is_real and b.is_real and not (_irrational(a) or _irrational(b)):
-        return a.real * b.real
+        square = a.square if a.imaginary else -a.square
+        return _raw(rational(a.base * a.base + square), exact)
+    if a.is_real and b.is_real and a.root is not None and b.root is not None:
+        return _raw(rational(real_surd(a)[0] * real_surd(b)[0]), exact)
     raise ValueError("weights are not a conjugate pair")
 
 
 def discriminant(n: int, nu) -> Scalar:
     """(n-2)^2/4 + nu, exact whenever nu is."""
     check_dimension(n)
-    return Scalar(Fraction((n - 2) ** 2, 4)) + Scalar.wrap(nu)
+    nu = Scalar.wrap(nu)
+    return _raw(rational(Fraction((n - 2) ** 2, 4) + rational(nu.value)), nu.exact)
 
 
 def critical_eigenvalue(n: int) -> Scalar:
@@ -432,21 +430,22 @@ def critical_eigenvalue(n: int) -> Scalar:
 def xi_pair(n: int, nu) -> Tuple[Weight, Weight]:
     """The branch pair (xi_plus, xi_minus) for the eigenvalue nu.
 
-    The square root of the discriminant is taken once (``Scalar.sqrt``) and
-    shared by both weights.  At discriminant zero both
-    weights equal -(n-2)/2 with log_factor False; the logarithmic companion
-    is obtained via resonance_pair.
+    The square root of the discriminant is taken once, rational or None,
+    and shared by both weights with the provenance of nu.  At discriminant
+    zero both weights equal -(n-2)/2 with log_factor False; the
+    logarithmic companion is obtained via resonance_pair.
     """
-    disc = discriminant(n, nu)
-    half = Scalar(Fraction(-(n - 2), 2), disc.exact)
-    if disc.is_zero():
-        return (Weight._surd(half, ZERO, 0, False, ZERO), Weight._surd(half, ZERO, 0, False, ZERO))
+    check_dimension(n)
+    nu = Scalar.wrap(nu)
+    half = rational(Fraction(2 - n, 2))
+    disc = rational(half * half + rational(nu.value))
     imaginary = disc < 0
     square = -disc if imaginary else disc
-    offset = square.sqrt()
+    root = rational_sqrt(square)
+    sign = 1 if disc else 0
     return (
-        Weight._surd(half, square, +1, imaginary, offset),
-        Weight._surd(half, square, -1, imaginary, -offset),
+        Weight._surd(half, square, sign, imaginary, root, nu.exact),
+        Weight._surd(half, square, -sign, imaginary, root, nu.exact),
     )
 
 
@@ -454,30 +453,33 @@ def eta(n: int, x):
     """eta(x) = x*(x + n - 2) over the complex plane.
 
     Accepts a Weight or a bare scalar-like value.  Returns a Scalar when the
-    result is real, otherwise a (real, imag) pair of Scalars.  On a branch
-    weight a = base, eta = a(a+n-2) -+ square + offset*(2a+n-2), so the round
-    trip eta(xi_pm(nu)) == nu is exact for every rational nu, including
-    irrational and imaginary radicals.  The eta of a real irrational weight
-    is the surd a(a+n-2) + square + sign*(2a+n-2)*sqrt(square), rounded once.
+    result is real, otherwise a (real, imag) pair of Scalars, each exact
+    when x is of exact provenance and the value is rational.  On a branch
+    weight a = base, eta = a(a+n-2) -+ square + sign*sqrt(square)*(2a+n-2),
+    so the round trip eta(xi_pm(nu)) == nu is exact for every rational nu,
+    including irrational and imaginary radicals.  An irrational part is
+    the surd rounded once.
     """
     check_dimension(n)
     if not isinstance(x, Weight):
         x = Weight(Scalar.wrap(x))
-    a = x.base
-    if x.sign == 0:
-        return a * (a + (n - 2))
-    if not (x.imaginary or _irrational(x)):
-        root = a + x.offset
-        return root * (root + (n - 2))
-    cross = a + a + (n - 2)
-    if x.imaginary:
-        re = a * (a + (n - 2)) - x.square
-        return re if cross.is_zero() else (re, x.offset * cross)
-    c = a * (a + (n - 2)) + x.square
-    if cross.is_zero():
-        return c
+    a, exact = x.base, x.exact
+    if not x.imaginary and x.root is not None:
+        r = a + x.sign * x.root
+        return _raw(rational(r * (r + n - 2)), exact)
+    cross = a + a + n - 2
     sign = x.sign if cross > 0 else -x.sign
-    return _raw(round_surd(c.value, sign, (x.square * cross * cross).value), False)
+    if x.imaginary:
+        re = _raw(rational(a * (a + n - 2) - x.square), exact)
+        if not cross:
+            return re
+        if x.root is None:
+            return re, _raw(round_surd(0, sign, x.square * cross * cross), False)
+        return re, _raw(rational(x.sign * x.root * cross), exact)
+    c = rational(a * (a + n - 2) + x.square)
+    if not cross:
+        return _raw(c, exact)
+    return _raw(round_surd(c, sign, x.square * cross * cross), False)
 
 
 def dual_weight(n: int, x: Weight) -> Weight:
@@ -487,7 +489,7 @@ def dual_weight(n: int, x: Weight) -> Weight:
     The dual shares the radical of x with the opposite sign.
     """
     check_dimension(n)
-    return Weight._surd(Scalar(2 - n) - x.base, x.square, -x.sign, x.imaginary, -x.offset, x.log_factor)
+    return Weight._surd(2 - n - x.base, x.square, -x.sign, x.imaginary, x.root, x.exact, x.log_factor)
 
 
 def resonance_pair(n: int) -> Tuple[Weight, Weight]:

@@ -112,15 +112,12 @@ class OdeCheck(NamedTuple):
     branch: str                 # "plus" | "minus" | "log"
     exponent: Fraction
     exact_zero: bool
-    fd_residual: Optional[float]
+    fd_residual: float
     coefficient_note: str = COEFFICIENT_NOTE
 
     @property
     def passed(self) -> bool:
-        ok = self.exact_zero
-        if self.fd_residual is not None:
-            ok = ok and self.fd_residual <= 1e-6
-        return ok
+        return self.exact_zero and self.fd_residual <= 1e-6
 
 
 def _profile(n: int, nu: Fraction, branch: str) -> Tuple[Fraction, RadialLogPoly]:
@@ -146,11 +143,10 @@ def ode_residual(
     branch: str = "plus",
     r_samples: Iterable[float] = (1.0,),
     fd_step: float = 1e-4,
-    with_fd: bool = True,
 ) -> OdeCheck:
     """Exact residual of the conical operator on the chosen branch profile.
 
-    The symbolic residual must be identically zero.  In float mode a central
+    The symbolic residual must be identically zero.  A central
     finite-difference residual at each sample radius cross-checks the
     symbolic computation; the maximum is reported.
     """
@@ -158,19 +154,17 @@ def ode_residual(
     nu = Fraction(nu)
     exponent, u = _profile(n, nu, branch)
     residual = conical_apply(n, nu, u)
-    fd = None
-    if with_fd:
-        fd = 0.0
-        for r in r_samples:
-            if r <= fd_step:
-                raise ValueError("sample radius must exceed the step")
-            up = u.evaluate(r + fd_step)
-            u0 = u.evaluate(r)
-            um = u.evaluate(r - fd_step)
-            d2 = (up - 2.0 * u0 + um) / fd_step**2
-            d1 = (up - um) / (2.0 * fd_step)
-            value = -d2 - (n - 1) / r * d1 + float(nu) / r**2 * u0
-            fd = max(fd, abs(value))
+    fd = 0.0
+    for r in r_samples:
+        if r <= fd_step:
+            raise ValueError("sample radius must exceed the step")
+        up = u.evaluate(r + fd_step)
+        u0 = u.evaluate(r)
+        um = u.evaluate(r - fd_step)
+        d2 = (up - 2.0 * u0 + um) / fd_step**2
+        d1 = (up - um) / (2.0 * fd_step)
+        value = -d2 - (n - 1) / r * d1 + float(nu) / r**2 * u0
+        fd = max(fd, abs(value))
     return OdeCheck(
         n=n,
         nu=nu,
@@ -181,7 +175,7 @@ def ode_residual(
     )
 
 
-def default_grid(min_cases: int = 50) -> list:
+def default_grid() -> list:
     """A deterministic grid of (n, nu, branch) with rational exponents.
 
     Eigenvalues are generated as eta(xi) for rational xi so the symbolic
@@ -206,6 +200,4 @@ def default_grid(min_cases: int = 50) -> list:
             nu = xi * (xi + n - 2)
             branch = "plus" if 2 * xi >= 2 - n else "minus"
             out.append((n, nu, branch))
-        if len(out) >= min_cases:
-            break
     return out

@@ -26,7 +26,18 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .core import DEFAULT_EPSILON, Record, Scalar, Weight, check_dimension, dual_weight, eta, xi_pair
+from .core import (
+    DEFAULT_EPSILON,
+    Record,
+    Scalar,
+    Weight,
+    check_dimension,
+    dual_weight,
+    eta,
+    exact_sorted,
+    rational,
+    xi_pair,
+)
 from .errors import UnknownMultiplicity
 from .links import LinkSpectrum, SpectrumMode
 
@@ -126,14 +137,14 @@ class IndicialRoot(NamedTuple):
 
 
 def _mu_indices(link: LinkSpectrum):
-    """Pair mu entries with indices following the paper's convention.
+    """(index, mu, mu + 1) for each mu entry, mu + 1 with the provenance of mu.
 
     mu is counted from 0 exactly when the link has Killing fields (so that
     mu_0 = n-2), otherwise from 1.
     """
     start = 0 if link.has_killing_fields else 1
     return [
-        (start + j, entry.value)
+        (start + j, entry.value, Scalar(rational(entry.value.value) + 1, entry.value.exact))
         for j, entry in enumerate(link.coclosed_one_form.entries)
     ]
 
@@ -164,8 +175,8 @@ def box1_spectrum(link: LinkSpectrum, *, lambdas=None) -> List[TangentialEigenva
     if lambdas is None:
         lambdas = lambda_branches(link)
     out: List[TangentialEigenvalue] = []
-    for idx, mu in _mu_indices(link):
-        out.append(TangentialEigenvalue(mu + 1, Box1Family.ONE_FORM_SHIFT, idx, mu))
+    for idx, mu, mu_plus_one in _mu_indices(link):
+        out.append(TangentialEigenvalue(mu_plus_one, Box1Family.ONE_FORM_SHIFT, idx, mu))
     for idx, lam, (plus, minus) in lambdas:
         out.append(
             TangentialEigenvalue(eta(n, plus - 1), Box1Family.SCALAR_L1_PLUS, idx, lam)
@@ -212,8 +223,8 @@ def boxL_spectrum(link: LinkSpectrum, *, lambdas=None) -> List[TangentialEigenva
     out: List[TangentialEigenvalue] = []
     for idx, kappa in enumerate(link.tt_einstein.entries, start=1):
         out.append(TangentialEigenvalue(kappa.value, BoxLFamily.TT_KAPPA, idx, kappa.value))
-    for idx, mu in _mu_indices(link):
-        pair = plus, minus = xi_pair(n, mu + 1)
+    for idx, mu, mu_plus_one in _mu_indices(link):
+        pair = plus, minus = xi_pair(n, mu_plus_one)
         killing = mu == n - 2
         out.append(
             TangentialEigenvalue(
@@ -327,10 +338,14 @@ def _roots_for(entry: TangentialEigenvalue, n: int) -> List[IndicialRoot]:
 
 
 def indicial_roots(table: List[TangentialEigenvalue], n: int) -> List[IndicialRoot]:
-    """The sorted indicial roots of the kept entries of a box_L table."""
+    """The indicial roots of the kept entries of a box_L table, in exact order.
+
+    Sorted by weight (real part, then imaginary part), then family, source
+    index and shift: on the views first, then each run of equal real views
+    by exact value (``exact_sorted``).
+    """
     roots = [root for entry in table if not entry.dropped for root in _roots_for(entry, n)]
-    roots.sort(key=IndicialRoot.sort_key)
-    return roots
+    return exact_sorted(roots, IndicialRoot.sort_key, lambda root: root.weight.surds())
 
 
 def indicial_set_full(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:

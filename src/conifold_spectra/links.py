@@ -214,14 +214,13 @@ def _harmonic_dim(n: int, i: int) -> int:
     return math.comb(n + i - 1, n - 1) - math.comb(n + i - 3, n - 1)
 
 
-def sphere_link(n: int, include_muspec: bool = True, count: int = 8) -> LinkSpectrum:
+def sphere_link(n: int, count: int = 8) -> LinkSpectrum:
     """The round sphere S^{n-1} with Ric = (n-2)g.
 
     lambda_i = i(i+n-2) with the classical harmonic-polynomial
     multiplicities, kappa_i = (i+1)(i+n-1).  The coclosed 1-form spectrum
-    mu_k = (k+1)(k+n-3) - (n-2) is derived (not quoted) data and is only
-    generated when ``include_muspec`` is set; its first entry is the Killing
-    value n-2.
+    mu_k = (k+1)(k+n-3) - (n-2) is derived (not quoted) data; its first
+    entry is the Killing value n-2.
     """
     check_dimension(n, minimum=4)
     lam_entries = tuple(
@@ -232,13 +231,10 @@ def sphere_link(n: int, include_muspec: bool = True, count: int = 8) -> LinkSpec
         EigenvalueEntry(Scalar((i + 1) * (i + n - 1)), None)
         for i in range(1, count + 1)
     )
-    if include_muspec:
-        mu_entries = tuple(
-            EigenvalueEntry(Scalar((k + 1) * (k + n - 3) - (n - 2)), None)
-            for k in range(1, count + 1)
-        )
-    else:
-        mu_entries = (EigenvalueEntry(Scalar(n - 2), None),)
+    mu_entries = tuple(
+        EigenvalueEntry(Scalar((k + 1) * (k + n - 3) - (n - 2)), None)
+        for k in range(1, count + 1)
+    )
     return LinkSpectrum(
         n=n,
         name=f"round sphere S^{n - 1}",
@@ -250,9 +246,7 @@ def sphere_link(n: int, include_muspec: bool = True, count: int = 8) -> LinkSpec
     )
 
 
-def sphere_quotient_link(
-    n: int, gamma_nontrivial: bool = True, include_muspec: bool = True, count: int = 8
-) -> LinkSpectrum:
+def sphere_quotient_link(n: int, gamma_nontrivial: bool = True, count: int = 8) -> LinkSpectrum:
     """A space form S^{n-1}/Gamma in upper-bound-set mode.
 
     The quotient spectra are subsets of the sphere spectra; when Gamma is
@@ -260,7 +254,7 @@ def sphere_quotient_link(
     multiplicities are known, so all multiplicities are marked unknown.  The
     trivial quotient is the round sphere itself.
     """
-    base = sphere_link(n, include_muspec=include_muspec, count=count)
+    base = sphere_link(n, count=count)
     if not gamma_nontrivial:
         return base
 

@@ -30,8 +30,7 @@ module-level functions are views of its stages.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
-from itertools import groupby
+from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -40,9 +39,10 @@ from .core import (
     Scalar,
     check_dimension,
     critical_eigenvalue,
+    exact_sorted,
+    rational,
     real_surd,
     resonance_pair,
-    surd_cmp,
     surd_sign,
 )
 from .errors import EmptyRateSet, InsufficientSpectrum, NonTerminating
@@ -80,21 +80,9 @@ class RateElement(NamedTuple):
         return surd_sign(*self.surd())
 
 
-def _exact_order(a: RateElement, b: RateElement) -> int:
-    return surd_cmp(a.surd(), b.surd()) or (a.part > b.part) - (a.part < b.part)
-
-
 def _by_value(elements: List[RateElement]) -> List[RateElement]:
-    """Sort by exact value, then part: on the views, then each run of equal views exactly.
-
-    A view is the correctly rounded double of the value, and rounding is
-    monotone, so only a run of equal views can be out of exact order.
-    """
-    out: List[RateElement] = []
-    ordered = sorted(elements, key=lambda el: (float(el.value), el.part))
-    for _, run in groupby(ordered, key=lambda el: float(el.value)):
-        out += sorted(run, key=cmp_to_key(_exact_order))
-    return out
+    """Sort by exact value, then part: on the views, then each run of equal views exactly."""
+    return exact_sorted(elements, lambda el: (float(el.value), el.part), lambda el: (el.surd(),))
 
 
 class RateSet(Record):
@@ -499,16 +487,16 @@ def bootstrap_decay(alpha0, epsilon, target) -> List[Scalar]:
     The step gains alpha_k - 2*epsilon each round, so progress requires
     alpha0 > 2*epsilon; otherwise NonTerminating is raised.
     """
-    a = Scalar.wrap(alpha0)
-    e = Scalar.wrap(epsilon)
-    t = Scalar.wrap(target)
-    if not a > 0 or not e > 0:
+    a, e = Scalar.wrap(alpha0), Scalar.wrap(epsilon)
+    alpha, step, goal = rational(a.value), rational(e.value), rational(Scalar.wrap(target).value)
+    if not alpha > 0 or not step > 0:
         raise ValueError("alpha0 and epsilon must be positive")
-    if not a > e + e:
+    if not alpha > 2 * step:
         raise NonTerminating(
-            f"alpha0 = {a} <= 2*epsilon = {e + e}: the iteration cannot progress"
+            f"alpha0 = {a} <= 2*epsilon = {Scalar(2 * step, e.exact)}: the iteration cannot progress"
         )
     out = [a]
-    while out[-1] < t:
-        out.append(out[-1] * 2 - e * 2)
+    while alpha < goal:
+        alpha = 2 * alpha - 2 * step
+        out.append(Scalar(alpha, a.exact and e.exact))
     return out

@@ -138,24 +138,25 @@ def build_report(link: LinkSpectrum, options: Optional[ReportOptions] = None) ->
 
 
 def _root_sets(report: Report, entry) -> List[Tuple[int, list]]:
-    """(size, [entry(root) for each shown root]) for E_L, E_B and E, in order.
-
-    E_B and E list E_L's root objects again; ``entry`` runs once per
-    distinct root, and the memo lives only as long as this call.
-    """
+    """(size, [entry(root) for each shown root]) for E_L, E_B and E, in order."""
     limit = report.options.max_roots
+    return [
+        (len(roots), [entry(root) for root in (roots if limit is None else roots[:limit])])
+        for roots in (report.roots_full, report.roots_bianchi, report.roots_essential)
+    ]
+
+
+def _once(entry):
+    """``entry`` memoized by root identity: E_B and E list E_L's root objects again."""
     memo: Dict[int, object] = {}
-    sets = []
-    for roots in (report.roots_full, report.roots_bianchi, report.roots_essential):
-        shown = roots if limit is None else roots[:limit]
-        rows = []
-        for root in shown:
-            row = memo.get(id(root))
-            if row is None:
-                row = memo[id(root)] = entry(root)
-            rows.append(row)
-        sets.append((len(roots), rows))
-    return sets
+
+    def run(root):
+        row = memo.get(id(root))
+        if row is None:
+            row = memo[id(root)] = entry(root)
+        return row
+
+    return run
 
 
 def end_order_line(r: EndOrderReport) -> str:
@@ -213,7 +214,7 @@ def render_text(report: Report) -> str:
         lines.extend(_tangential_row(entry) for entry in table)
     for title, (count, rows) in zip(
         ("E_L (all indicial roots)", "E_B (Bianchi-gauge roots)", "E (essential roots)"),
-        _root_sets(report, _root_row),
+        _root_sets(report, _once(_root_row)),
     ):
         lines.append("")
         lines.append(f"{title}: {count} roots" + ("" if opts.max_roots is None else f" (showing {len(rows)})"))
@@ -285,7 +286,7 @@ def _root_json(root: IndicialRoot) -> Dict:
 
 
 def report_dict(report: Report) -> Dict:
-    return _report_tree(report, _root_json, _tangential_json)
+    return _report_tree(report, _once(_root_json), _tangential_json)
 
 
 def _report_tree(report: Report, root_entry, tangential_entry) -> Dict:
@@ -489,7 +490,7 @@ def render_csv(report: Report) -> str:
     for r in report.end_orders:
         rows.append(("end", r.end_kind.value, end_order_line(r)))
     out = [",".join(_csv_escape(cell) for cell in row) for row in rows]
-    for name, (_count, cells) in zip(("EL", "EB", "E"), _root_sets(report, _root_cell)):
+    for name, (_count, cells) in zip(("EL", "EB", "E"), _root_sets(report, _once(_root_cell))):
         out.extend(f"{name},{i},{cell}" for i, cell in enumerate(cells))
     return "\n".join(out) + "\n"
 

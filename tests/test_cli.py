@@ -488,6 +488,21 @@ def test_tiny_kappa_weights_are_signed_exactly(tmp_path, capsys, sign):
         assert "CS order = ~2.5000000000000002e-31" in out and "CS order = 2" not in out
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_tiny_kappa_roots_are_listed_in_exact_order(tmp_path, capsys, sign):
+    # kappa = +-10^-30 at n = 6: xi_minus(kappa) = -2 - sqrt(4 + kappa) is
+    # -4 -+ 2.5e-31, whose view -4.0 ties with the exact -4 roots; the exact
+    # value orders the tie, and the family only orders equal values
+    kappa = f"{sign}1/1{'0' * 30}"
+    code, out, err = _report(tmp_path, capsys, _doc_with_tt([kappa, "12"]))
+    assert code == 0, err
+    table = out.split("E_L (all indicial roots)")[1].split("\n\n")[0].splitlines()[1:]
+    fours = [line.split()[:2] for line in table if line.split()[0] in ("-4", "~-4")]
+    exact = [["-4", "Scalar-lambda2-plus"], ["-4", "Special-zero"]]
+    tiny = [["~-4", "TT-kappa"]]
+    assert fours == (exact + tiny if sign else tiny + exact)
+
+
 def _n1000_document(kappa):
     # the float kappa is far above epsilon but below half an ulp of
     # (n-2)^2/4 = 249001, so a double add would absorb it

@@ -21,7 +21,7 @@ from conifold_spectra import (
     xi_pair,
 )
 
-from conifold_spectra.core import real_surd, round_surd, surd_cmp, surd_sign
+from conifold_spectra.core import rational_sqrt, real_surd, round_surd, surd_cmp, surd_sign
 from conifold_spectra.links import EigenvalueEntry, LinkSpectrum, SpectrumList, snap_to_thresholds
 from oracles import branch_pair, eta_of
 
@@ -194,12 +194,16 @@ def test_scalar_threshold_comparison_epsilon():
     assert snapped_kappa(nearly, eps=1e-14) > Fraction(-1)
 
 
-def test_scalar_sqrt_paths():
-    assert Scalar(Fraction(9, 4)).sqrt().value == Fraction(3, 2)
-    irr = Scalar(2).sqrt()
-    assert not irr.exact
+def test_discriminant_root_paths():
+    # the square root of a discriminant is taken once: a rational root is
+    # kept exactly, an irrational one is None and its views are rounded once
+    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2) and rational_sqrt(2) is None
+    assert xi_pair(4, Scalar(Fraction(5, 4)))[0].root == Fraction(3, 2)  # disc = 9/4
+    irr = xi_pair(4, Scalar(1))[0]  # disc = 2
+    assert irr.root is None and not irr.real.exact
+    assert round_surd(0, 1, Fraction(9, 4)) == 1.5
     with pytest.raises(ValueError):
-        Scalar(-1).sqrt()
+        round_surd(0, 1, -1)
 
 
 def _nearest_double_to_surd(view, c, s, q):
@@ -215,7 +219,7 @@ def test_float_views_are_double_precision():
     # nearest its exact value: xi_plus = -2 + sqrt(7) is rounded once, not
     # as the double sum -2.0 + fl(sqrt(7)).
     plus, minus = xi_pair(6, Scalar(3))
-    root = Scalar(7).sqrt().value
+    root = round_surd(0, 1, 7)
     assert type(root) is float and _nearest_double_to_surd(root, 0, 1, 7)
     for weight, sign in ((plus, 1), (minus, -1)):
         assert type(weight.real.value) is float
@@ -230,9 +234,10 @@ def test_shifted_view_is_the_view_plus_the_shift():
     _, minus = xi_pair(10, Scalar(Fraction(319, 27)))
     shifted = minus + 2
     assert shifted.base == minus.base + 2
-    assert (shifted.square, shifted.sign, shifted.offset) == (minus.square, minus.sign, minus.offset)
+    radical = ("square", "sign", "root", "exact")
+    assert [getattr(shifted, a) for a in radical] == [getattr(minus, a) for a in radical]
     assert _nearest_double_to_surd(shifted.real.value, -2, -1, Fraction(751, 27))
-    assert shifted.real.value - (minus.real + 2).value == math.ulp(shifted.real.value)
+    assert shifted.real.value - (Fraction(minus.real.value) + 2) == math.ulp(shifted.real.value)
     # eta(x) = x(x + 8) = -12 + q - 4*sqrt(q) for x = -2 - sqrt(q), q = 751/27,
     # about -5.281086138617750944488641939069273753360, rounded once
     value = eta(10, shifted)
@@ -256,7 +261,9 @@ def test_a_float_with_a_square_discriminant_keeps_the_exact_formulas():
 def test_float_path_has_no_negative_zero():
     # A float view is never -0.0, so it renders as 0 in every format, "~0" in text.
     zero = Scalar(0.0, exact=False)
-    for value in (-zero, zero * -2, zero / Scalar(-3), Scalar(-0.0, exact=False), Scalar.parse(-0.0)):
+    plus, minus = xi_pair(4, Scalar(-0.0, exact=False))  # 0 and -2
+    views = (plus.real, -plus.real, dual_weight(4, minus).real, (minus + 2).real, eta(4, plus), eta(4, zero))
+    for value in (-zero, *views, Scalar(-0.0, exact=False), Scalar.parse(-0.0)):
         assert not value.exact and math.copysign(1.0, value.value) == 1.0
         assert str(value) == "~0"
 
@@ -267,29 +274,29 @@ def _assert_normal(value):
 
 
 def test_integral_exact_values_are_ints():
-    half = Scalar(Fraction(1, 2))
+    half = Weight(Scalar(Fraction(1, 2)))
     values = [
         Scalar(Fraction(4, 2)),
         Scalar(True),
         Scalar(0.5, exact=True),
         Scalar.parse("6/3"),
         Scalar.parse("1/3"),
-        half + half,
-        half * Scalar(4),
-        Scalar(6) / Scalar(3),
-        Scalar(1) / Scalar(2),
-        Scalar(9).sqrt(),
-        Scalar(Fraction(9, 4)).sqrt(),
+        (half + Fraction(1, 2)).real,
+        weight_pair_sum(half, half),
+        weight_pair_product(half, Weight(Scalar(4))),
+        eta(5, half - Fraction(1, 2)),
+        discriminant(3, Scalar(Fraction(3, 4))),
+        xi_pair(4, Scalar(8))[0].real,
+        xi_pair(4, Scalar(Fraction(5, 4)))[0].real,
         -Scalar(Fraction(8, 4)),
     ]
     for s in values:
         assert s.exact
         _assert_normal(s.value)
-    assert (Scalar(6) / Scalar(4)).value == Fraction(3, 2)
-    assert type((Scalar(6) / Scalar(3)).value) is int
-    for plus, minus in (xi_pair(6, Scalar(12)), xi_pair(5, Scalar(4))):
-        for s in (plus.real, minus.real, plus.base, plus.square, plus.offset):
-            _assert_normal(s.value)
+    assert weight_pair_sum(half, half).value == 1 and discriminant(3, Scalar(Fraction(3, 4))).value == 1
+    for plus, minus in (xi_pair(6, Scalar(12)), xi_pair(5, Scalar(4)), xi_pair(4, Scalar(Fraction(5, 4)))):
+        for value in (plus.real.value, minus.real.value, plus.base, plus.square, plus.root):
+            _assert_normal(value)
 
 
 def test_int_values_keep_every_fraction_view():

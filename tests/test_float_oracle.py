@@ -4,8 +4,8 @@ A float input is its exact binary rational, and every shown value is one
 rounding of an exact value; these properties pin it to the correctly
 rounded values, bit for bit:
 
-* ``Scalar.sqrt`` of an irrational is ``mpmath.sqrt`` at 120 digits,
-  rounded to the nearest double;
+* ``round_surd(0, 1, q)``, the rounded square root, is ``mpmath.sqrt``
+  at 120 digits, rounded to the nearest double;
 * every real and imaginary view of a branch weight, of its shifts and of
   its dual is the 400-digit value of the exact weight rounded to the
   nearest double, a float input counting as its exact binary rational;
@@ -24,6 +24,7 @@ import mpmath
 from hypothesis import example, given, settings, strategies as st
 
 from conifold_spectra import DEFAULT_EPSILON, LinkAnalysis, Scalar, dual_weight, load_spectrum, xi_pair
+from conifold_spectra.core import rational_sqrt, round_surd
 
 ORACLE_SETTINGS = settings(max_examples=400, deadline=None)
 
@@ -76,11 +77,10 @@ def _oracle_sqrt(value) -> float:
 @example(14220629755558932422102392407796305152590084346802684543972660330433095439220701, 17180131329)
 def test_sqrt_of_rationals_is_correctly_rounded(p, q):
     value = Fraction(p, q)
-    root = Scalar(value).sqrt()
-    if root.exact:
-        assert root.value * root.value == value
-    else:
-        assert root.value == _oracle_sqrt(value)
+    root = rational_sqrt(value)
+    if root is not None:
+        assert root * root == value
+    assert round_surd(0, 1, value) == _oracle_sqrt(value)
 
 
 @ORACLE_SETTINGS
@@ -89,7 +89,7 @@ def test_sqrt_of_rationals_is_correctly_rounded(p, q):
 @example(5e-324)
 @example(1.7976931348623157e308)
 def test_sqrt_of_floats_is_correctly_rounded(x):
-    assert Scalar(x, exact=False).sqrt().value == _oracle_sqrt(x)
+    assert round_surd(0, 1, x) == _oracle_sqrt(x)
 
 
 @st.composite
@@ -266,7 +266,8 @@ def test_float_provenance_rationals_are_rounded_once(p, q):
     value = Fraction(p, q)  # in lowest terms
     with mpmath.workdps(120):
         expected = _double(mpmath.mpf(value.numerator) / value.denominator)
-    for s in (Scalar(value, exact=False), Scalar(value) + Scalar(0.0, exact=False)):
+    zero = xi_pair(4, Scalar(0.0, exact=False))[0]  # xi_plus(0) = 0, of float provenance
+    for s in (Scalar(value, exact=False), (zero + value).real):
         assert not s.exact and s == value and s.value == value
         assert float(s) == float(value) == expected
 

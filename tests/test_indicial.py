@@ -3,7 +3,9 @@
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conifold_spectra import (
     Box1Family,
@@ -25,6 +27,7 @@ from conifold_spectra import (
 )
 
 from oracles import branch_pair, brute_bianchi_weights, brute_full_weights, eta_of
+from test_rates import synthetic_link
 
 
 def _values(entries, family):
@@ -249,7 +252,7 @@ def test_root_shift_reconstruction():
             assert eta(5, w) == root.source_value
         elif fam in (BoxLFamily.MU_PLUS, BoxLFamily.MU_MINUS):
             shifted = w - root.shift
-            assert eta(5, shifted) == root.source_value + 1
+            assert eta(5, shifted) == root.source_value.value + 1
         elif fam in (BoxLFamily.LAMBDA2_PLUS, BoxLFamily.LAMBDA2_MINUS):
             shifted = w - root.shift
             assert eta(5, shifted) == root.source_value
@@ -261,7 +264,7 @@ def test_branch_and_shift_provenance():
     link = sphere_link(4, count=3)
     for root in indicial_set_full(link):
         if root.family is BoxLFamily.MU_PLUS:
-            base = xi_pair(4, root.source_value + 1)[0 if root.branch == "+" else 1]
+            base = xi_pair(4, root.source_value.value + 1)[0 if root.branch == "+" else 1]
             assert root.weight.real == (base + root.shift).real
         if root.family is BoxLFamily.LAMBDA2_MINUS:
             base = xi_pair(4, root.source_value)[0 if root.branch == "+" else 1]
@@ -296,3 +299,54 @@ def test_eigenspace_dimensions():
     qdirect = [e for e in qtable if e.family is BoxLFamily.LAMBDA_DIRECT][0]
     with pytest.raises(UnknownMultiplicity):
         eigenspace_dimension(qdirect, quotient)
+
+
+@st.composite
+def near_tie_links(draw):
+    """A link whose kappas lie within 10^-8..10^-40 of eta(x) for an integer x, or on it.
+
+    Their weights then lie within a rounding of the integer weights of the
+    other families (or of -(n-2)/2, below the window), so views tie.
+    """
+    n = draw(st.integers(4, 8))
+    kappas = set()
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.integers(-(n + 2), 4))
+        offset = draw(st.one_of(st.just(0), st.builds(
+            lambda sign, k: Fraction(sign, 10**k), st.sampled_from((1, -1)), st.integers(8, 40)
+        )))
+        kappas.add(x * (x + n - 2) + offset)
+    return n, synthetic_link(n, sorted(kappas), mus=[Fraction(n - 2), Fraction(2 * n - 1)])
+
+
+def _oracle_weight(root, n):
+    """(Re, Im) of xi_branch(input) + shift at the working precision, from the provenance alone."""
+    nu = root.source_value.as_fraction()  # 0 for the special families
+    if root.family in (BoxLFamily.MU_PLUS, BoxLFamily.MU_MINUS):
+        nu += 1
+    disc = Fraction((n - 2) ** 2, 4) + nu
+    radical = mpmath.sqrt(mpmath.mpf(abs(disc).numerator) / abs(disc).denominator)
+    sign = 1 if root.branch == "+" else -1
+    real = mpmath.mpf(2 - n) / 2 + root.shift
+    return (real, sign * radical) if disc < 0 else (real + sign * radical, mpmath.mpf(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_tie_links())
+def test_root_order_matches_a_120_digit_sort(case):
+    # E_L is ordered by exact weight (real part, then imaginary part), and
+    # equal weights by family, source index and shift
+    n, link = case
+    roots = indicial_set_full(link)
+    with mpmath.workdps(120):
+        tie = mpmath.mpf(10) ** -100
+
+        def cmp(x, y):
+            return 0 if abs(x - y) < tie else (1 if x > y else -1)
+
+        for a, b in zip(roots, roots[1:]):
+            (ra, ia), (rb, ib) = _oracle_weight(a, n), _oracle_weight(b, n)
+            order = cmp(ra, rb) or cmp(ia, ib)
+            assert order < 0 or (
+                order == 0 and (a.family.value, a.source_index, a.shift) <= (b.family.value, b.source_index, b.shift)
+            ), (a, b)

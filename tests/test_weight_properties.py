@@ -14,6 +14,7 @@
   same document written as "p/q" strings.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -152,11 +153,50 @@ def test_equal_weights_hash_alike(n, nu, k, j):
         plus, minus = xi_pair(n, value)
         assert (plus + k) - k == plus and dual_weight(n, minus) == plus
         weights += [plus, minus, (plus + k) - k, dual_weight(n, minus), dual_weight(n, minus + k)]
-        weights += [Weight(plus.real, plus.imag), Weight(minus.real + k)]
+        weights += [Weight(plus.real, plus.imag), Weight(minus.real) + k]
     for a in weights:
         for b in weights:
             if a == b:
                 assert hash(a) == hash(b)
+
+
+@st.composite
+def sources(draw):
+    """(n, nu): nu exact or a float, its discriminant a square or (mostly) not."""
+    n = draw(st.integers(3, 12))
+    x = draw(rationals)
+    nu = draw(st.sampled_from((x, x * (x + n - 2))))  # eta(x) has a square discriminant
+    return n, draw(st.sampled_from((Scalar(nu), Scalar(float(nu), exact=False))))
+
+
+def _is_square(q):
+    return all(math.isqrt(m) ** 2 == m for m in (q.numerator, q.denominator))
+
+
+@PROPERTY_SETTINGS
+@given(sources(), st.integers(-3, 3))
+def test_a_view_is_exact_iff_its_source_is_exact_and_it_is_rational(case, k):
+    # every weight below is -(n-2)/2 + shift +- sqrt(disc); its real part is
+    # rational when the radical is (or lies on the imaginary axis), and
+    # eta = a(a+n-2) -+ disc + 2*shift*(+-sqrt(disc)) when shift != 0
+    n, source = case
+    disc = Fraction((n - 2) ** 2, 4) + source.as_fraction()
+    rational_root = _is_square(abs(disc))
+    plus, minus = xi_pair(n, source)
+    shifted = ((plus, 0), (minus, 0), (plus + k, k), (minus - k, -k))
+    duals = ((dual_weight(n, plus), 0), (dual_weight(n, minus + k), -k))
+    for weight, shift in shifted + duals:
+        views = [(weight.real, disc < 0 or rational_root)]
+        if disc < 0:  # the imaginary part of a real weight is the constant 0
+            views.append((weight.imag, rational_root))
+        value = eta(n, weight)
+        assert isinstance(value, tuple) == (disc < 0 and shift != 0)
+        re, im = value if isinstance(value, tuple) else (value, None)
+        views.append((re, disc < 0 or rational_root or shift == 0))
+        if im is not None:
+            views.append((im, rational_root))
+        for view, rational in views:
+            assert view.exact == (source.exact and rational), (weight, view)
 
 
 def _exact_value(s):
