@@ -2,15 +2,12 @@
 
 From a link's (lambda, mu, kappa) data this module assembles the spectrum of
 the tangential operator of the connection Laplacian on 1-forms (box_1) and
-of the Lichnerowicz Laplacian (box_L), applying the degenerate-case drop
-rules:
-
-  * the constant function contributes nothing on the plus branch,
-  * a Killing 1-form (mu = n-2) kills the shifted plus branch,
-  * on the round sphere the Obata equality lambda_1 = n-1 kills the
-    doubly-shifted plus branch.
-
-Every drop is recorded with a machine-readable reason; nothing is silent.
+of the Lichnerowicz Laplacian (box_L).  One table, ``_KEPT``, gives each
+family the (branch, shift) of its kept weight xi_branch(input) + shift; the
+input is kappa, mu+1 or lambda, and the constant function is lambda_0 = 0.
+An entry's value is eta of its kept weight, or the input itself.  The
+constant function, a Killing 1-form and the Obata equality drop entries
+(``_drop``), each with a machine-readable reason; nothing is silent.
 
 The indicial roots of the Lichnerowicz Laplacian are then emitted with full
 provenance (source eigenvalue, branch, shift) plus two flags: whether the
@@ -32,7 +29,6 @@ from .core import (
     Scalar,
     Weight,
     check_dimension,
-    dual_weight,
     eta,
     exact_sorted,
     rational,
@@ -74,10 +70,11 @@ class TangentialEigenvalue(Record):
     ``source_value`` is the generating link eigenvalue (a lambda, mu or
     kappa); ``value`` is the tangential eigenvalue it produces.  Dropped
     entries record the would-be value together with the reason.
-    ``branches`` is the xi_pair of the family input (mu+1, lambda or a
-    special value) behind a box_L entry, built once and shared by every
-    entry of that input and by its roots; TT entries carry none.  It is a
-    cache, so ``==``, ``hash`` and ``repr`` leave it out.
+    ``branches`` is the xi_pair of the family input (kappa, mu+1 or
+    lambda, 0 for the constant function) behind the entry, built once and
+    shared by every entry of that input and by its roots; every box_L entry
+    carries one, and only box_1's oneform-mu-shift entries carry none.  It
+    is a cache, so ``==``, ``hash`` and ``repr`` leave it out.
     """
 
     _compared = _shown = (
@@ -112,7 +109,7 @@ class IndicialRoot(NamedTuple):
     ``branch`` is the xi-branch of the *source* eigenvalue and ``shift`` the
     additive shift applied to it, so the weight always satisfies
     weight == xi_branch(source eigenvalue input) + shift, where the input is
-    kappa, mu+1 or lambda according to the family.
+    kappa, mu+1 or lambda according to the family (0 for the specials).
     """
 
     weight: Weight
@@ -130,33 +127,120 @@ class IndicialRoot(NamedTuple):
         return (
             float(self.weight.real),
             float(self.weight.imag),
-            self.family.value,
+            self.family,
             self.source_index,
             self.shift,
         )
 
 
-def _mu_indices(link: LinkSpectrum):
-    """(index, mu, mu + 1) for each mu entry, mu + 1 with the provenance of mu.
+# Family -> (branch, shift) of its kept weight.  Its roots are the kept
+# weight, gauge-compatible, and its dual 2 - n - kept (the other branch, the
+# opposite shift), which is not; both are Lie derivatives.  None: the value is
+# the input, and both unshifted roots are gauge-compatible, not Lie derivatives.
+_KEPT = {
+    Box1Family.ONE_FORM_SHIFT: None,
+    Box1Family.SCALAR_L1_PLUS: ("+", -1),
+    Box1Family.SCALAR_L1_MINUS: ("-", -1),
+    BoxLFamily.TT_KAPPA: None,
+    BoxLFamily.MU_PLUS: ("+", -1),
+    BoxLFamily.MU_MINUS: ("-", -1),
+    BoxLFamily.LAMBDA_DIRECT: None,
+    BoxLFamily.LAMBDA2_PLUS: ("+", -2),
+    BoxLFamily.LAMBDA2_MINUS: ("-", -2),
+    BoxLFamily.SPECIAL_ZERO: ("+", 0),
+    BoxLFamily.SPECIAL_2N: ("-", -2),
+}
 
-    mu is counted from 0 exactly when the link has Killing fields (so that
-    mu_0 = n-2), otherwise from 1.
+# box_L family -> (link list, factor, index of its first entry), None for a
+# special; mu's first index (None) depends on the link (``_mu_start``).
+_EIGENSPACE = {
+    BoxLFamily.TT_KAPPA: ("tt_einstein", 1, 1),
+    BoxLFamily.MU_PLUS: ("coclosed_one_form", 1, None),
+    BoxLFamily.MU_MINUS: ("coclosed_one_form", 1, None),
+    BoxLFamily.LAMBDA_DIRECT: ("scalar", 2, 0),
+    BoxLFamily.LAMBDA2_PLUS: ("scalar", 1, 0),
+    BoxLFamily.LAMBDA2_MINUS: ("scalar", 1, 0),
+    BoxLFamily.SPECIAL_ZERO: None,
+    BoxLFamily.SPECIAL_2N: None,
+}
+
+# (drop reason, note) of the constant function's entries
+_CONSTANT = {
+    Box1Family.SCALAR_L1_MINUS: (None, "eigenspace spanned by dr"),
+    Box1Family.SCALAR_L1_PLUS: (DropReason.CONSTANT, None),
+    BoxLFamily.SPECIAL_ZERO: (None, "eigenspace alpha*g-bar"),
+    BoxLFamily.SPECIAL_2N: (None, "eigenspace alpha*(trace-free g-hat)"),
+    BoxLFamily.LAMBDA2_PLUS: (DropReason.CONSTANT, None),
+}
+
+
+def _weight(pair: Tuple[Weight, Weight], branch: str, shift: int) -> Weight:
+    """xi_branch + shift, from the branch pair (xi_plus, xi_minus)."""
+    weight = pair[0 if branch == "+" else 1]
+    return weight + shift if shift else weight
+
+
+def _drop(link: LinkSpectrum, family, source: Scalar):
+    """(drop reason, note) of one entry; lambda = n-1 off the round sphere is kept with a note."""
+    if family in _CONSTANT and source.is_zero():
+        return _CONSTANT[family]
+    if family is BoxLFamily.MU_PLUS and source == link.n - 2:
+        return DropReason.KILLING, None
+    if family is BoxLFamily.LAMBDA2_PLUS and source == link.n - 1:
+        if link.is_round_sphere:
+            return DropReason.OBATA, None
+        return None, (
+            "lambda = n-1 on a link not flagged as the round sphere: "
+            "eigentensor possibly vanishing"
+        )
+    return None, None
+
+
+def _spectrum(link: LinkSpectrum, sources) -> List[TangentialEigenvalue]:
+    """One entry per family of each (families, rows) source; a row is (index, source, input, pair)."""
+    n = link.n
+    out: List[TangentialEigenvalue] = []
+    for families, rows in sources:
+        for index, source, value, pair in rows:
+            for family in families:
+                kept = _KEPT[family]
+                reason, note = _drop(link, family, source)
+                out.append(
+                    TangentialEigenvalue(
+                        value if kept is None else eta(n, _weight(pair, *kept)),
+                        family, index, source, reason is not None, reason, note, pair,
+                    )
+                )
+    return out
+
+
+def _mu_start(link: LinkSpectrum) -> int:
+    """mu is counted from 0 (mu_0 = n-2) exactly when the link has Killing fields, else from 1."""
+    return 0 if link.has_killing_fields else 1
+
+
+def _mu_rows(link: LinkSpectrum, branches: bool):
+    """(index, mu, mu + 1, branch pair of mu + 1 if ``branches``); mu + 1 has mu's provenance."""
+    rows = []
+    for idx, entry in enumerate(link.coclosed_one_form.entries, start=_mu_start(link)):
+        plus_one = Scalar(rational(entry.value.value) + 1, entry.value.exact)
+        rows.append((idx, entry.value, plus_one, xi_pair(link.n, plus_one) if branches else None))
+    return rows
+
+
+def _constant(n: int):
+    """The rows of the constant function, lambda_0 = 0."""
+    zero = Scalar(0)
+    return [(0, zero, zero, xi_pair(n, zero))]
+
+
+def lambda_branches(link: LinkSpectrum) -> List[Tuple[int, Scalar, Scalar, Tuple[Weight, Weight]]]:
+    """The rows (index, lambda, lambda, xi_pair(n, lambda)) of every positive lambda.
+
+    box_1, box_L and the roots read these pairs; ``LinkAnalysis`` builds them once.
     """
-    start = 0 if link.has_killing_fields else 1
     return [
-        (start + j, entry.value, Scalar(rational(entry.value.value) + 1, entry.value.exact))
-        for j, entry in enumerate(link.coclosed_one_form.entries)
-    ]
-
-
-def lambda_branches(link: LinkSpectrum) -> List[Tuple[int, Scalar, Tuple[Weight, Weight]]]:
-    """(index, lambda, xi_pair(n, lambda)) for every positive lambda.
-
-    box_1, box_L and the roots all read these pairs; ``LinkAnalysis`` builds
-    them once per link.
-    """
-    return [
-        (j, entry.value, xi_pair(link.n, entry.value))
+        (j, entry.value, entry.value, xi_pair(link.n, entry.value))
         for j, entry in enumerate(link.scalar.entries)
         if not entry.value.is_zero()
     ]
@@ -165,46 +249,18 @@ def lambda_branches(link: LinkSpectrum) -> List[Tuple[int, Scalar, Tuple[Weight,
 def box1_spectrum(link: LinkSpectrum, *, lambdas=None) -> List[TangentialEigenvalue]:
     """spec(box_1): mu_i + 1, eta(xi_pm(lambda_i) - 1) and the radial n-1.
 
-    The constant function only contributes through its minus branch, giving
-    the eigenvalue n-1 with eigenspace spanned by dr; the plus branch is
-    emitted as dropped.  ``lambdas`` is ``lambda_branches(link)`` when the
-    caller already holds it.
+    The constant function contributes eta(xi_-(0) - 1) = n-1, spanned by dr;
+    its plus branch is emitted as dropped.  ``lambdas`` is
+    ``lambda_branches(link)`` when the caller already holds it.
     """
     check_dimension(link.n)
-    n = link.n
     if lambdas is None:
         lambdas = lambda_branches(link)
-    out: List[TangentialEigenvalue] = []
-    for idx, mu, mu_plus_one in _mu_indices(link):
-        out.append(TangentialEigenvalue(mu_plus_one, Box1Family.ONE_FORM_SHIFT, idx, mu))
-    for idx, lam, (plus, minus) in lambdas:
-        out.append(
-            TangentialEigenvalue(eta(n, plus - 1), Box1Family.SCALAR_L1_PLUS, idx, lam)
-        )
-        out.append(
-            TangentialEigenvalue(eta(n, minus - 1), Box1Family.SCALAR_L1_MINUS, idx, lam)
-        )
-    zero = Scalar(0)
-    out.append(
-        TangentialEigenvalue(
-            Scalar(n - 1),
-            Box1Family.SCALAR_L1_MINUS,
-            0,
-            zero,
-            note="eigenspace spanned by dr",
-        )
-    )
-    out.append(
-        TangentialEigenvalue(
-            Scalar(3 - n),
-            Box1Family.SCALAR_L1_PLUS,
-            0,
-            zero,
-            dropped=True,
-            drop_reason=DropReason.CONSTANT,
-        )
-    )
-    return out
+    return _spectrum(link, (
+        ((Box1Family.ONE_FORM_SHIFT,), _mu_rows(link, False)),
+        ((Box1Family.SCALAR_L1_PLUS, Box1Family.SCALAR_L1_MINUS), lambdas),
+        ((Box1Family.SCALAR_L1_MINUS, Box1Family.SCALAR_L1_PLUS), _constant(link.n)),
+    ))
 
 
 def boxL_spectrum(link: LinkSpectrum, *, lambdas=None) -> List[TangentialEigenvalue]:
@@ -213,138 +269,48 @@ def boxL_spectrum(link: LinkSpectrum, *, lambdas=None) -> List[TangentialEigenva
     The drops fire at exact equality; snap a float link first.  Requires
     n >= 4 (link dimension at least 3).  ``lambdas`` is
     ``lambda_branches(link)`` when the caller already holds it.  Every
-    non-TT entry carries the branch pair of its input (``branches``), so the
-    roots are built without recomputing it.
+    entry carries the branch pair of its input, which its roots reuse.
     """
     check_dimension(link.n, minimum=4)
     n = link.n
     if lambdas is None:
         lambdas = lambda_branches(link)
-    out: List[TangentialEigenvalue] = []
-    for idx, kappa in enumerate(link.tt_einstein.entries, start=1):
-        out.append(TangentialEigenvalue(kappa.value, BoxLFamily.TT_KAPPA, idx, kappa.value))
-    for idx, mu, mu_plus_one in _mu_indices(link):
-        pair = plus, minus = xi_pair(n, mu_plus_one)
-        killing = mu == n - 2
-        out.append(
-            TangentialEigenvalue(
-                eta(n, plus - 1),
-                BoxLFamily.MU_PLUS,
-                idx,
-                mu,
-                dropped=killing,
-                drop_reason=DropReason.KILLING if killing else None,
-                branches=pair,
-            )
-        )
-        out.append(
-            TangentialEigenvalue(eta(n, minus - 1), BoxLFamily.MU_MINUS, idx, mu, branches=pair)
-        )
-    for idx, lam, pair in lambdas:
-        plus, minus = pair
-        out.append(TangentialEigenvalue(lam, BoxLFamily.LAMBDA_DIRECT, idx, lam, branches=pair))
-        at_obata = lam == n - 1
-        obata = at_obata and link.is_round_sphere
-        note = None
-        if at_obata and not obata:
-            note = (
-                "lambda = n-1 on a link not flagged as the round sphere: "
-                "eigentensor possibly vanishing"
-            )
-        out.append(
-            TangentialEigenvalue(
-                eta(n, plus - 2),
-                BoxLFamily.LAMBDA2_PLUS,
-                idx,
-                lam,
-                dropped=obata,
-                drop_reason=DropReason.OBATA if obata else None,
-                note=note,
-                branches=pair,
-            )
-        )
-        out.append(
-            TangentialEigenvalue(eta(n, minus - 2), BoxLFamily.LAMBDA2_MINUS, idx, lam, branches=pair)
-        )
-    zero = Scalar(0)
-    zero_pair = xi_pair(n, zero)
-    out.append(
-        TangentialEigenvalue(
-            zero,
-            BoxLFamily.SPECIAL_ZERO,
-            0,
-            zero,
-            note="eigenspace alpha*g-bar",
-            branches=zero_pair,
-        )
-    )
-    out.append(
-        TangentialEigenvalue(
-            Scalar(2 * n),
-            BoxLFamily.SPECIAL_2N,
-            0,
-            zero,
-            note="eigenspace alpha*(trace-free g-hat)",
-            branches=xi_pair(n, Scalar(2 * n)),
-        )
-    )
-    out.append(
-        TangentialEigenvalue(
-            eta(n, zero_pair[0] - 2),
-            BoxLFamily.LAMBDA2_PLUS,
-            0,
-            zero,
-            dropped=True,
-            drop_reason=DropReason.CONSTANT,
-            branches=zero_pair,
-        )
-    )
-    return out
+    kappas = [
+        (idx, kappa.value, kappa.value, xi_pair(n, kappa.value))
+        for idx, kappa in enumerate(link.tt_einstein.entries, start=1)
+    ]
+    return _spectrum(link, (
+        ((BoxLFamily.TT_KAPPA,), kappas),
+        ((BoxLFamily.MU_PLUS, BoxLFamily.MU_MINUS), _mu_rows(link, True)),
+        ((BoxLFamily.LAMBDA_DIRECT, BoxLFamily.LAMBDA2_PLUS, BoxLFamily.LAMBDA2_MINUS), lambdas),
+        ((BoxLFamily.SPECIAL_ZERO, BoxLFamily.SPECIAL_2N, BoxLFamily.LAMBDA2_PLUS), _constant(n)),
+    ))
 
 
-_NOT_LIE = {BoxLFamily.TT_KAPPA, BoxLFamily.LAMBDA_DIRECT}
+def _roots_for(entry: TangentialEigenvalue) -> List[IndicialRoot]:
+    fam, pair, kept = entry.family, entry.branches, _KEPT[entry.family]
+    lie = kept is not None
+    index, base, value, note = entry.source_index, entry.source_value, entry.value, entry.note
 
-# Shifted families: (branch label, shift) of the kept, gauge-compatible
-# weight xi_branch(input) + shift.  Its dual carries the other branch and
-# the opposite shift and is not gauge-compatible.
-_SHIFTED = {
-    BoxLFamily.MU_PLUS: ("+", -1),
-    BoxLFamily.MU_MINUS: ("-", -1),
-    BoxLFamily.LAMBDA2_PLUS: ("+", -2),
-    BoxLFamily.LAMBDA2_MINUS: ("-", -2),
-}
-
-
-def _roots_for(entry: TangentialEigenvalue, n: int) -> List[IndicialRoot]:
-    fam = entry.family
-    base = entry.source_value
-    index, value, lie, note = entry.source_index, entry.value, fam not in _NOT_LIE, entry.note
-
-    def root(weight, branch, shift, compatible):
+    def root(branch, shift, compatible):
         # positional: a NamedTuple builds faster without keywords
+        weight = _weight(pair, branch, shift)
         return IndicialRoot(weight, fam, index, base, branch, shift, value, compatible, lie, note)
 
-    plus, minus = xi_pair(n, base) if fam is BoxLFamily.TT_KAPPA else entry.branches
-    if fam in _NOT_LIE:
-        return [root(plus, "+", 0, True), root(minus, "-", 0, True)]
-    if fam is BoxLFamily.SPECIAL_ZERO:
-        return [root(plus, "+", 0, True), root(minus, "-", 0, False)]
-    if fam is BoxLFamily.SPECIAL_2N:
-        return [root(minus, "-", -2, True), root(plus, "+", +2, False)]
-    branch, shift = _SHIFTED[fam]
-    kept = (plus if branch == "+" else minus) + shift
-    other = "-" if branch == "+" else "+"
-    return [root(kept, branch, shift, True), root(dual_weight(n, kept), other, -shift, False)]
+    if kept is None:
+        return [root("+", 0, True), root("-", 0, True)]
+    branch, shift = kept
+    return [root(branch, shift, True), root("-" if branch == "+" else "+", -shift, False)]
 
 
-def indicial_roots(table: List[TangentialEigenvalue], n: int) -> List[IndicialRoot]:
+def indicial_roots(table: List[TangentialEigenvalue]) -> List[IndicialRoot]:
     """The indicial roots of the kept entries of a box_L table, in exact order.
 
     Sorted by weight (real part, then imaginary part), then family, source
     index and shift: on the views first, then each run of equal real views
     by exact value (``exact_sorted``).
     """
-    roots = [root for entry in table if not entry.dropped for root in _roots_for(entry, n)]
+    roots = [root for entry in table if not entry.dropped for root in _roots_for(entry)]
     return exact_sorted(roots, IndicialRoot.sort_key, lambda root: root.weight.surds())
 
 
@@ -380,28 +346,21 @@ def eigenspace_dimension(entry: TangentialEigenvalue, link: LinkSpectrum) -> int
 
     Scalar eigenvalues enter twice (the v and w parameters), so the direct
     scalar family counts double.  Raises UnknownMultiplicity for bounded
-    lists or missing multiplicities.
+    lists or missing multiplicities, and ValueError for a box_1 entry.
     """
-    fam = entry.family
-    if fam in (BoxLFamily.SPECIAL_ZERO, BoxLFamily.SPECIAL_2N):
+    if entry.family not in _EIGENSPACE:
+        raise ValueError(f"{entry.family.value} is not a box_L family")
+    row = _EIGENSPACE[entry.family]
+    if row is None:
         return 1
-    if fam is BoxLFamily.TT_KAPPA:
-        source, factor = link.tt_einstein, 1
-        position = entry.source_index - 1
-    elif fam in (BoxLFamily.MU_PLUS, BoxLFamily.MU_MINUS):
-        source, factor = link.coclosed_one_form, 1
-        position = entry.source_index - (0 if link.has_killing_fields else 1)
-    elif fam is BoxLFamily.LAMBDA_DIRECT:
-        source, factor = link.scalar, 2
-        position = entry.source_index
-    else:
-        source, factor = link.scalar, 1
-        position = entry.source_index
+    name, factor, first = row
+    source = getattr(link, name)
+    position = entry.source_index - (_mu_start(link) if first is None else first)
     if source.mode is SpectrumMode.UPPER_BOUND:
         raise UnknownMultiplicity(
             "multiplicities are not invariant in upper-bound-set mode"
         )
     mult = source.multiplicity_of(position)
     if mult is None:
-        raise UnknownMultiplicity(f"multiplicity unknown for {fam.value}[{entry.source_index}]")
+        raise UnknownMultiplicity(f"multiplicity unknown for {entry.family.value}[{entry.source_index}]")
     return factor * mult

@@ -332,7 +332,8 @@ def builtin_link(
 
     The quotient switch also applies to the plain sphere (requesting a
     nontrivial group turns it into the space-form catalog entry); it
-    defaults to trivial for "sphere" and nontrivial for "sphere-quotient".
+    defaults to trivial for "sphere" and nontrivial for "sphere-quotient",
+    and the product link refuses it.
     """
     dim = n if n is not None else 4
     if name == "sphere":
@@ -343,6 +344,8 @@ def builtin_link(
         nontrivial = True if gamma_nontrivial is None else gamma_nontrivial
         return sphere_quotient_link(dim, nontrivial)
     if name == "product-einstein-10":
+        if gamma_nontrivial is not None:
+            raise SchemaError("the quotient switch does not apply to product-einstein-10")
         return product_einstein_example(10 if n is None else n)
     raise SchemaError(f"unknown builtin link {name!r}; choose from {BUILTIN_LINKS}")
 

@@ -182,7 +182,7 @@ class LinkAnalysis(Record):
 
     @cached_property
     def full(self) -> List[IndicialRoot]:
-        return indicial_roots(self.boxL, self.link.n)
+        return indicial_roots(self.boxL)
 
     @cached_property
     def bianchi(self) -> List[IndicialRoot]:
@@ -244,9 +244,7 @@ class LinkAnalysis(Record):
 
         elements: List[RateElement] = []
         half = Scalar(Fraction(n - 2, 2))
-        for (family, _index), branches in sorted(
-            by_source.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-        ):
+        for (family, _index), branches in sorted(by_source.items()):
             minus = branches.get("-")
             plus = branches.get("+")
             source = (minus or plus).source_value

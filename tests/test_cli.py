@@ -57,6 +57,16 @@ def test_report_builtin_product_weak_order(capsys):
     assert "resonance-dominated: yes" in out
 
 
+@pytest.mark.parametrize("quotient", ["trivial", "nontrivial"])
+def test_exit_code_quotient_on_the_product_builtin(capsys, quotient):
+    # the product link has no quotient switch; the flag is refused, not ignored
+    code, out, err = run_cli(
+        capsys, "report", "--builtin", "product-einstein-10", "--quotient", quotient,
+    )
+    assert (code, out) == (3, "")
+    assert "quotient switch does not apply to product-einstein-10" in err
+
+
 def test_report_trivial_quotient_strict_orders(capsys):
     code, out, _ = run_cli(
         capsys, "report", "--builtin", "sphere-quotient", "--n", "4",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conifold_spectra import UnsupportedCase
+from conifold_spectra import BoxLFamily, UnsupportedCase, indicial_set_full, sphere_link
 from conifold_spectra.flatcone import (
     CASE_IDS,
     bianchi_op,
@@ -234,3 +234,57 @@ def test_cases_without_a_degree_ignore_it():
     for case_id in ("vii", "viii"):
         report = verify_case(case_id, 4, -5)
         assert report.passed and report.degree is None
+
+
+# The sphere entry each verifier case models at degree d: (family, index).
+# The sphere's TT-kappa family has no case, since a general link TT tensor
+# has no polynomial model; case (i) builds flat TT tensors, which on the
+# sphere belong to the doubly shifted scalar family like (iv).
+_ENTRY_OF_CASE = {
+    "ii": (BoxLFamily.MU_PLUS, lambda d: d - 1),
+    "iii": (BoxLFamily.MU_MINUS, lambda d: d - 1),
+    "iv": (BoxLFamily.LAMBDA2_PLUS, lambda d: d),
+    "v": (BoxLFamily.LAMBDA2_MINUS, lambda d: d),
+    "vi": (BoxLFamily.LAMBDA_DIRECT, lambda d: d),
+    "vii": (BoxLFamily.SPECIAL_ZERO, lambda d: 0),
+    "viii": (BoxLFamily.SPECIAL_2N, lambda d: 0),
+}
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_root_table_matches_the_verifier_homogeneities(n):
+    # each gauge tensor is homogeneous of the weight of its entry's
+    # gauge-compatible root, and its dual of the weight of the incompatible
+    # one; (vi) has two compatible roots, its two branches
+    from conifold_spectra.flatcone.cases import _CASES
+
+    listed = {}
+    for root in indicial_set_full(sphere_link(n)):
+        assert root.weight.is_real
+        listed.setdefault((root.family, root.source_index), []).append(root)
+    vanishing, unlisted = set(), set()
+    for case_id, (family, index_of) in _ENTRY_OF_CASE.items():
+        degrees = [0] if _CASES[case_id].lowest is None else range(1, 4)
+        for d in degrees:
+            gauge, dual, _ = _CASES[case_id].build(n, d, 0)
+            key = (family, index_of(d))
+            if gauge.is_zero():
+                vanishing.add(key)
+            roots = listed.get(key, [])
+            if not roots:
+                unlisted.add(key)
+                continue
+            where = (n, case_id, d)
+            if case_id == "vi":
+                by_branch = {r.branch: r for r in roots}
+                assert len(roots) == 2 and all(r.bianchi_compatible for r in roots), where
+                assert gauge.homogeneity() == by_branch["+"].weight.real, where
+                assert dual.homogeneity() == by_branch["-"].weight.real, where
+                continue
+            (kept,) = [r for r in roots if r.bianchi_compatible]
+            (other,) = [r for r in roots if not r.bianchi_compatible]
+            assert gauge.homogeneity() == kept.weight.real, where
+            assert dual.homogeneity() == other.weight.real, where
+    # the degenerate cases are the Killing and Obata drops, and no other
+    # entry is missing
+    assert vanishing == unlisted == {(BoxLFamily.MU_PLUS, 0), (BoxLFamily.LAMBDA2_PLUS, 1)}

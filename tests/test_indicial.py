@@ -241,23 +241,13 @@ def test_essential_set_families_and_flags():
 
 
 def test_root_shift_reconstruction():
-    # eta(weight - shift_residue) reconstructs the family formula exactly
+    # eta(weight - shift) reconstructs the family input exactly: kappa, mu+1
+    # or lambda, and 0 for the two specials
     link = sphere_link(5, count=4)
     for root in indicial_set_full(link):
-        fam = root.family
-        w = root.weight
-        if fam is BoxLFamily.TT_KAPPA:
-            assert eta(5, w) == root.source_value
-        elif fam is BoxLFamily.LAMBDA_DIRECT:
-            assert eta(5, w) == root.source_value
-        elif fam in (BoxLFamily.MU_PLUS, BoxLFamily.MU_MINUS):
-            shifted = w - root.shift
-            assert eta(5, shifted) == root.source_value.value + 1
-        elif fam in (BoxLFamily.LAMBDA2_PLUS, BoxLFamily.LAMBDA2_MINUS):
-            shifted = w - root.shift
-            assert eta(5, shifted) == root.source_value
-        else:
-            assert eta(5, w) == root.tangential_value
+        source = root.source_value.value
+        plus_one = root.family in (BoxLFamily.MU_PLUS, BoxLFamily.MU_MINUS)
+        assert eta(5, root.weight - root.shift) == (source + 1 if plus_one else source), root
 
 
 def test_branch_and_shift_provenance():
@@ -299,6 +289,17 @@ def test_eigenspace_dimensions():
     qdirect = [e for e in qtable if e.family is BoxLFamily.LAMBDA_DIRECT][0]
     with pytest.raises(UnknownMultiplicity):
         eigenspace_dimension(qdirect, quotient)
+
+
+def test_eigenspace_dimension_refuses_box1_entries():
+    # a box_1 entry has no box_L eigenspace; oneform-mu-shift[1] (value 8)
+    # must not be read as the scalar lambda_1 (multiplicity 4)
+    link = sphere_link(4, count=3)
+    entry = [e for e in box1_spectrum(link) if e.family is Box1Family.ONE_FORM_SHIFT][1]
+    assert (entry.source_index, entry.value) == (1, 8)
+    for entry in box1_spectrum(link):
+        with pytest.raises(ValueError, match="not a box_L family"):
+            eigenspace_dimension(entry, link)
 
 
 @st.composite
