@@ -345,11 +345,14 @@ def eigenspace_dimension(entry: TangentialEigenvalue, link: LinkSpectrum) -> int
     """Dimension of the box_L eigenspace contributed by one table entry.
 
     Scalar eigenvalues enter twice (the v and w parameters), so the direct
-    scalar family counts double.  Raises UnknownMultiplicity for bounded
-    lists or missing multiplicities, and ValueError for a box_1 entry.
+    scalar family counts double.  A dropped entry's eigentensor vanishes, so
+    it contributes 0.  Raises UnknownMultiplicity for bounded lists or
+    missing multiplicities, and ValueError for a box_1 entry.
     """
     if entry.family not in _EIGENSPACE:
         raise ValueError(f"{entry.family.value} is not a box_L family")
+    if entry.dropped:
+        return 0
     row = _EIGENSPACE[entry.family]
     if row is None:
         return 1

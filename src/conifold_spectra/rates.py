@@ -18,10 +18,10 @@ the n = 6 cone with the single listed kappa = eta(-3) = -3 in the window,
 E_minus holds both 1 and 3, the order at which the Stenzel metric on T*S^3
 converges, and its minimum is 1.
 
-Window membership, resonance and signs are exact comparisons: a float input
-within epsilon of a threshold was snapped onto it once, first
-(``links.snap_to_thresholds``), so a kappa snapped to the resonance has the
-real double root, and the report flags it as coerced.
+Each kappa's window position (below, at, inside or above) is one exact
+comparison, made once, that E_minus, stability and resonance read.  A float
+within epsilon of a threshold was snapped onto it first, so a kappa snapped
+to the resonance has the real double root and is flagged as coerced.
 
 All of this is computed by ``LinkAnalysis``, one lazy pass per link; the
 module-level functions are views of its stages.
@@ -37,7 +37,6 @@ from .core import (
     DEFAULT_EPSILON,
     Record,
     Scalar,
-    check_dimension,
     critical_eigenvalue,
     exact_sorted,
     rational,
@@ -55,7 +54,7 @@ from .indicial import (
     indicial_roots,
     lambda_branches,
 )
-from .links import EndKind, LinkSpectrum, SpectrumMode, snap_to_thresholds
+from .links import EigenvalueEntry, EndKind, LinkSpectrum, SpectrumMode, snap_to_thresholds
 
 
 _set = object.__setattr__
@@ -134,14 +133,13 @@ class ResonanceAnalysis(NamedTuple):
     tangential_warnings: Tuple[str, ...]
 
 
-def _classify_kappa(kappa: Scalar, n: int) -> str:
-    """Position of kappa relative to [-(n-2)^2/4, 0): below/at/inside/above."""
-    threshold = critical_eigenvalue(n)
-    if kappa < threshold:
+def _position(value: Scalar, threshold: Scalar) -> str:
+    """Position of value against the window [threshold, 0): below/at/inside/above."""
+    if value < threshold:
         return "below"
-    if kappa == threshold:
+    if value == threshold:
         return "at"
-    return "inside" if kappa < 0 else "above"
+    return "inside" if value < 0 else "above"
 
 
 class Rates(NamedTuple):
@@ -154,7 +152,8 @@ class LinkAnalysis(Record):
 
     The stages follow the chain spec(box_L) -> E_L ⊇ E_B ⊇ E -> E± ->
     verdicts.  Each is computed on first use and kept for the life of the
-    analysis, so box_L and the indicial sets are built once however many
+    analysis, so box_L, the indicial sets, each kappa's window position
+    (``positions``) and the box_L warnings are built once however many
     verdicts are read.  A stage that raises keeps nothing and raises again
     when asked again.  The module-level functions are views of one stage.
     Analyses compare by (link, eps); the stages live in the instance
@@ -193,8 +192,8 @@ class LinkAnalysis(Record):
         return [r for r in self.bianchi if not r.lie_derivative]
 
     @cached_property
-    def kappas(self) -> List[Scalar]:
-        """The TT-Einstein values, once every negative one is certified listed."""
+    def positions(self) -> List[Tuple[EigenvalueEntry, str]]:
+        """Each TT-Einstein entry and its window position; all negative kappa must be listed."""
         tt = self.link.tt_einstein
         if tt.complete_below < 0:
             raise InsufficientSpectrum(
@@ -202,7 +201,39 @@ class LinkAnalysis(Record):
                 "(all negative kappa are needed)",
                 required=Scalar(0),
             )
-        return tt.values()
+        threshold = critical_eigenvalue(self.link.n)
+        return [(entry, _position(entry.value, threshold)) for entry in tt.entries]
+
+    @cached_property
+    def tangential_warnings(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """(resonance, stability) warnings from one scan of the kept non-TT box_L values.
+
+        Only lambda2-plus at lambda = n-1, n = 4 (Obata) sits on the bound, as
+        eta(x) >= -(n-2)^2/4 with equality only at x = -(n-2)/2; that is read
+        from the snapped lambda, not from the value, a view rounded once.
+        """
+        n, window, bound = self.link.n, [], []
+        threshold = critical_eigenvalue(n)
+        for entry in self.boxL if n >= 4 else ():  # box_L needs n >= 4
+            if entry.dropped or entry.family is BoxLFamily.TT_KAPPA:
+                continue
+            position = _position(entry.value, threshold)
+            if position in ("at", "inside"):
+                window.append(
+                    f"non-TT tangential eigenvalue {entry.value} "
+                    f"({entry.family.value}[{entry.source_index}]) lies in the resonance window"
+                )
+            if position == "below":
+                bound.append(
+                    f"tangential eigenvalue {entry.value} of {entry.family.value} "
+                    "falls below the stability bound"
+                )
+            elif n == 4 and entry.family is BoxLFamily.LAMBDA2_PLUS and entry.source_value == 3:
+                bound.append(
+                    f"tangential eigenvalue of {entry.family.value}[{entry.source_index}] "
+                    "sits exactly at the stability bound"
+                )
+        return tuple(window), tuple(bound)
 
     @cached_property
     def e_plus(self) -> RateSet:
@@ -235,38 +266,31 @@ class LinkAnalysis(Record):
     @cached_property
     def e_minus(self) -> RateSet:
         """E_minus as the tagged three-part union from the essential set."""
-        link, n = self.link, self.link.n
-        check_dimension(n)
-        kappas = self.kappas
+        link, positions = self.link, self.positions
         by_source = {}
         for root in self.essential:
             by_source.setdefault((root.family, root.source_index), {})[root.branch] = root
 
         elements: List[RateElement] = []
-        half = Scalar(Fraction(n - 2, 2))
-        for (family, _index), branches in sorted(by_source.items()):
-            minus = branches.get("-")
-            plus = branches.get("+")
-            source = (minus or plus).source_value
-            if family is BoxLFamily.LAMBDA_DIRECT:
-                elements.append(RateElement(-minus.weight.real, "minus-branch", minus))
-                continue
-            position = _classify_kappa(source, n)
+        half = Scalar(Fraction(link.n - 2, 2))
+        for (family, index), branches in sorted(by_source.items()):
+            minus = branches["-"]
+            # kappa is counted from 1; a direct scalar's lambda > 0 lies above the window
+            position = positions[index - 1][1] if family is BoxLFamily.TT_KAPPA else "above"
             if position == "below":
                 elements.append(RateElement(half, "below-window", minus))
                 continue
             elements.append(RateElement(-minus.weight.real, "minus-branch", minus))
-            if position in ("at", "inside"):
-                elements.append(RateElement(-plus.weight.real, "window", plus))
+            if position != "above":
+                elements.append(RateElement(-branches["+"].weight.real, "window", branches["+"]))
 
         elements = _by_value(elements)
 
         # Completeness: every negative kappa is already certified listed; the
         # minus branches additionally need the bottom of each list certified.
-        if not kappas:
+        if not positions:
             raise InsufficientSpectrum(
-                "no TT-Einstein eigenvalue listed; the kappa part of E_minus is "
-                "unknown",
+                "no TT-Einstein eigenvalue listed; the kappa part of E_minus is unknown",
             )
         kappa_min = link.tt_einstein.min_value()
         if kappa_min > 0 and link.tt_einstein.complete_below < kappa_min:
@@ -278,8 +302,7 @@ class LinkAnalysis(Record):
         positive_lams = [v for v in link.scalar.values() if v > 0]
         if not positive_lams:
             raise InsufficientSpectrum(
-                "no positive scalar eigenvalue listed; the lambda part of E_minus "
-                "is unknown",
+                "no positive scalar eigenvalue listed; the lambda part of E_minus is unknown",
             )
         if link.scalar.complete_below < positive_lams[0]:
             raise InsufficientSpectrum(
@@ -299,85 +322,38 @@ class LinkAnalysis(Record):
     def resonance(self) -> ResonanceAnalysis:
         """Test {kappa} ∩ [-(n-2)^2/4, 0) == {-(n-2)^2/4} on the kappa list only.
 
-        A warning is emitted if any non-kappa tangential eigenvalue lands in
-        the window, which is possible only at the n = 4 Obata boundary.
+        A non-TT tangential value in the window is a warning, not a member.
+        Only Scalar-lambda2-plus can land there: a kept lambda with
+        n-1 <= lambda < 2n gives eta(xi_+(lambda) - 2) in [3-n, 0) (lambda = 7
+        at n = 6 gives ~-2.27).  The round sphere has none: its lambda_1 = n-1
+        is dropped and lambda_2 = 2n gives 0.
         """
-        n = self.link.n
-        check_dimension(n)
-        window: List[Scalar] = []
-        coercions: List[Scalar] = []
-        resonant = False
-        for kappa, entry in zip(self.kappas, self.link.tt_einstein.entries):
-            position = _classify_kappa(kappa, n)
-            if position in ("at", "inside"):
-                window.append(kappa)
-            if position == "at":
-                resonant = True
-                if not kappa.exact:
-                    coercions.append(kappa if entry.given is None else entry.given)
-        dominated = resonant and len(window) == 1
-        warnings = []
-        if n >= 4:
-            threshold = critical_eigenvalue(n)
-            for entry in self.boxL:
-                if entry.dropped or entry.family is BoxLFamily.TT_KAPPA:
-                    continue
-                if threshold <= entry.value < 0:
-                    warnings.append(
-                        f"non-TT tangential eigenvalue {entry.value} "
-                        f"({entry.family.value}[{entry.source_index}]) lies in the "
-                        "resonance window"
-                    )
+        positions = self.positions
+        window = tuple(entry.value for entry, position in positions if position in ("at", "inside"))
+        at = [entry for entry, position in positions if position == "at"]
         return ResonanceAnalysis(
-            dominated=dominated,
-            resonant_present=resonant,
-            window_values=tuple(window),
-            coercions=tuple(coercions),
-            tangential_warnings=tuple(warnings),
+            dominated=bool(at) and len(window) == 1,
+            resonant_present=bool(at),
+            window_values=window,
+            coercions=tuple(
+                e.value if e.given is None else e.given for e in at if not e.value.exact
+            ),
+            tangential_warnings=self.tangential_warnings[0],
         )
 
     @cached_property
     def stability(self) -> StabilityReport:
-        """Stable iff every TT-Einstein eigenvalue is >= -(n-2)^2/4.
+        """Stable iff every TT-Einstein eigenvalue is >= -(n-2)^2/4 (the boundary is stable).
 
-        The inequality is non-strict: the boundary case is stable.  All other
-        tangential families are cross-checked against the same bound.
-        Equality there is reported as a warning; since eta(x) >= -(n-2)^2/4
-        with equality only at x = -(n-2)/2, it occurs only for the
-        lambda2-plus value of lambda = n-1 at n = 4 (the Obata boundary), and
-        is read from that snapped lambda rather than from the rounded value.
+        The other tangential families are checked against it in ``tangential_warnings``.
         """
-        n = self.link.n
-        check_dimension(n)
-        kappas = self.kappas
-        threshold = critical_eigenvalue(n)
-        witness = None
-        boundary = []
-        for kappa in kappas:
-            if kappa < threshold and witness is None:
-                witness = kappa
-            if kappa == threshold:
-                boundary.append(kappa)
-        warnings = []
-        if n >= 4:
-            for entry in self.boxL:
-                if entry.dropped or entry.family is BoxLFamily.TT_KAPPA:
-                    continue
-                if entry.value < threshold:
-                    warnings.append(
-                        f"tangential eigenvalue {entry.value} of {entry.family.value} "
-                        "falls below the stability bound"
-                    )
-                elif n == 4 and entry.family is BoxLFamily.LAMBDA2_PLUS and entry.source_value == 3:
-                    warnings.append(
-                        f"tangential eigenvalue of {entry.family.value}"
-                        f"[{entry.source_index}] sits exactly at the stability bound"
-                    )
+        positions = self.positions
+        witness = next((entry.value for entry, position in positions if position == "below"), None)
         return StabilityReport(
             stable=witness is None,
             witness=witness,
-            boundary=tuple(boundary),
-            warnings=tuple(warnings),
+            boundary=tuple(entry.value for entry, position in positions if position == "at"),
+            warnings=self.tangential_warnings[1],
         )
 
     @cached_property
@@ -389,9 +365,8 @@ class LinkAnalysis(Record):
         and the mass vanishes too.  A negative kappa permits decay slower
         than the fundamental solution and the verdict is unknown.
         """
-        kappas = self.kappas
         tt = self.link.tt_einstein
-        if not kappas:
+        if not self.positions:
             if tt.complete_below > 0:
                 return AdmMassReport(
                     "vanishes",

@@ -1,8 +1,13 @@
 """The single analysis pass: every stage is built once per LinkAnalysis."""
 
+import re
+from functools import cached_property
+from pathlib import Path
+
 import pytest
 
 from conifold_spectra import (
+    BoxLFamily,
     InsufficientSpectrum,
     LinkAnalysis,
     Scalar,
@@ -25,6 +30,7 @@ from conifold_spectra import indicial, rates, report
 from conifold_spectra.report import build_report, render_csv, render_json, render_text
 
 from test_golden import _irrational_document
+from test_rates import synthetic_link
 from test_report import _float_document
 
 
@@ -64,6 +70,32 @@ def test_stages_are_built_once(monkeypatch):
     assert len(boxL_calls) == 1
     assert analysis.full is analysis.full
     assert analysis.essential == [r for r in analysis.bianchi if not r.lie_derivative]
+
+
+def test_each_kappa_is_classified_once(monkeypatch):
+    # E_minus, the resonance and stability read one window position per
+    # kappa, and one box_L scan classifies each kept non-TT value
+    calls = _count_calls(monkeypatch, rates, "_position")
+    analysis = LinkAnalysis(synthetic_link(6, kappas=[-5, -4, -3, 2], kappa_complete=2))
+    for _ in range(2):
+        analysis.e_minus, analysis.resonance, analysis.stability, analysis.adm
+    kappas = [entry.value for entry in analysis.link.tt_einstein.entries]
+    scanned = [
+        e for e in analysis.boxL if not e.dropped and e.family is not BoxLFamily.TT_KAPPA
+    ]
+    assert [args[0] for args in calls[: len(kappas)]] == kappas
+    assert len(calls) == len(kappas) + len(scanned)
+    assert [p for _, p in analysis.positions] == ["below", "at", "inside", "above"]
+
+
+def test_readme_stage_list_names_every_stage():
+    # README lists the stages of LinkAnalysis; a renamed or added stage
+    # must be renamed or added there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"whose stages \((.*?)\)\s+are computed lazily", readme, re.S).group(1)
+    names = re.findall(r"`([^`]+)`", listed)
+    stages = [name for name, attr in vars(LinkAnalysis).items() if isinstance(attr, cached_property)]
+    assert sorted(names) == sorted(stages + ["end_order(kind)"])
 
 
 def test_public_functions_are_views():

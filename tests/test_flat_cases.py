@@ -255,7 +255,9 @@ _ENTRY_OF_CASE = {
 def test_root_table_matches_the_verifier_homogeneities(n):
     # each gauge tensor is homogeneous of the weight of its entry's
     # gauge-compatible root, and its dual of the weight of the incompatible
-    # one; (vi) has two compatible roots, its two branches
+    # one; (vi) has two compatible roots, its two branches.  A root is
+    # gauge-compatible exactly where verify_case observes B h = 0 on the
+    # branch of its homogeneity.
     from conifold_spectra.flatcone.cases import _CASES
 
     listed = {}
@@ -264,7 +266,7 @@ def test_root_table_matches_the_verifier_homogeneities(n):
         listed.setdefault((root.family, root.source_index), []).append(root)
     vanishing, unlisted = set(), set()
     for case_id, (family, index_of) in _ENTRY_OF_CASE.items():
-        degrees = [0] if _CASES[case_id].lowest is None else range(1, 4)
+        degrees = [0] if _CASES[case_id].lowest is None else range(1, 5)
         for d in degrees:
             gauge, dual, _ = _CASES[case_id].build(n, d, 0)
             key = (family, index_of(d))
@@ -275,6 +277,15 @@ def test_root_table_matches_the_verifier_homogeneities(n):
                 unlisted.add(key)
                 continue
             where = (n, case_id, d)
+            # verify_case checks the gauge tensor first, then its dual
+            checks = verify_case(case_id, n, d).branches
+            observed = [
+                (tensor.homogeneity(), check.bianchi_observed == "zero")
+                for tensor, check in zip((gauge, dual), checks)
+            ]
+            for root in roots:
+                matches = [zero for h, zero in observed if h == root.weight.real]
+                assert matches == [root.bianchi_compatible], (where, root.branch, matches)
             if case_id == "vi":
                 by_branch = {r.branch: r for r in roots}
                 assert len(roots) == 2 and all(r.bianchi_compatible for r in roots), where

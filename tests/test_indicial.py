@@ -302,6 +302,20 @@ def test_eigenspace_dimension_refuses_box1_entries():
             eigenspace_dimension(entry, link)
 
 
+def test_dropped_entries_contribute_no_eigenspace():
+    # the Killing, Obata and constant-function drops have vanishing
+    # eigentensors: no multiplicity is read, even where none is listed
+    link = sphere_link(4)
+    dropped = [e for e in boxL_spectrum(link) if e.dropped]
+    assert {(e.family, e.source_index, e.drop_reason) for e in dropped} == {
+        (BoxLFamily.MU_PLUS, 0, DropReason.KILLING),
+        (BoxLFamily.LAMBDA2_PLUS, 1, DropReason.OBATA),
+        (BoxLFamily.LAMBDA2_PLUS, 0, DropReason.CONSTANT),
+    }
+    for entry in dropped:
+        assert eigenspace_dimension(entry, link) == 0, entry
+
+
 @st.composite
 def near_tie_links(draw):
     """A link whose kappas lie within 10^-8..10^-40 of eta(x) for an integer x, or on it.

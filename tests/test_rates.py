@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conifold_spectra import (
     EigenvalueEntry,
     EmptyRateSet,
     EndKind,
     InsufficientSpectrum,
+    LinkAnalysis,
     LinkSpectrum,
     NonTerminating,
     Scalar,
@@ -218,6 +220,54 @@ def test_resonance_float_coercion_flag():
     analysis = resonance_analysis(link)
     assert analysis.dominated
     assert analysis.coercions
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_only_a_lambda2_plus_value_warns_in_the_window(n):
+    # a kept lambda with n-1 <= lambda < 2n puts eta(xi_+(lambda) - 2) in
+    # [3-n, 0); lambda = 2n gives 0, and the round sphere drops lambda = n-1
+    for lam in (Fraction(n - 1), Fraction(n), Fraction(n + 1), Fraction(4 * n - 1, 2)):
+        link = synthetic_link(n, kappas=[n], lambdas=[Fraction(0), lam, Fraction(3 * n)])
+        (warning,) = resonance_analysis(link).tangential_warnings
+        assert warning.startswith("non-TT tangential eigenvalue "), warning
+        assert warning.endswith(" (Scalar-lambda2-plus[1]) lies in the resonance window"), warning
+        if n == 6 and lam == 7:
+            assert "~-2.266499161421599" in warning
+    at_2n = synthetic_link(n, kappas=[n], lambdas=[Fraction(0), Fraction(2 * n)])
+    assert resonance_analysis(at_2n).tangential_warnings == ()
+    assert resonance_analysis(sphere_link(n)).tangential_warnings == ()
+
+
+@st.composite
+def window_links(draw):
+    """n in 4..10 and exact kappas drawn around the threshold -(n-2)^2/4."""
+    n = draw(st.integers(4, 10))
+    threshold = Fraction(-((n - 2) ** 2), 4)
+    near = st.fractions(threshold - 2, 2, max_denominator=12)
+    kappas = draw(st.sets(st.one_of(st.just(threshold), near), min_size=1, max_size=5))
+    return n, threshold, sorted(kappas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_links())
+def test_every_verdict_reads_the_same_window_position(case):
+    n, threshold, kappas = case
+    below = [k for k in kappas if k < threshold]
+    at = [k for k in kappas if k == threshold]
+    window = [k for k in kappas if threshold <= k < 0]
+    link = synthetic_link(n, kappas, kappa_complete=max(kappas[-1], 0))
+    analysis = LinkAnalysis(link)
+    stability, resonance = analysis.stability, analysis.resonance
+    assert stability.witness == (Scalar(below[0]) if below else None)
+    assert stability.boundary == tuple(Scalar(k) for k in at)
+    assert resonance.window_values == tuple(Scalar(k) for k in window)
+    assert resonance.resonant_present == bool(at)
+    assert resonance.dominated == (bool(at) and len(window) == 1)
+    sources = {}
+    for el in analysis.e_minus.elements:
+        sources.setdefault(el.part, []).append(el.root.source_value)
+    assert sorted(sources.get("below-window", [])) == [Scalar(k) for k in below]
+    assert sorted(sources.get("window", [])) == [Scalar(k) for k in window]
 
 
 def test_linear_stability_cases():
