@@ -203,6 +203,8 @@ def _cmd_verify(args) -> int:
     # box_L, of which every flat case is an eigentensor, needs n >= 4
     if args.n < 4:
         raise SchemaError(f"--n must be at least 4, got {args.n}")
+    if args.max_degree < 0:
+        raise SchemaError(f"--max-degree must be at least 0, got {args.max_degree}")
     if verify_work(args.n, args.max_degree) > MAX_VERIFY_WORK:
         raise SchemaError(
             f"verify --n {args.n} --max-degree {args.max_degree} is beyond the work "

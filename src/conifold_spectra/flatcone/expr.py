@@ -2,11 +2,15 @@
 
 Every field component is a finite sum of terms c * x^alpha * r^s with an
 exact rational coefficient c, a monomial multi-index alpha and a rational
-power s of r = |x|; both c and s are stored as ``core.rational`` keeps
-exact values, an int when integral and a ``Fraction`` otherwise.  This class
-of expressions is closed under the partial derivative
-(d_i r^s = s x_i r^{s-2}) and hence under all the flat-space differential
-operators used by the verifier.
+power s of r = |x| (a ``core.rational``: an int when integral, else a
+``Fraction``).  The coefficients are integer numerators ``num`` over one
+positive denominator ``den``, divided by their gcd when an operation ends,
+so all arithmetic runs on ints; a fractional s = p/q multiplies ``den`` by
+q only where d_i r^s = s x_i r^{s-2} brings it in.  ``PolyR.terms`` is a
+read-only view of the coefficients as ``core.rational`` values, for tests
+and display.  This class of expressions is closed under the partial
+derivative and hence under all the flat-space differential operators used
+by the verifier.
 
 Sign conventions match the geometric ones used throughout the package:
 
@@ -17,7 +21,9 @@ Sign conventions match the geometric ones used throughout the package:
     bianchi(h)     = divergence(h) + d(trace h) / 2
 
 On the flat cone the Lichnerowicz Laplacian is the componentwise scalar
-Laplacian, so no curvature terms appear anywhere.
+Laplacian, so no curvature terms appear anywhere.  The first-order
+operators add k * d_i of each stored component into accumulators in place
+(``PolyR._accumulate``) and halve once at the end.
 
 Normal form.  Every PolyR is kept reduced modulo r^2 = sum_i x_i^2: the
 exponent of the last coordinate x_n is always 0 or 1, by the rewrite
@@ -46,7 +52,9 @@ in closed form and maps normal form to normal form.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..core import rational
 
@@ -56,17 +64,19 @@ TermKey = Tuple[Monomial, Rational]  # (alpha, power of r)
 
 
 class PolyR:
-    """A finite sum of terms c * x^alpha * r^s over n variables, in normal form."""
+    """A finite sum of terms (num / den) * x^alpha * r^s over n variables, in normal form."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, terms: Optional[Dict[TermKey, Rational]] = None):
         self.n = n
-        self.terms: Dict[TermKey, Rational] = {}
+        self.num: Dict[TermKey, int] = {}
+        self.den = 1
         if terms:
-            for (alpha, s), coeff in terms.items():
-                if coeff:
-                    self._add_term((alpha, rational(s)), rational(coeff))
+            self.den = lcm(*(rational(c).denominator for c in terms.values()))
+            for (alpha, s), c in terms.items():
+                self._add_term((alpha, rational(s)), int(rational(c) * self.den))
+            self._reduce()
 
     # -- constructors ---------------------------------------------------
 
@@ -95,13 +105,19 @@ class PolyR:
 
     def copy(self) -> "PolyR":
         out = PolyR(self.n)
-        out.terms = dict(self.terms)
+        out.num = dict(self.num)
+        out.den = self.den
         return out
+
+    @property
+    def terms(self) -> Mapping[TermKey, Rational]:
+        """The coefficients as ``core.rational`` values, read-only."""
+        return MappingProxyType({k: rational(Fraction(c, self.den)) for k, c in self.num.items()})
 
     # -- ring operations -------------------------------------------------
 
-    def _add_term(self, key: TermKey, coeff: Rational) -> None:
-        """Add one term, rewriting x_n^2 -> r^2 - sum_{i<n} x_i^2 first."""
+    def _add_term(self, key: TermKey, coeff: int) -> None:
+        """Add one numerator, rewriting x_n^2 -> r^2 - sum_{i<n} x_i^2 first."""
         alpha, s = key
         if alpha[-1] >= 2:
             lowered = alpha[:-1] + (alpha[-1] - 2,)
@@ -110,17 +126,50 @@ class PolyR:
                 raised = lowered[:i] + (lowered[i] + 2,) + lowered[i + 1:]
                 self._add_term((raised, s), -coeff)
             return
-        new = self.terms.get(key, 0) + coeff
+        new = self.num.get(key, 0) + coeff
         if new:
-            self.terms[key] = rational(new)
+            self.num[key] = new
         else:
-            self.terms.pop(key, None)
+            self.num.pop(key, None)
+
+    def _reduce(self, divisor: int = 1) -> "PolyR":
+        """Divide by ``divisor``, then numerators and denominator by their gcd; zero is 0/1."""
+        self.den *= divisor
+        g = gcd(self.den, *self.num.values()) if self.den != 1 else 1
+        if g != 1:
+            self.den //= g
+            for key in self.num:
+                self.num[key] //= g
+        return self
+
+    def _accumulate(self, p: "PolyR", k: int, i: Optional[int] = None) -> None:
+        """Add k * p, or k * d_i p, into self in place, unreduced; a derivative
+        brings in the r-power denominators q of p (d_i r^s = s x_i r^{s-2})."""
+        q = 1 if i is None else lcm(*(s.denominator for _alpha, s in p.num))
+        e = p.den * q
+        den = lcm(self.den, e)
+        if den != self.den:
+            self.num = {key: c * (den // self.den) for key, c in self.num.items()}
+            self.den = den
+        k *= den // e
+        add = self._add_term
+        if i is None:
+            for key, c in p.num.items():
+                add(key, c * k)
+            return
+        for (alpha, s), c in p.num.items():
+            c *= k
+            a = alpha[i]
+            if a:
+                add((alpha[:i] + (a - 1,) + alpha[i + 1:], s), c * a * q)
+            if s:
+                sq = s.numerator * (q // s.denominator)
+                add((alpha[:i] + (a + 1,) + alpha[i + 1:], s - 2), c * sq)
 
     def __add__(self, other: "PolyR") -> "PolyR":
         out = self.copy()
-        for key, coeff in other.terms.items():
-            out._add_term(key, coeff)
-        return out
+        out._accumulate(other, 1)
+        return out._reduce()
 
     def __neg__(self) -> "PolyR":
         return self * -1
@@ -129,64 +178,62 @@ class PolyR:
         return self + (-other)
 
     def __mul__(self, other) -> "PolyR":
+        out = PolyR(self.n)
         if isinstance(other, PolyR):
-            out = PolyR(self.n)
-            for (a1, s1), c1 in self.terms.items():
-                for (a2, s2), c2 in other.terms.items():
+            for (a1, s1), c1 in self.num.items():
+                for (a2, s2), c2 in other.num.items():
                     alpha = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
                     out._add_term((alpha, rational(s1 + s2)), c1 * c2)
-            return out
-        out = PolyR(self.n)
-        c = rational(other)
+            out.den = self.den * other.den
+            return out._reduce()
+        c = Fraction(other)
         if c:
-            out.terms = {k: rational(v * c) for k, v in self.terms.items()}
-        return out
+            out.num = {k: v * c.numerator for k, v in self.num.items()}
+            out.den = self.den * c.denominator
+        return out._reduce()
 
     __rmul__ = __mul__
 
     def mul_r_power(self, s) -> "PolyR":
         s = rational(s)
         out = PolyR(self.n)
-        out.terms = {(alpha, rational(sp + s)): c for (alpha, sp), c in self.terms.items()}
+        out.num = {(alpha, rational(sp + s)): c for (alpha, sp), c in self.num.items()}
+        out.den = self.den
         return out
 
     # -- calculus ---------------------------------------------------------
 
     def diff(self, i: int) -> "PolyR":
         out = PolyR(self.n)
-        for (alpha, s), c in self.terms.items():
-            if alpha[i]:
-                lowered = list(alpha)
-                lowered[i] -= 1
-                out._add_term((tuple(lowered), s), c * alpha[i])
-            if s:
-                raised = list(alpha)
-                raised[i] += 1
-                out._add_term((tuple(raised), s - 2), c * s)
-        return out
+        out._accumulate(self, 1, i)
+        return out._reduce()
 
     def laplacian(self) -> "PolyR":
         """-sum_i d_i d_i in closed form, using sum_i x_i^2 = r^2.
 
         Delta(c x^alpha r^s) = -c [sum_i alpha_i (alpha_i - 1) x^{alpha - 2e_i} r^s
                                    + s (2|alpha| + n + s - 2) x^alpha r^{s-2}];
-        every exponent only falls, so normal form maps to normal form.
+        every exponent only falls, so normal form maps to normal form.  With
+        q the r-power denominator, the numerators are scaled by q^2.
         """
+        q = lcm(*(s.denominator for _alpha, s in self.num))
         out = PolyR(self.n)
-        for (alpha, s), c in self.terms.items():
+        out.den = self.den * q * q
+        for (alpha, s), c in self.num.items():
             for i, e in enumerate(alpha):
                 if e >= 2:
                     lowered = alpha[:i] + (e - 2,) + alpha[i + 1:]
-                    out._add_term((lowered, s), -c * e * (e - 1))
+                    out._add_term((lowered, s), -c * e * (e - 1) * q * q)
             if s:
-                out._add_term((alpha, s - 2), -c * s * (2 * sum(alpha) + self.n + s - 2))
-        return out
+                sq = s.numerator * (q // s.denominator)
+                out._add_term((alpha, s - 2), -c * sq * (q * (2 * sum(alpha) + self.n - 2) + sq))
+        return out._reduce()
 
     # -- structure --------------------------------------------------------
 
     def homogeneity(self) -> Optional[Fraction]:
         """Total degree (monomial degree + r-power) if homogeneous, else None."""
-        degrees = {sum(alpha) + s for (alpha, s) in self.terms}
+        degrees = {sum(alpha) + s for (alpha, s) in self.num}
         if not degrees:
             return None
         if len(degrees) == 1:
@@ -195,10 +242,10 @@ class PolyR:
 
     def is_zero(self) -> bool:
         """Exact zero test: the normal form of zero is the empty sum."""
-        return not self.terms
+        return not self.num
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
         for (alpha, s), c in sorted(self.terms.items()):
@@ -247,7 +294,7 @@ class FieldExpr:
 
     def set_component(self, key: Tuple[int, ...], poly: PolyR) -> None:
         key = self._canon(key)
-        if poly.terms:
+        if poly.num:
             self.comps[key] = poly
         else:
             self.comps.pop(key, None)
@@ -300,7 +347,7 @@ class FieldExpr:
         degrees = set()
         for key in self.keys():
             poly = self.component(*key)
-            if poly.terms:
+            if poly.num:
                 h = poly.homogeneity()
                 if h is None:
                     return None
@@ -344,17 +391,16 @@ def divergence(f: FieldExpr) -> FieldExpr:
     """delta with the geometric sign: -trace of the covariant derivative."""
     if f.rank == 1:
         acc = PolyR(f.n)
-        for i in range(f.n):
-            acc = acc + f.component(i).diff(i)
-        return FieldExpr.scalar(-acc)
+        for (i,), p in f.comps.items():
+            acc._accumulate(p, -1, i)
+        return FieldExpr.scalar(acc._reduce())
     if f.rank == 2:
-        out = FieldExpr(f.n, 1)
-        for k in range(f.n):
-            acc = PolyR(f.n)
-            for i in range(f.n):
-                acc = acc + f.component(i, k).diff(i)
-            out.set_component((k,), -acc)
-        return out
+        accs = [PolyR(f.n) for _k in range(f.n)]
+        for (i, j), p in f.comps.items():
+            accs[j]._accumulate(p, -1, i)
+            if i != j:
+                accs[i]._accumulate(p, -1, j)
+        return FieldExpr(f.n, 1, {(k,): acc._reduce() for k, acc in enumerate(accs)})
     raise ValueError("divergence expects rank 1 or 2")
 
 
@@ -362,28 +408,38 @@ def sym_gradient(w: FieldExpr) -> FieldExpr:
     """delta^*: the symmetrized covariant derivative with the 1/2 factor."""
     if w.rank != 1:
         raise ValueError("sym_gradient expects a 1-form")
-    out = FieldExpr(w.n, 2)
-    half = Fraction(1, 2)
-    for i in range(w.n):
-        for j in range(i, w.n):
-            out.set_component((i, j), (w.component(j).diff(i) + w.component(i).diff(j)) * half)
-    return out
+    accs = {(i, j): PolyR(w.n) for i in range(w.n) for j in range(i, w.n)}
+    for (j,), p in w.comps.items():
+        for i in range(w.n):
+            accs[(i, j) if i <= j else (j, i)]._accumulate(p, 2 if i == j else 1, i)
+    return FieldExpr(w.n, 2, {key: acc._reduce(2) for key, acc in accs.items()})
 
 
 def trace(h: FieldExpr) -> FieldExpr:
     if h.rank != 2:
         raise ValueError("trace expects a symmetric 2-tensor")
     acc = PolyR(h.n)
-    for i in range(h.n):
-        acc = acc + h.component(i, i)
-    return FieldExpr.scalar(acc)
+    for (i, j), p in h.comps.items():
+        if i == j:
+            acc._accumulate(p, 1)
+    return FieldExpr.scalar(acc._reduce())
 
 
 def bianchi_op(h: FieldExpr) -> FieldExpr:
-    """B = delta + d(trace)/2 on symmetric 2-tensors."""
-    div = divergence(h)
-    grad_tr = gradient(trace(h))
-    return div + grad_tr.scale(Fraction(1, 2))
+    """B = delta + d(trace)/2 on symmetric 2-tensors, as (2 delta h + d tr h) / 2."""
+    if h.rank != 2:
+        raise ValueError("bianchi_op expects a symmetric 2-tensor")
+    accs = [PolyR(h.n) for _k in range(h.n)]
+    tr = PolyR(h.n)
+    for (i, j), p in h.comps.items():
+        accs[j]._accumulate(p, -2, i)
+        if i != j:
+            accs[i]._accumulate(p, -2, j)
+        else:
+            tr._accumulate(p, 1)
+    for k, acc in enumerate(accs):
+        acc._accumulate(tr, 1, k)
+    return FieldExpr(h.n, 1, {(k,): acc._reduce(2) for k, acc in enumerate(accs)})
 
 
 def radial_contraction(h: FieldExpr) -> FieldExpr:
@@ -394,8 +450,8 @@ def radial_contraction(h: FieldExpr) -> FieldExpr:
     for key in out.keys():
         acc = PolyR(h.n)
         for i in range(h.n):
-            acc = acc + PolyR.coordinate(h.n, i) * h.component(i, *key)
-        out.set_component(key, acc.mul_r_power(Fraction(-1)))
+            acc._accumulate(PolyR.coordinate(h.n, i) * h.component(i, *key), 1)
+        out.set_component(key, acc._reduce().mul_r_power(-1))
     return out
 
 
@@ -440,7 +496,8 @@ def proportionality(f: FieldExpr, g: FieldExpr):
     if f.is_zero():
         return Fraction(0)
     key, gp = next(iter(g.comps.items()))
-    term, gc = next(iter(gp.terms.items()))
-    # a Fraction, not a float: both coefficients may be ints
-    c = Fraction(f.comps.get(key, PolyR(f.n)).terms.get(term, 0), gc)
+    term, gc = next(iter(gp.num.items()))
+    fp = f.comps.get(key, PolyR(f.n))
+    # a Fraction, not a float: (f_num * g_den) / (f_den * g_num) on ints
+    c = Fraction(fp.num.get(term, 0) * gp.den, fp.den * gc)
     return c if (f - g.scale(c)).is_zero() else None

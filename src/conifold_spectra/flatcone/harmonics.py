@@ -66,7 +66,7 @@ def harmonic_polynomial(n: int, d: int, seed: int = 0) -> FieldExpr:
     power = seed_poly
     for k in range(d // 2):
         power = -power.laplacian()
-        if not power.terms:
+        if power.is_zero():
             break
         coeff = -coeff / (2 * (k + 1) * (2 * d + n - 4 - 2 * k))
         result = result + PolyR.r_power(n, 2 * (k + 1)) * power * coeff

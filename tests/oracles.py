@@ -163,7 +163,7 @@ def add_terms(*parts: RadialTerms, scale: Sequence[Fraction] = ()) -> RadialTerm
     return {key: c for key, c in out.items() if c}
 
 
-def _diff(terms: RadialTerms, i: int) -> RadialTerms:
+def diff_terms(terms: RadialTerms, i: int) -> RadialTerms:
     """d_i, with d_i r^s = s x_i r^{s-2}."""
     out: RadialTerms = {}
     for (alpha, s), c in terms.items():
@@ -178,7 +178,7 @@ def _diff(terms: RadialTerms, i: int) -> RadialTerms:
 
 def second_derivative_laplacian(n: int, terms: RadialTerms) -> RadialTerms:
     """-sum_i d_i d_i by differentiating twice; no use of sum x_i^2 = r^2."""
-    return add_terms(*(_diff(_diff(terms, i), i) for i in range(n)), scale=[-1] * n)
+    return add_terms(*(diff_terms(diff_terms(terms, i), i) for i in range(n)), scale=[-1] * n)
 
 
 def expand_is_zero(n: int, terms: RadialTerms) -> bool:

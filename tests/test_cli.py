@@ -803,6 +803,18 @@ def test_verify_rejects_n_below_4(capsys, argv):
     assert "--n must be at least 4" in err
 
 
+@pytest.mark.parametrize("suite", ["flat", "ode", "identities", "cheeger-tian", "all"])
+@pytest.mark.parametrize("degree", ["-1", "-7"])
+def test_verify_rejects_a_negative_max_degree(capsys, monkeypatch, suite, degree):
+    # a malformed argument, refused before any suite runs
+    for name in ("_verify_flat", "_verify_ode", "_verify_identities", "_verify_cheeger_tian"):
+        monkeypatch.setattr(cli, name, None)
+    code, out, err = run_cli(capsys, "verify", suite, "--n", "4", "--max-degree", degree)
+    assert code == 3
+    assert out == ""
+    assert f"--max-degree must be at least 0, got {degree}" in err
+
+
 def test_verify_flat_honours_max_degree_for_case_i(capsys):
     code, out, _ = run_cli(capsys, "verify", "flat", "--max-degree", "4")
     assert code == 0

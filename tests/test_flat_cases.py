@@ -7,15 +7,21 @@ import pytest
 from conifold_spectra import BoxLFamily, UnsupportedCase, indicial_set_full, sphere_link
 from conifold_spectra.flatcone import (
     CASE_IDS,
+    FieldExpr,
+    PolyR,
     bianchi_op,
     build_case_tensor,
     cheeger_tian_example,
     divergence,
+    gradient,
+    harmonic_polynomial,
     identity_b_dstar,
     identity_case_harmonics,
     identity_delta_star_radial,
     identity_trace_commutes,
     laplacian,
+    proportionality,
+    radial_form,
     rotational_form,
     sym_gradient,
     trace,
@@ -299,3 +305,43 @@ def test_root_table_matches_the_verifier_homogeneities(n):
     # the degenerate cases are the Killing and Obata drops, and no other
     # entry is missing
     assert vanishing == unlisted == {(BoxLFamily.MU_PLUS, 0), (BoxLFamily.LAMBDA2_PLUS, 1)}
+
+
+# The explicit 1-form whose delta^* is the gauge tensor of each case at
+# (n, degree): omega or dH with their r-power weights for (ii)-(v), x for the
+# metric (vii) and the gradient of the Green kernel r^(2-n) for (viii).
+_LIE_GENERATOR = {
+    "ii": lambda n, d: rotational_form(n, d),
+    "iii": lambda n, d: rotational_form(n, d).mul_r_power(2 - n - 2 * d),
+    "iv": lambda n, d: gradient(harmonic_polynomial(n, d)),
+    "v": lambda n, d: gradient(harmonic_polynomial(n, d).mul_r_power(2 - n - 2 * d)),
+    "vii": lambda n, d: radial_form(n),
+    "viii": lambda n, d: gradient(FieldExpr.scalar(PolyR.r_power(n, 2 - n))),
+}
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_lie_derivative_roots_have_a_generating_one_form(n):
+    # each entry whose roots the table marks lie_derivative is modelled by a
+    # gauge tensor that is an exact nonzero multiple of delta^* of an explicit
+    # 1-form; the direct scalar family (vi) is the one case marked otherwise
+    from conifold_spectra.flatcone.cases import _CASES
+
+    flags = {}
+    for root in indicial_set_full(sphere_link(n)):
+        flags.setdefault((root.family, root.source_index), set()).add(root.lie_derivative)
+    checked = set()
+    for case_id, (family, index_of) in _ENTRY_OF_CASE.items():
+        degrees = [0] if _CASES[case_id].lowest is None else range(1, 5)
+        for d in degrees:
+            where = (n, case_id, d)
+            if (family, index_of(d)) not in flags:
+                continue  # the Killing and Obata drops, which have no roots
+            (lie,) = flags[family, index_of(d)]
+            assert lie == (case_id in _LIE_GENERATOR), where
+            if lie:
+                gauge, _, _ = _CASES[case_id].build(n, d, 0)
+                c = proportionality(gauge, sym_gradient(_LIE_GENERATOR[case_id](n, d)))
+                assert c is not None and c != 0, where
+                checked.add(case_id)
+    assert checked == set(_LIE_GENERATOR)

@@ -1,6 +1,7 @@
 """The exact tensor engine: calculus, zero testing, proportionality."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from conifold_spectra.flatcone import (
     sym_gradient,
     trace,
 )
-from oracles import add_terms, expand_is_zero, second_derivative_laplacian
+from oracles import add_terms, diff_terms, expand_is_zero, second_derivative_laplacian
 
 
 def scalar_field(poly):
@@ -168,15 +169,16 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def radial_terms(draw, n, max_terms=5):
+def radial_terms(draw, n, max_terms=5, denominators=(2,)):
     """A raw {(alpha, s): c} sum: sparse monomials on any of the n
-    coordinates (x_n included), r-powers in halves, rational coefficients."""
+    coordinates (x_n included), r-powers in halves (or over one of
+    ``denominators``), rational coefficients."""
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         alpha = [0] * n
         for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
             alpha[i] += draw(st.integers(1, 2))
-        s = Fraction(draw(st.integers(-6, 6)), 2)
+        s = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(denominators)))
         c = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
         terms = add_terms(terms, {(tuple(alpha), s): c})
     return terms
@@ -303,3 +305,62 @@ def test_sum_walks_only_present_components(data):
     assert all(poly.terms for poly in total.comps.values())
     zero = FieldExpr(n, f.rank)
     assert (f + zero).comps == f.comps and (zero + f).comps == f.comps
+
+
+@st.composite
+def raw_fields(draw, n, rank):
+    """{key: raw terms} of a rank-1 or symmetric rank-2 field (keys i <= j),
+    with r-powers such as r^(1/2) and r^(-1/3) and fractional coefficients."""
+    keys = [(i,) for i in range(n)] if rank == 1 else [(i, j) for i in range(n) for j in range(i, n)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+    return {key: draw(radial_terms(n, max_terms=2, denominators=(1, 2, 3, 6))) for key in chosen}
+
+
+def agrees(n, value, reference):
+    """Each component of ``value`` is reduced, in normal form and equal to
+    the raw reference terms, by expansion."""
+    for key in set(value.comps) | set(reference):
+        poly = value.component(*key)
+        assert poly.den > 0 and gcd(poly.den, *poly.num.values()) == 1
+        assert in_normal_form(poly)
+        assert expand_is_zero(n, add_terms(poly.terms, reference.get(key, {}), scale=[1, -1])), key
+    return True
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_fused_operators_match_their_textbook_definitions(data):
+    # divergence, sym_gradient, trace and bianchi_op accumulate integer
+    # numerators in place; the reference differentiates and sums the raw
+    # rational terms one operator at a time, on odd n and fractional powers
+    n = data.draw(st.sampled_from((3, 5, 7)))
+    w_raw, h_raw = data.draw(raw_fields(n, 1)), data.draw(raw_fields(n, 2))
+    w, h = FieldExpr(n, 1), FieldExpr(n, 2)
+    for field, raw in ((w, w_raw), (h, h_raw)):
+        for key, terms in raw.items():
+            field.set_component(key, PolyR(n, terms))
+
+    def w_at(i):
+        return w_raw.get((i,), {})
+
+    def h_at(i, j):
+        return h_raw.get((min(i, j), max(i, j)), {})
+
+    half, minus = [Fraction(1, 2)] * 2, [-1] * n
+    div_w = add_terms(*(diff_terms(w_at(i), i) for i in range(n)), scale=minus)
+    div_h = [add_terms(*(diff_terms(h_at(i, k), i) for i in range(n)), scale=minus) for k in range(n)]
+    tr = add_terms(*(h_at(i, i) for i in range(n)))
+    sym = {
+        (i, j): add_terms(diff_terms(w_at(j), i), diff_terms(w_at(i), j), scale=half)
+        for i in range(n)
+        for j in range(i, n)
+    }
+    assert agrees(n, divergence(w), {(): div_w})
+    assert agrees(n, divergence(h), {(k,): div_h[k] for k in range(n)})
+    assert agrees(n, trace(h), {(): tr})
+    assert agrees(n, sym_gradient(w), sym)
+    bianchi = {(k,): add_terms(div_h[k], diff_terms(tr, k), scale=[1, Fraction(1, 2)]) for k in range(n)}
+    assert agrees(n, bianchi_op(h), bianchi)
+    assert agrees(n, laplacian(h), {key: second_derivative_laplacian(n, t) for key, t in h_raw.items()})
+    composed = divergence(h) + gradient(trace(h)).scale(Fraction(1, 2))
+    assert (bianchi_op(h) - composed).is_zero()
