@@ -419,9 +419,8 @@ def trace(h: FieldExpr) -> FieldExpr:
     if h.rank != 2:
         raise ValueError("trace expects a symmetric 2-tensor")
     acc = PolyR(h.n)
-    for (i, j), p in h.comps.items():
-        if i == j:
-            acc._accumulate(p, 1)
+    for i in range(h.n):
+        acc._accumulate(h.component(i, i), 1)
     return FieldExpr.scalar(acc._reduce())
 
 
@@ -437,6 +436,7 @@ def bianchi_op(h: FieldExpr) -> FieldExpr:
             accs[i]._accumulate(p, -2, j)
         else:
             tr._accumulate(p, 1)
+    tr._reduce()
     for k, acc in enumerate(accs):
         acc._accumulate(tr, 1, k)
     return FieldExpr(h.n, 1, {(k,): acc._reduce(2) for k, acc in enumerate(accs)})
