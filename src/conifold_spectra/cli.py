@@ -145,8 +145,7 @@ def _verify_ode() -> Tuple[List[str], bool]:
             failures += 1
         lines.append(
             f"  n={n:<3} nu={str(nu):<10} {branch:<6} exponent={str(check.exponent):<8} "
-            f"exact={'0' if check.exact_zero else 'NONZERO'} "
-            f"fd={check.fd_residual:.3e} {'pass' if ok else 'FAIL'}"
+            f"exact={'0' if check.exact_zero else 'NONZERO'} {'pass' if ok else 'FAIL'}"
         )
     lines.append(f"  coefficient note: {COEFFICIENT_NOTE}")
     lines.append(f"  failures: {failures}")

@@ -36,10 +36,6 @@ class InsufficientSpectrum(ConifoldSpectraError):
         self.required = required
 
 
-class UnknownMultiplicity(ConifoldSpectraError):
-    """A multiplicity-dependent quantity was requested from bounded data."""
-
-
 class EmptyRateSet(ConifoldSpectraError):
     """A rate minimum was requested over an empty candidate set."""
 

@@ -366,11 +366,6 @@ class FieldExpr:
 # ---------------------------------------------------------------------------
 
 
-def partial_derivative(f: FieldExpr, i: int) -> FieldExpr:
-    """Componentwise coordinate derivative d_i."""
-    return f.map_components(lambda p: p.diff(i))
-
-
 def laplacian(f: FieldExpr) -> FieldExpr:
     """Geometer's Laplacian -sum_i d_i d_i, componentwise."""
     return f.map_components(PolyR.laplacian)

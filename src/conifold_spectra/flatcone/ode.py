@@ -6,8 +6,8 @@ The conical operator acts on a radial profile u(r) as
 
 and r^{xi} solves P u = 0 exactly when eta(xi) = nu, with the extra
 solution r^{-(n-2)/2} log(r) at the resonance nu = -(n-2)^2/4.  The
-symbolic check differentiates finite sums c * r^a * log(r)^e exactly; the
-float mode cross-checks with central finite differences.
+check is symbolic only: it differentiates finite sums c * r^a * log(r)^e
+exactly and passes when the residual is identically zero.
 
 The first-printed form of the radial coefficient ("(n-2)/n") disagrees with
 the form every subsequent computation uses ("(n-1)/r"); the latter is what
@@ -17,9 +17,8 @@ resolution.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..core import Scalar, check_dimension, critical_eigenvalue, xi_pair
 from ..errors import UnsupportedCase
@@ -81,12 +80,6 @@ class RadialLogPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, r: float) -> float:
-        return sum(
-            float(c) * r ** float(a) * math.log(r) ** e
-            for (a, e), c in self.terms.items()
-        )
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -112,12 +105,11 @@ class OdeCheck(NamedTuple):
     branch: str                 # "plus" | "minus" | "log"
     exponent: Fraction
     exact_zero: bool
-    fd_residual: float
     coefficient_note: str = COEFFICIENT_NOTE
 
     @property
     def passed(self) -> bool:
-        return self.exact_zero and self.fd_residual <= 1e-6
+        return self.exact_zero
 
 
 def _profile(n: int, nu: Fraction, branch: str) -> Tuple[Fraction, RadialLogPoly]:
@@ -137,41 +129,21 @@ def _profile(n: int, nu: Fraction, branch: str) -> Tuple[Fraction, RadialLogPoly
     return a, RadialLogPoly.power(a)
 
 
-def ode_residual(
-    n: int,
-    nu,
-    branch: str = "plus",
-    r_samples: Iterable[float] = (1.0,),
-    fd_step: float = 1e-4,
-) -> OdeCheck:
+def ode_residual(n: int, nu, branch: str = "plus") -> OdeCheck:
     """Exact residual of the conical operator on the chosen branch profile.
 
-    The symbolic residual must be identically zero.  A central
-    finite-difference residual at each sample radius cross-checks the
-    symbolic computation; the maximum is reported.
+    The profile is r^xi, or r^xi log(r) on the log branch; the residual is
+    computed symbolically and the check passes when it is identically zero.
     """
     check_dimension(n)
     nu = Fraction(nu)
     exponent, u = _profile(n, nu, branch)
-    residual = conical_apply(n, nu, u)
-    fd = 0.0
-    for r in r_samples:
-        if r <= fd_step:
-            raise ValueError("sample radius must exceed the step")
-        up = u.evaluate(r + fd_step)
-        u0 = u.evaluate(r)
-        um = u.evaluate(r - fd_step)
-        d2 = (up - 2.0 * u0 + um) / fd_step**2
-        d1 = (up - um) / (2.0 * fd_step)
-        value = -d2 - (n - 1) / r * d1 + float(nu) / r**2 * u0
-        fd = max(fd, abs(value))
     return OdeCheck(
         n=n,
         nu=nu,
         branch=branch,
         exponent=exponent,
-        exact_zero=residual.is_zero(),
-        fd_residual=fd,
+        exact_zero=conical_apply(n, nu, u).is_zero(),
     )
 
 
@@ -180,9 +152,7 @@ def default_grid() -> list:
 
     Eigenvalues are generated as eta(xi) for rational xi so the symbolic
     branch exponents stay exact; every dimension contributes its resonance
-    log branch.  Exponents are kept in [-3, 3] so the h^2 truncation of the
-    finite-difference cross-check stays below 1e-6 (the log branches pass
-    because log(1) = 0 cancels their leading error term).
+    log branch.
     """
     out = []
     for n in range(4, 11):

@@ -34,8 +34,7 @@ from .core import (
     rational,
     xi_pair,
 )
-from .errors import UnknownMultiplicity
-from .links import LinkSpectrum, SpectrumMode
+from .links import LinkSpectrum
 
 
 class Box1Family(str, Enum):
@@ -149,19 +148,6 @@ _KEPT = {
     BoxLFamily.LAMBDA2_MINUS: ("-", -2),
     BoxLFamily.SPECIAL_ZERO: ("+", 0),
     BoxLFamily.SPECIAL_2N: ("-", -2),
-}
-
-# box_L family -> (link list, factor, index of its first entry), None for a
-# special; mu's first index (None) depends on the link (``_mu_start``).
-_EIGENSPACE = {
-    BoxLFamily.TT_KAPPA: ("tt_einstein", 1, 1),
-    BoxLFamily.MU_PLUS: ("coclosed_one_form", 1, None),
-    BoxLFamily.MU_MINUS: ("coclosed_one_form", 1, None),
-    BoxLFamily.LAMBDA_DIRECT: ("scalar", 2, 0),
-    BoxLFamily.LAMBDA2_PLUS: ("scalar", 1, 0),
-    BoxLFamily.LAMBDA2_MINUS: ("scalar", 1, 0),
-    BoxLFamily.SPECIAL_ZERO: None,
-    BoxLFamily.SPECIAL_2N: None,
 }
 
 # (drop reason, note) of the constant function's entries
@@ -339,31 +325,3 @@ def indicial_set_essential(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> 
     from .rates import LinkAnalysis
 
     return LinkAnalysis(link, eps).essential
-
-
-def eigenspace_dimension(entry: TangentialEigenvalue, link: LinkSpectrum) -> int:
-    """Dimension of the box_L eigenspace contributed by one table entry.
-
-    Scalar eigenvalues enter twice (the v and w parameters), so the direct
-    scalar family counts double.  A dropped entry's eigentensor vanishes, so
-    it contributes 0.  Raises UnknownMultiplicity for bounded lists or
-    missing multiplicities, and ValueError for a box_1 entry.
-    """
-    if entry.family not in _EIGENSPACE:
-        raise ValueError(f"{entry.family.value} is not a box_L family")
-    if entry.dropped:
-        return 0
-    row = _EIGENSPACE[entry.family]
-    if row is None:
-        return 1
-    name, factor, first = row
-    source = getattr(link, name)
-    position = entry.source_index - (_mu_start(link) if first is None else first)
-    if source.mode is SpectrumMode.UPPER_BOUND:
-        raise UnknownMultiplicity(
-            "multiplicities are not invariant in upper-bound-set mode"
-        )
-    mult = source.multiplicity_of(position)
-    if mult is None:
-        raise UnknownMultiplicity(f"multiplicity unknown for {entry.family.value}[{entry.source_index}]")
-    return factor * mult

@@ -21,12 +21,7 @@ from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple
 
 from .core import DEFAULT_EPSILON, Record, Scalar, check_dimension, critical_eigenvalue
-from .errors import (
-    InsufficientSpectrum,
-    InvariantViolation,
-    SchemaError,
-    UnsupportedDimension,
-)
+from .errors import InvariantViolation, SchemaError, UnsupportedDimension
 
 
 class SpectrumMode(str, Enum):
@@ -45,7 +40,8 @@ _set = object.__setattr__
 class EigenvalueEntry(Record):
     """One eigenvalue with an optional multiplicity (None = unknown).
 
-    Multiplicities are reporting data only; no rate computation reads them.
+    Multiplicities are validated (lambda_0 must have multiplicity 1), but no
+    computation or report reads them.
     ``given`` is the document's value when ``snap_to_thresholds`` moved it;
     ``==`` and ``hash`` leave it out.
     """
@@ -87,9 +83,6 @@ class SpectrumList(Record):
         if not self.entries:
             raise InvariantViolation("empty spectrum list")
         return self.entries[0].value
-
-    def multiplicity_of(self, index: int) -> Optional[int]:
-        return self.entries[index].multiplicity
 
 
 class LinkSpectrum(NamedTuple):
@@ -189,17 +182,6 @@ def snap_to_thresholds(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> Link
                     f"{label}: two entries lie within epsilon {eps:g} of one threshold"
                 ) from None
     return link._replace(**moved) if moved else link
-
-
-def require_complete(spectrum: SpectrumList, threshold) -> None:
-    """Certify that all eigenvalues below ``threshold`` are listed."""
-    t = Scalar.wrap(threshold)
-    if spectrum.complete_below < t:
-        raise InsufficientSpectrum(
-            f"spectrum certified complete below {spectrum.complete_below}, "
-            f"but completeness below {t} is required",
-            required=t,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,34 @@ def bootstrap_sequence(alpha0, epsilon, target) -> List[Fraction]:
     return seq
 
 
+# -- radial ODE by finite differences ---------------------------------------
+
+FD_BOUND = 1e-6
+
+
+def fd_ode_residual(n: int, nu, branch: str, r: float = 1.0, step: float = 1e-4) -> float:
+    """|P u(r)| by central differences, P u = -u'' - (n-1)/r u' + nu/r^2 u.
+
+    u is r^a, or r^a log(r) on the resonance's "log" branch, with a the real
+    part of the branch's exponent.  The error is the h^2 truncation plus
+    rounding; exponents in [-3, 3] keep it below FD_BOUND at r = 1 (the log
+    branches pass because log(1) = 0 cancels their leading error term).
+    """
+    (plus, _), (minus, im) = branch_pair(n, nu)
+    assert im == 0, "the FD oracle needs a real exponent"
+    assert branch != "log" or plus == minus, "the log branch exists only at the resonance"
+    a = float(minus if branch == "minus" else plus)
+    log_power = 1 if branch == "log" else 0
+
+    def u(x: float) -> float:
+        return x ** a * math.log(x) ** log_power
+
+    up, u0, um = u(r + step), u(r), u(r - step)
+    d2 = (up - 2.0 * u0 + um) / step**2
+    d1 = (up - um) / (2.0 * step)
+    return abs(-d2 - (n - 1) / r * d1 + float(nu) / r**2 * u0)
+
+
 # -- flat-cone expressions --------------------------------------------------
 #
 # A component is a dict {(alpha, s): c} for the sum of c * x^alpha * r^s,

@@ -43,7 +43,7 @@ from conifold_spectra.flatcone import (
 )
 from conifold_spectra.indicial import BoxLFamily
 
-from oracles import brute_e_minus
+from oracles import FD_BOUND, brute_e_minus, fd_ode_residual
 from test_rates import synthetic_link
 
 
@@ -238,9 +238,8 @@ def test_criterion_9_ode_checks():
         assert len(grid) >= 50
         log_cases = 0
         for (n, nu, branch) in grid:
-            check = ode_residual(n, nu, branch, fd_step=1e-4)
-            assert check.exact_zero, (n, nu, branch)
-            assert check.fd_residual <= 1e-6, (n, nu, branch)
+            assert ode_residual(n, nu, branch).exact_zero, (n, nu, branch)
+            assert fd_ode_residual(n, nu, branch) <= FD_BOUND, (n, nu, branch)
             log_cases += branch == "log"
         assert log_cases >= 7
 

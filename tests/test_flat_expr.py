@@ -14,7 +14,6 @@ from conifold_spectra.flatcone import (
     gradient,
     harmonic_polynomial,
     laplacian,
-    partial_derivative,
     proportionality,
     radial_contraction,
     radial_form,
@@ -31,7 +30,7 @@ def scalar_field(poly):
 def test_partial_derivative_of_radial_power():
     n = 4
     f = scalar_field(PolyR.r_power(n, Fraction(-3)))
-    df = partial_derivative(f, 0)
+    df = f.map_components(lambda p: p.diff(0))
     # d_1 r^s = s x_1 r^{s-2}
     expected = PolyR.monomial(n, (1, 0, 0, 0), coeff=Fraction(-3), r_power=Fraction(-5))
     assert (df.component() - expected).is_zero()

@@ -11,6 +11,7 @@ commit and says why.
 import contextlib
 import hashlib
 import io
+import re
 
 import pytest
 
@@ -206,7 +207,7 @@ def test_plot_data_sweep_is_byte_identical():
 
 # argv -> sha256 of the stdout of a ``verify`` run
 VERIFY_GOLDEN = {
-    "verify all": "06cd25c9a5756dc985e1b00a6fdce3ec2aa3ea3dcf779cee66ca051002124cf2",
+    "verify all": "32a2bffd4ad80f238cdad7688b2dc5394953c564143a00253ce90953a263f082",
     "verify flat --n 6": "943ea767d6717ad7de71dd2e8ec1545431417ae5e07cb64b5ae3a6befad57384",
     "verify identities --n 5": "0ab3ccb98fd5445b0be11079f734371b2d7da093e3a99cd8f5ec0e15980f6121",
 }
@@ -220,3 +221,12 @@ def test_verify_output_is_byte_identical(argv):
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == VERIFY_GOLDEN[argv]
+
+
+def test_verify_all_prints_no_float():
+    # every verify verdict is exact, so no digits of a float reach the output
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "all"]) == 0
+    assert "radial ODE checks:" in out.getvalue()
+    assert not re.search(r"\d\.\d+e[-+]\d+", out.getvalue())

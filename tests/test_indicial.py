@@ -13,10 +13,8 @@ from conifold_spectra import (
     DimensionTooSmall,
     DropReason,
     Scalar,
-    UnknownMultiplicity,
     box1_spectrum,
     boxL_spectrum,
-    eigenspace_dimension,
     eta,
     indicial_set_bianchi,
     indicial_set_essential,
@@ -261,50 +259,9 @@ def test_branch_and_shift_provenance():
             assert root.weight.real == (base + root.shift).real
 
 
-def test_eigenspace_dimensions():
-    link = sphere_link(4)
-    table = boxL_spectrum(link)
-    by_family = {}
-    for entry in table:
-        if not entry.dropped:
-            by_family.setdefault(entry.family, entry)
-    # scalars enter twice (v and w): lambda_1 has multiplicity 4 on S^3
-    direct = [
-        e
-        for e in table
-        if e.family is BoxLFamily.LAMBDA_DIRECT and e.source_index == 1
-    ][0]
-    assert eigenspace_dimension(direct, link) == 8
-    lam2 = [
-        e
-        for e in table
-        if e.family is BoxLFamily.LAMBDA2_MINUS and e.source_index == 1
-    ][0]
-    assert eigenspace_dimension(lam2, link) == 4
-    assert eigenspace_dimension(by_family[BoxLFamily.SPECIAL_ZERO], link) == 1
-    with pytest.raises(UnknownMultiplicity):
-        eigenspace_dimension(by_family[BoxLFamily.TT_KAPPA], link)
-    quotient = sphere_quotient_link(4, True)
-    qtable = boxL_spectrum(quotient)
-    qdirect = [e for e in qtable if e.family is BoxLFamily.LAMBDA_DIRECT][0]
-    with pytest.raises(UnknownMultiplicity):
-        eigenspace_dimension(qdirect, quotient)
-
-
-def test_eigenspace_dimension_refuses_box1_entries():
-    # a box_1 entry has no box_L eigenspace; oneform-mu-shift[1] (value 8)
-    # must not be read as the scalar lambda_1 (multiplicity 4)
-    link = sphere_link(4, count=3)
-    entry = [e for e in box1_spectrum(link) if e.family is Box1Family.ONE_FORM_SHIFT][1]
-    assert (entry.source_index, entry.value) == (1, 8)
-    for entry in box1_spectrum(link):
-        with pytest.raises(ValueError, match="not a box_L family"):
-            eigenspace_dimension(entry, link)
-
-
-def test_dropped_entries_contribute_no_eigenspace():
-    # the Killing, Obata and constant-function drops have vanishing
-    # eigentensors: no multiplicity is read, even where none is listed
+def test_sphere_drops_are_killing_obata_and_constant():
+    # on S^3 the box_L table drops exactly the Killing, Obata and
+    # constant-function entries, whose eigentensors vanish
     link = sphere_link(4)
     dropped = [e for e in boxL_spectrum(link) if e.dropped]
     assert {(e.family, e.source_index, e.drop_reason) for e in dropped} == {
@@ -312,8 +269,6 @@ def test_dropped_entries_contribute_no_eigenspace():
         (BoxLFamily.LAMBDA2_PLUS, 1, DropReason.OBATA),
         (BoxLFamily.LAMBDA2_PLUS, 0, DropReason.CONSTANT),
     }
-    for entry in dropped:
-        assert eigenspace_dimension(entry, link) == 0, entry
 
 
 @st.composite

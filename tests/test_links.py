@@ -7,18 +7,14 @@ import pytest
 
 from conifold_spectra import (
     DimensionTooSmall,
-    EigenvalueEntry,
     EndKind,
-    InsufficientSpectrum,
     InvariantViolation,
     Scalar,
     SchemaError,
-    SpectrumList,
     SpectrumMode,
     UnsupportedDimension,
     load_spectrum,
     product_einstein_example,
-    require_complete,
     sphere_link,
     sphere_quotient_link,
 )
@@ -88,14 +84,6 @@ def test_product_einstein_fixture():
     link.validate()
     with pytest.raises(UnsupportedDimension):
         product_einstein_example(9)
-
-
-def test_require_complete():
-    lst = SpectrumList((EigenvalueEntry(Scalar(0), 1),), Scalar(5))
-    require_complete(lst, 5)
-    with pytest.raises(InsufficientSpectrum) as err:
-        require_complete(lst, 6)
-    assert err.value.required == Scalar(6)
 
 
 def _document(**overrides):

@@ -1,4 +1,4 @@
-"""Radial ODE residuals: symbolic exactness and FD cross-checks."""
+"""Radial ODE residuals: symbolic exactness, cross-checked by the FD oracle."""
 
 from fractions import Fraction
 
@@ -7,19 +7,18 @@ import pytest
 from conifold_spectra import UnsupportedCase
 from conifold_spectra.flatcone import RadialLogPoly, conical_apply, default_grid, ode_residual
 from conifold_spectra.flatcone.ode import COEFFICIENT_NOTE
+from oracles import FD_BOUND, fd_ode_residual
 
 
 def test_plus_branch_exact_zero():
     check = ode_residual(4, 8, "plus")
-    assert check.exact_zero and check.exponent == Fraction(2)
-    assert check.fd_residual <= 1e-6
+    assert check.exact_zero and check.passed and check.exponent == Fraction(2)
     assert check.coefficient_note == COEFFICIENT_NOTE
 
 
 def test_log_branch_exact_zero():
     check = ode_residual(10, -16, "log")
     assert check.exact_zero and check.exponent == Fraction(-4)
-    assert check.fd_residual <= 1e-6
     with pytest.raises(UnsupportedCase):
         ode_residual(10, -15, "log")
 
@@ -59,11 +58,12 @@ def test_default_grid_all_pass():
     assert any(branch == "log" for (_n, _nu, branch) in grid)
     for (n, nu, branch) in grid:
         check = ode_residual(n, nu, branch)
-        assert check.exact_zero, (n, nu, branch)
-        assert check.fd_residual <= 1e-6, (n, nu, branch, check.fd_residual)
+        assert check.exact_zero and check.passed, (n, nu, branch)
+        fd = fd_ode_residual(n, nu, branch)
+        assert fd <= FD_BOUND, (n, nu, branch, fd)
 
 
 def test_fd_at_other_radii():
-    check = ode_residual(5, 10, "minus", r_samples=(0.5, 1.0, 2.0))
-    assert check.exact_zero
-    assert check.fd_residual is not None
+    assert ode_residual(5, 10, "minus").exact_zero
+    for r in (0.5, 1.0, 2.0):
+        assert fd_ode_residual(5, 10, "minus", r) <= FD_BOUND, r

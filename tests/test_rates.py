@@ -178,12 +178,14 @@ def test_insufficient_spectrum_for_rates():
     # E_plus minimum comes from kappa=7 -> xi_plus; eta of it is 7 < lambda
     # completeness is fine, but a shallow kappa certificate must refuse:
     shallow = synthetic_link(5, kappas=[Fraction(7)], kappa_complete=Fraction(0))
-    with pytest.raises(InsufficientSpectrum):
+    with pytest.raises(InsufficientSpectrum) as err:
         e_plus_set(shallow)
+    assert err.value.required == Scalar(7)  # the kappa behind the minimum
     # negative certificate below 0 refuses E_minus outright
     neg = synthetic_link(5, kappas=[Fraction(7)], kappa_complete=Fraction(-1))
-    with pytest.raises(InsufficientSpectrum):
+    with pytest.raises(InsufficientSpectrum) as err:
         e_minus_set(neg)
+    assert err.value.required == Scalar(0)
 
 
 def test_resonance_dominated_cases():

@@ -70,7 +70,7 @@ VERIFIER_GOLDEN = {
     ),
     "ode-grid": (
         lambda: [ode_residual(*g) for g in default_grid()],
-        "6bb534ebe0f7b771858e05f82ea8a561587830e36513e8f3abe0d49828fbd1dc",
+        "8ba0b80eeb32a7da96e6037f6c1c7169af30b060cdf2ae8ca44164797d932a31",
     ),
     "cheeger-tian": (
         lambda: cheeger_tian_example(4),
