@@ -414,13 +414,6 @@ def weight_pair_product(a: Weight, b: Weight) -> Scalar:
     raise ValueError("weights are not a conjugate pair")
 
 
-def discriminant(n: int, nu) -> Scalar:
-    """(n-2)^2/4 + nu, exact whenever nu is."""
-    check_dimension(n)
-    nu = Scalar.wrap(nu)
-    return _raw(rational(Fraction((n - 2) ** 2, 4) + rational(nu.value)), nu.exact)
-
-
 def critical_eigenvalue(n: int) -> Scalar:
     """The resonance threshold -(n-2)^2/4."""
     check_dimension(n)

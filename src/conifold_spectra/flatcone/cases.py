@@ -20,9 +20,12 @@ Case labels follow the gauge proposition: (i) TT tensors, (ii)/(iii) the
 1-form family, (iv)/(v) the doubly shifted scalar family, (vi) the direct
 scalar family with its trace combination, (vii) the metric itself and
 (viii) the Hessian of the Green kernel r^{2-n}.  Each case is one row of
-``_CASES``, read by ``verify_case``, ``build_case_tensor``, ``flat_schedule``
-and ``identity_case_harmonics``; its builder makes the gauge tensor, its
-dual and the reference field from one generator.
+``_CASES``.  Its builder lists the case's branches from one generator, as
+(label, tensor, reference field) triples with the gauge-compatible branch
+first; a reference field marks a branch whose B h must be proportional to
+it.  ``verify_case``, ``build_case_tensor`` and ``identity_case_harmonics``
+read those triples through one path, and ``flat_schedule`` reads the row's
+degrees.
 """
 
 from __future__ import annotations
@@ -89,9 +92,9 @@ class CaseReport(NamedTuple):
 def _branch(
     label: str,
     h: FieldExpr,
-    reference_field: Optional[FieldExpr] = None,
-    expected_coeff: Optional[Fraction] = None,
-    reference: Optional[str] = None,
+    reference_field: Optional[FieldExpr],
+    expected_coeff: Optional[Fraction],
+    reference: Optional[str],
 ) -> BranchCheck:
     """Check one branch; a reference field marks it gauge-incompatible."""
     harmonic = laplacian(h).is_zero()
@@ -119,8 +122,8 @@ def _branch(
 # constructions
 # ---------------------------------------------------------------------------
 
-# (gauge tensor, dual tensor, reference field) of one case at one degree
-Built = Tuple[FieldExpr, Optional[FieldExpr], Optional[FieldExpr]]
+# (label, tensor, reference field) of each branch, gauge-compatible first
+Branches = List[Tuple[str, FieldExpr, Optional[FieldExpr]]]
 
 
 def _hessian(f: FieldExpr) -> FieldExpr:
@@ -138,59 +141,61 @@ def _is_tt(h: FieldExpr) -> bool:
     return trace(h).is_zero() and divergence(h).is_zero()
 
 
-def _tt(n: int, d: int, seed: int) -> Built:
+def _tt(n: int, d: int, seed: int) -> Branches:
     """(i): flat-realizable members of the gauged kernel only.
 
     A general link TT-tensor has no polynomial model, so there is no
     decaying branch; degrees 0 and 1 give a constant trace-free tensor.
     """
     if d >= 2:
-        return _hessian(harmonic_polynomial(n, d, seed)), None, None
+        return [("+", _hessian(harmonic_polynomial(n, d, seed)), None)]
     out = FieldExpr(n, 2)
     if seed % 2 == 0:
         out.set_component((0, 0), PolyR.constant(n, 1))
         out.set_component((1, 1), PolyR.constant(n, -1))
     else:
         out.set_component((0, 1), PolyR.constant(n, 1))
-    return out, None, None
+    return [("+", out, None)]
 
 
-def _one_form_growing(n: int, k: int, seed: int) -> Built:
+def _one_form_growing(n: int, k: int, seed: int) -> Branches:
     """(ii): delta^* omega, its dual r^(4-n-2k) delta^* omega."""
     omega = rotational_form(n, k)
     plus = sym_gradient(omega)
-    return plus, plus.mul_r_power(4 - n - 2 * k), omega.mul_r_power(2 - n - 2 * k)
+    return [("+", plus, None), ("-", plus.mul_r_power(4 - n - 2 * k), omega.mul_r_power(2 - n - 2 * k))]
 
 
-def _one_form_decaying(n: int, k: int, seed: int) -> Built:
+def _one_form_decaying(n: int, k: int, seed: int) -> Branches:
     """(iii): delta^*(r^(2-n-2k) omega), its dual times r^(n+2k)."""
     omega = rotational_form(n, k)
     minus = sym_gradient(omega.mul_r_power(2 - n - 2 * k))
-    return minus, minus.mul_r_power(n + 2 * k), omega
+    return [("-", minus, None), ("+", minus.mul_r_power(n + 2 * k), omega)]
 
 
-def _shifted_growing(n: int, d: int, seed: int) -> Built:
+def _shifted_growing(n: int, d: int, seed: int) -> Branches:
     """(iv): Hess H, its dual r^(6-n-2d) Hess H."""
     dh = gradient(harmonic_polynomial(n, d, seed))
     plus = sym_gradient(dh)
-    return plus, plus.mul_r_power(6 - n - 2 * d), dh.mul_r_power(4 - n - 2 * d)
+    return [("+", plus, None), ("-", plus.mul_r_power(6 - n - 2 * d), dh.mul_r_power(4 - n - 2 * d))]
 
 
-def _shifted_decaying(n: int, d: int, seed: int) -> Built:
+def _shifted_decaying(n: int, d: int, seed: int) -> Branches:
     """(v): Hess(r^(2-n-2d) H), its dual times r^(n+2d+2)."""
     dh_minus = gradient(harmonic_polynomial(n, d, seed).mul_r_power(2 - n - 2 * d))
     minus = sym_gradient(dh_minus)
-    return minus, minus.mul_r_power(n + 2 * d + 2), dh_minus.mul_r_power(n + 2 * d)
+    return [("-", minus, None), ("+", minus.mul_r_power(n + 2 * d + 2), dh_minus.mul_r_power(n + 2 * d))]
 
 
-def _direct_scalar(n: int, d: int, seed: int) -> Built:
-    """(vi): both branches of the direct scalar family, and dH.
+def _direct_scalar(n: int, d: int, seed: int) -> Branches:
+    """(vi): both branches of the direct scalar family, and the growing one
+    without its conformal part.
 
     With xi_+ = d and xi_- = 2-n-d, each branch is the trace-free
     symmetrized derivative of the 1-form carrying the dual-weight
     continuation plus the conformal part w*g, where
     n*w = (xi_+ - xi_- + 2) xi_- H on the growing branch (resp. swapped)
-    restores the gauge.  Both branches are gauge-compatible.
+    restores the gauge.  Both branches are gauge-compatible; without w the
+    growing one is not, and its B h is a multiple of dH.
     """
     h_poly = harmonic_polynomial(n, d, seed)
     h_minus = h_poly.mul_r_power(2 - n - 2 * d)
@@ -203,38 +208,37 @@ def _direct_scalar(n: int, d: int, seed: int) -> Built:
         sym_gradient(dh.mul_r_power(4 - n - 2 * d)),
         h_minus.component() * Fraction((4 - n - 2 * d) * d, n),
     )
-    return plus, minus, dh
+    return [("+", plus, None), ("-", minus, None), ("wrong-trace-combination", _trace_free(plus), dh)]
 
 
-def _metric(n: int, d: int, seed: int) -> Built:
+def _metric(n: int, d: int, seed: int) -> Branches:
     """(vii): g, its dual r^(2-n) g."""
     g = euclidean_metric(n)
-    return g, g.mul_r_power(2 - n), radial_form(n).mul_r_power(-n)
+    return [("+", g, None), ("-", g.mul_r_power(2 - n), radial_form(n).mul_r_power(-n))]
 
 
-def _green_hessian(n: int, d: int, seed: int) -> Built:
+def _green_hessian(n: int, d: int, seed: int) -> Branches:
     """(viii): the Hessian of the Green kernel r^(2-n), its dual times r^(n+2)."""
     minus = _hessian(FieldExpr.scalar(PolyR.r_power(n, 2 - n)))
-    return minus, minus.mul_r_power(n + 2), radial_form(n)
+    return [("-", minus, None), ("+", minus.mul_r_power(n + 2), radial_form(n))]
 
 
 class _Case(NamedTuple):
-    """One gauge case: its construction and what its dual branch must show."""
+    """One gauge case: its branches and what a referenced branch must show."""
 
-    gauge: str                                  # the gauge-compatible branch
-    build: Callable[[int, int, int], Built]     # (n, degree, seed)
-    expected: Optional[Callable[[int, int], Fraction]] = None  # dual coefficient
+    build: Callable[[int, int, int], Branches]  # (n, degree, seed)
+    expected: Optional[Callable[[int, int], Fraction]] = None  # B h / reference field
     reference: Optional[str] = None             # the reference field, as printed
     lowest: Optional[int] = 1                   # None: the degree is ignored
     repeats: Tuple[int, ...] = ()               # degrees that rebuild a lower one
-    not_tt: Optional[str] = None                # note if the gauge tensor is not TT
+    note: Optional[str] = None                  # note on every report
+    not_tt: Optional[str] = None                # note, and a failed check, if the gauge tensor is not TT
     drop: Optional[str] = None                  # note if it vanishes at degree 1
 
 
 _CASES = {
-    "i": _Case("+", _tt, lowest=0, repeats=(1,)),
+    "i": _Case(_tt, lowest=0, repeats=(1,), not_tt="flat instance failed the TT conditions"),
     "ii": _Case(
-        "+",
         _one_form_growing,
         lambda n, k: Fraction((n + 2 * k - 4) * (k - 1), 2),
         "r^(2-n-2k) * omega",
@@ -242,13 +246,11 @@ _CASES = {
         drop="Killing form: sym_gradient vanishes, plus branch drops",
     ),
     "iii": _Case(
-        "-",
         _one_form_decaying,
         lambda n, k: Fraction((n + 2 * k) * (n + k - 1), 2),
         "r^0 * omega",
     ),
     "iv": _Case(
-        "+",
         _shifted_growing,
         lambda n, d: Fraction((n + 2 * d - 6) * (d - 1)),
         "r^(4-n-2d) * dH",
@@ -258,26 +260,27 @@ _CASES = {
         ),
     ),
     "v": _Case(
-        "-",
         _shifted_decaying,
         lambda n, d: Fraction((n + 2 * d + 2) * (n + d - 1)),
         "r^(n+2d) * d(r^(2-n-2d) H)",
     ),
     "vi": _Case(
-        "+",
         _direct_scalar,
         lambda n, d: Fraction((n - 2) * (n + 2 * d) * (n + d - 2), 2 * n),
         "dH",
+        note=(
+            "gauge requires n*w = (xi_+ - xi_- + 2) xi_- v on the growing "
+            "branch (sign verified exactly; the quoted constant has a "
+            "2 -> -2 slip)"
+        ),
     ),
     "vii": _Case(
-        "+",
         _metric,
         lambda n, d: Fraction(-((n - 2) ** 2), 2),
         "r^(1-n) dr",
         lowest=None,
     ),
     "viii": _Case(
-        "-",
         _green_hessian,
         lambda n, d: Fraction(-((n + 2) * (n - 1) * (n - 2))),
         "r dr",
@@ -287,12 +290,6 @@ _CASES = {
 }
 
 CASE_IDS = tuple(_CASES)
-
-_DIRECT_SCALAR_NOTE = (
-    "gauge requires n*w = (xi_+ - xi_- + 2) xi_- v on the growing "
-    "branch (sign verified exactly; the quoted constant has a "
-    "2 -> -2 slip)"
-)
 
 
 def _row(case_id: str, degree: int) -> _Case:
@@ -329,13 +326,13 @@ def build_case_tensor(case_id: str, branch: str, n: int, degree: int = 2, seed: 
     row = _row(case_id, degree)
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    if branch != row.gauge and row.reference is None:
-        raise UnsupportedCase(
-            "no polynomial flat model for the decaying branch of a "
-            "generic TT input"
-        )
-    gauge, dual, _ = row.build(n, degree, seed)
-    return gauge if branch == row.gauge else dual
+    for label, tensor, _ in row.build(n, degree, seed):
+        if label == branch:
+            return tensor
+    raise UnsupportedCase(
+        "no polynomial flat model for the decaying branch of a "
+        "generic TT input"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,40 +343,22 @@ def build_case_tensor(case_id: str, branch: str, n: int, degree: int = 2, seed: 
 def verify_case(case_id: str, n: int, degree: int = 2, seed: int = 0) -> CaseReport:
     """Run the exact checks for one case at one degree."""
     row = _row(case_id, degree)
-    gauge, dual, reference_field = row.build(n, degree, seed)
-
-    if case_id == "i":
-        checks = (_branch("+", gauge),)
-        if _is_tt(gauge):
-            return CaseReport("i", n, degree, checks)
-        failed = BranchCheck("+", False, "zero", "nonzero", "nonzero-expression")
-        notes = ("flat instance failed the TT conditions",)
-        return CaseReport("i", n, degree, checks + (failed,), notes=notes)
-
-    expected = row.expected(n, degree)
-    if case_id == "vi":
-        # both branches are gauge-compatible; the growing one without its
-        # conformal part is not
-        wrong = _trace_free(gauge)
-        checks = (
-            _branch("+", gauge),
-            _branch("-", dual),
-            _branch("wrong-trace-combination", wrong, reference_field, expected, row.reference),
-        )
-        return CaseReport("vi", n, degree, checks, notes=(_DIRECT_SCALAR_NOTE,))
-
+    branches = row.build(n, degree, seed)
+    label, gauge, _ = branches[0]
     if row.drop is not None and gauge.is_zero():
         # the eigentensor vanishes and the eigenvalue drops; there is
         # nothing to check on either branch
         if degree != 1:
             raise AssertionError(f"case ({case_id}): unexpected vanishing at degree {degree}")
         return CaseReport(case_id, n, degree, (), degenerate=True, notes=(row.drop,))
-    dual_label = "-" if row.gauge == "+" else "+"
-    checks = (
-        _branch(row.gauge, gauge),
-        _branch(dual_label, dual, reference_field, expected, row.reference),
+    checks = tuple(
+        _branch(b, h, ref, None if ref is None else row.expected(n, degree), row.reference)
+        for b, h, ref in branches
     )
-    notes = (row.not_tt,) if row.not_tt is not None and not _is_tt(gauge) else ()
+    notes = () if row.note is None else (row.note,)
+    if row.not_tt is not None and not _is_tt(gauge):
+        checks += (BranchCheck(label, False, "zero", "nonzero", "nonzero-expression"),)
+        notes += (row.not_tt,)
     degree_or_none = None if row.lowest is None else degree
     return CaseReport(case_id, n, degree_or_none, checks, notes=notes)
 
@@ -426,7 +405,7 @@ def _one_form_family(n: int, count: int) -> List[FieldExpr]:
     return out
 
 
-def identity_b_dstar(n: int, count: int = 20) -> IdentityReport:
+def identity_b_dstar(n: int) -> IdentityReport:
     """2 * B(delta^* w) == Delta_1 w, exactly, on a generated family.
 
     With the 1/2-normalized delta^* the correct flat identity carries the
@@ -434,14 +413,15 @@ def identity_b_dstar(n: int, count: int = 20) -> IdentityReport:
     is recorded because quoted versions of the identity drop it.
     """
     failures = 0
-    for w in _one_form_family(n, count):
+    forms = _one_form_family(n, 20)
+    for w in forms:
         lhs = bianchi_op(sym_gradient(w)).scale(2)
         rhs = laplacian(w)
         if not (lhs - rhs).is_zero():
             failures += 1
     return IdentityReport(
         "2 * B(delta* w) = Delta_1 w",
-        count,
+        len(forms),
         failures,
         detail="verified constant 1/2 for B o delta* relative to Delta_1",
     )
@@ -454,37 +434,32 @@ def identity_delta_star_radial(n: int) -> IdentityReport:
     return IdentityReport("delta*(r dr) = g", 1, 0 if ok else 1)
 
 
-def identity_trace_commutes(n: int, count: int = 12) -> IdentityReport:
+def identity_trace_commutes(n: int) -> IdentityReport:
     """trace o laplacian == laplacian o trace on symmetric 2-tensors."""
     failures = 0
-    forms = _one_form_family(n, count)
+    forms = _one_form_family(n, 12)
     for w in forms:
         h = sym_gradient(w) + sym_product(w, radial_form(n))
         lhs = trace(laplacian(h))
         rhs = laplacian(trace(h))
         if not (lhs - rhs).is_zero():
             failures += 1
-    return IdentityReport("tr(Delta h) = Delta(tr h)", count, failures)
+    return IdentityReport("tr(Delta h) = Delta(tr h)", len(forms), failures)
 
 
-def identity_case_harmonics(n: int, max_degree: int = 3) -> IdentityReport:
-    """The four scalar-family tensors built from each H_d are harmonic:
-    the gauge tensors of cases (iv) and (v) and both branches of (vi)."""
-    failures = 0
-    cases = 0
-    for d in range(1, max_degree + 1):
-        plus, minus, _ = _CASES["vi"].build(n, d, 0)
-        tensors = [
-            _CASES["iv"].build(n, d, 0)[0],
-            _CASES["v"].build(n, d, 0)[0],
-            plus,
-            minus,
-        ]
-        for t in tensors:
-            cases += 1
-            if not laplacian(t).is_zero():
-                failures += 1
-    return IdentityReport("scalar-family tensors are componentwise harmonic", cases, failures)
+def identity_case_harmonics(n: int) -> IdentityReport:
+    """The four gauge-compatible scalar-family tensors built from each H_d,
+    d = 1, 2, 3, are harmonic: those of cases (iv) and (v) and both
+    branches of (vi)."""
+    tensors = [
+        h
+        for d in (1, 2, 3)
+        for case_id in ("iv", "v", "vi")
+        for _label, h, reference_field in _CASES[case_id].build(n, d, 0)
+        if reference_field is None
+    ]
+    failures = sum(not laplacian(t).is_zero() for t in tensors)
+    return IdentityReport("scalar-family tensors are componentwise harmonic", len(tensors), failures)
 
 
 # ---------------------------------------------------------------------------

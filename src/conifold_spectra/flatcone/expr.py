@@ -98,11 +98,6 @@ class PolyR:
     def r_power(n: int, s) -> "PolyR":
         return PolyR(n, {((0,) * n, s): 1})
 
-    @staticmethod
-    def radius_squared(n: int) -> "PolyR":
-        """sum_i x_i^2, whose normal form is r^2."""
-        return PolyR.r_power(n, 2)
-
     def copy(self) -> "PolyR":
         out = PolyR(self.n)
         out.num = dict(self.num)

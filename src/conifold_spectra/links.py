@@ -97,7 +97,7 @@ class LinkSpectrum(NamedTuple):
     is_round_sphere: bool = False
     ends: Tuple[EndKind, ...] = (EndKind.AC, EndKind.CS)
 
-    def validate(self, validate_obata: bool = True) -> None:
+    def validate(self) -> None:
         """Check the link invariants, raising InvariantViolation on failure."""
         check_dimension(self.n)
         lam = self.scalar
@@ -106,13 +106,12 @@ class LinkSpectrum(NamedTuple):
         mult0 = lam.entries[0].multiplicity
         if mult0 is not None and mult0 != 1:
             raise InvariantViolation("lambda_0 = 0 must have multiplicity 1")
-        if validate_obata:
-            for entry in lam.entries[1:]:
-                if entry.value < self.n - 1:
-                    raise InvariantViolation(
-                        f"positive scalar eigenvalue {entry.value} violates the "
-                        f"Lichnerowicz-Obata bound lambda >= n-1 = {self.n - 1}"
-                    )
+        for entry in lam.entries[1:]:
+            if entry.value < self.n - 1:
+                raise InvariantViolation(
+                    f"positive scalar eigenvalue {entry.value} violates the "
+                    f"Lichnerowicz-Obata bound lambda >= n-1 = {self.n - 1}"
+                )
         floor = self.n - 2
         for entry in self.coclosed_one_form.entries:
             if entry.value < floor:
@@ -228,17 +227,14 @@ def sphere_link(n: int, count: int = 8) -> LinkSpectrum:
     )
 
 
-def sphere_quotient_link(n: int, gamma_nontrivial: bool = True, count: int = 8) -> LinkSpectrum:
-    """A space form S^{n-1}/Gamma in upper-bound-set mode.
+def sphere_quotient_link(n: int, count: int = 8) -> LinkSpectrum:
+    """A space form S^{n-1}/Gamma, Gamma nontrivial, in upper-bound-set mode.
 
-    The quotient spectra are subsets of the sphere spectra; when Gamma is
-    nontrivial the equality case of Obata drops lambda_1 = n-1.  No invariant
-    multiplicities are known, so all multiplicities are marked unknown.  The
-    trivial quotient is the round sphere itself.
+    The quotient spectra are subsets of the sphere spectra, and the
+    equality case of Obata drops lambda_1 = n-1.  No invariant
+    multiplicities are known, so all multiplicities are marked unknown.
     """
     base = sphere_link(n, count=count)
-    if not gamma_nontrivial:
-        return base
 
     def bounded(lst: SpectrumList, drop=None) -> SpectrumList:
         entries = tuple(
@@ -315,16 +311,14 @@ def builtin_link(
     The quotient switch also applies to the plain sphere (requesting a
     nontrivial group turns it into the space-form catalog entry); it
     defaults to trivial for "sphere" and nontrivial for "sphere-quotient",
-    and the product link refuses it.
+    the trivial quotient is the round sphere itself, and the product link
+    refuses the switch.
     """
     dim = n if n is not None else 4
     if name == "sphere":
-        if gamma_nontrivial:
-            return sphere_quotient_link(dim, True)
-        return sphere_link(dim)
+        return sphere_quotient_link(dim) if gamma_nontrivial else sphere_link(dim)
     if name == "sphere-quotient":
-        nontrivial = True if gamma_nontrivial is None else gamma_nontrivial
-        return sphere_quotient_link(dim, nontrivial)
+        return sphere_link(dim) if gamma_nontrivial is False else sphere_quotient_link(dim)
     if name == "product-einstein-10":
         if gamma_nontrivial is not None:
             raise SchemaError("the quotient switch does not apply to product-einstein-10")
@@ -424,11 +418,7 @@ def _parse_spectrum(doc, where: str) -> SpectrumList:
     return SpectrumList(tuple(entries), complete_below, mode)
 
 
-def load_spectrum(
-    document: dict,
-    validate_obata: bool = True,
-    eps: float = DEFAULT_EPSILON,
-) -> LinkSpectrum:
+def load_spectrum(document: dict, eps: float = DEFAULT_EPSILON) -> LinkSpectrum:
     """Build a validated LinkSpectrum from a parsed interchange document.
 
     Numbers given as "p/q" strings are exact rationals; a bare JSON number
@@ -479,5 +469,5 @@ def load_spectrum(
     if killing is None:
         killing = any(e.value == n - 2 for e in link.coclosed_one_form.entries)
         link = link._replace(has_killing_fields=killing)
-    link.validate(validate_obata=validate_obata)
+    link.validate()
     return link

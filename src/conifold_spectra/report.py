@@ -53,32 +53,21 @@ class ReportOptions(NamedTuple):
     max_roots: Optional[int] = None
 
 
-class Report:
+class Report(NamedTuple):
     """A view of one ``LinkAnalysis``, plus what only the report derives.
 
     ``link`` is the link as given (the analysis holds it snapped); the
     indicial sets and the resonance are read from the analysis.
     """
 
-    def __init__(
-        self,
-        link: LinkSpectrum,
-        options: ReportOptions,
-        analysis: LinkAnalysis,
-        rates: Optional[Rates],
-        rate_error: Optional[str],
-        end_orders: List[EndOrderReport],
-        warnings: List[str],
-        notes: List[str],
-    ):
-        self.link = link
-        self.options = options
-        self.analysis = analysis
-        self.rates = rates
-        self.rate_error = rate_error
-        self.end_orders = end_orders
-        self.warnings = warnings
-        self.notes = notes
+    link: LinkSpectrum
+    options: ReportOptions
+    analysis: LinkAnalysis
+    rates: Optional[Rates]
+    rate_error: Optional[str]
+    end_orders: List[EndOrderReport]
+    warnings: List[str]
+    notes: List[str]
 
     roots_full = property(attrgetter("analysis.full"))
     roots_bianchi = property(attrgetter("analysis.bianchi"))

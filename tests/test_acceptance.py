@@ -63,7 +63,7 @@ def test_criterion_1_orbifold_order():
     with criterion(1, "orbifold ends have order 2"):
         started = time.monotonic()
         for n in (4, 5, 6, 10):
-            report = end_order(sphere_quotient_link(n, True), EndKind.CS)
+            report = end_order(sphere_quotient_link(n), EndKind.CS)
             assert report.order == Scalar(2)
             assert report.order.exact
             assert not report.weak
@@ -74,9 +74,9 @@ def test_criterion_2_ale_order():
     with criterion(2, "ALE ends have order n (n-1 when trivial)"):
         started = time.monotonic()
         for n in (4, 5, 6, 10):
-            bounded = end_order(sphere_quotient_link(n, True), EndKind.AC)
+            bounded = end_order(sphere_quotient_link(n), EndKind.AC)
             assert bounded.order == Scalar(n) and bounded.order.exact
-            trivial = end_order(sphere_quotient_link(n, False), EndKind.AC)
+            trivial = end_order(sphere_link(n), EndKind.AC)
             assert trivial.order == Scalar(n - 1) and trivial.order.exact
         assert time.monotonic() - started < 1.0
 
@@ -137,7 +137,7 @@ def test_criterion_5_branch_algebra_property_suite():
 def test_criterion_6_indicial_set_structure():
     with criterion(6, "indicial set inclusions, duality, specials"):
         for n in (4, 6, 9):
-            for link in (sphere_link(n), sphere_quotient_link(n, True)):
+            for link in (sphere_link(n), sphere_quotient_link(n)):
                 full = indicial_set_full(link)
                 gauge = indicial_set_bianchi(link)
                 essential = indicial_set_essential(link)
@@ -217,7 +217,7 @@ def test_criterion_7_flat_cone_oracle():
             if b.bianchi_expected == "nonzero"
         ][0]
         assert abs(green_case.coefficient) == Fraction(6 * 3 * 2)
-        identity = identity_b_dstar(4, count=20)
+        identity = identity_b_dstar(4)
         assert identity.cases == 20 and identity.passed
         assert time.monotonic() - started < 30.0
 

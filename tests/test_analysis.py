@@ -59,7 +59,7 @@ def test_build_report_computes_branches_once(monkeypatch):
 
 def test_stages_are_built_once(monkeypatch):
     boxL_calls = _count_calls(monkeypatch, rates, "boxL_spectrum")
-    link = sphere_quotient_link(6, True)
+    link = sphere_quotient_link(6)
     analysis = LinkAnalysis(link)
     for _ in range(2):
         analysis.rates
@@ -99,7 +99,7 @@ def test_readme_stage_list_names_every_stage():
 
 
 def test_public_functions_are_views():
-    link = sphere_quotient_link(6, True)
+    link = sphere_quotient_link(6)
     analysis = LinkAnalysis(link)
     assert xi_rates(link) == analysis.rates
     assert resonance_analysis(link) == analysis.resonance

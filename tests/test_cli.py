@@ -85,7 +85,7 @@ def test_report_json_round_trip_and_determinism(tmp_path):
         rendered = render_json(report)
         assert json.loads(rendered) == report_dict(report), name
         assert rendered == json.dumps(report_dict(report), indent=2) + "\n", name
-    link = sphere_quotient_link(5, True)
+    link = sphere_quotient_link(5)
     report = build_report(link)
     rendered = render_json(report)
     assert json.loads(rendered) == report_dict(report)
@@ -141,7 +141,7 @@ def test_report_csv_cli(capsys):
     ids=["comma", "quote", "newline", "plain"],
 )
 def test_report_csv_quotes_special_cells(name, cell):
-    link = sphere_quotient_link(5, True)._replace(name=name)
+    link = sphere_quotient_link(5)._replace(name=name)
     assert f"\nlink,name,{cell}\n" in render_csv(build_report(link))
 
 

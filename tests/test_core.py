@@ -12,7 +12,6 @@ from conifold_spectra import (
     DimensionTooSmall,
     Scalar,
     Weight,
-    discriminant,
     dual_weight,
     eta,
     resonance_pair,
@@ -26,15 +25,10 @@ from conifold_spectra.links import EigenvalueEntry, LinkSpectrum, SpectrumList, 
 from oracles import branch_pair, eta_of
 
 
-def test_discriminant_values():
-    assert discriminant(4, Scalar(8)) == Scalar(9)
-    assert discriminant(10, Scalar(-16)) == Scalar(0)
-    assert discriminant(3, Scalar(0)) == Scalar(Fraction(1, 4))
-
-
 def test_discriminant_rejects_small_dimension():
+    # the discriminant (n-2)^2/4 + nu of xi_pair is refused below n = 3
     with pytest.raises(DimensionTooSmall):
-        discriminant(2, Scalar(0))
+        xi_pair(2, Scalar(0))
 
 
 def test_xi_pair_basic():
@@ -285,7 +279,6 @@ def test_integral_exact_values_are_ints():
         weight_pair_sum(half, half),
         weight_pair_product(half, Weight(Scalar(4))),
         eta(5, half - Fraction(1, 2)),
-        discriminant(3, Scalar(Fraction(3, 4))),
         xi_pair(4, Scalar(8))[0].real,
         xi_pair(4, Scalar(Fraction(5, 4)))[0].real,
         -Scalar(Fraction(8, 4)),
@@ -293,7 +286,7 @@ def test_integral_exact_values_are_ints():
     for s in values:
         assert s.exact
         _assert_normal(s.value)
-    assert weight_pair_sum(half, half).value == 1 and discriminant(3, Scalar(Fraction(3, 4))).value == 1
+    assert weight_pair_sum(half, half).value == 1
     for plus, minus in (xi_pair(6, Scalar(12)), xi_pair(5, Scalar(4)), xi_pair(4, Scalar(Fraction(5, 4)))):
         for value in (plus.real.value, minus.real.value, plus.base, plus.square, plus.root):
             _assert_normal(value)

@@ -23,6 +23,14 @@ from conifold_spectra.flatcone import (
 from oracles import add_terms, diff_terms, expand_is_zero, second_derivative_laplacian
 
 
+def sum_of_squares(n):
+    """sum_i x_i^2 as coordinate products; the x_n rewrite gives r^2."""
+    total = PolyR.constant(n, 0)
+    for i in range(n):
+        total = total + PolyR.coordinate(n, i) * PolyR.coordinate(n, i)
+    return total
+
+
 def scalar_field(poly):
     return FieldExpr.scalar(poly)
 
@@ -81,7 +89,7 @@ def test_trace_and_radial_contraction():
 
 def test_is_zero_mixed_representations():
     n = 4
-    r2 = PolyR.radius_squared(n)
+    r2 = sum_of_squares(n)
     assert (r2 - PolyR.r_power(n, 2)).is_zero()
     assert (r2.mul_r_power(Fraction(-2)) - PolyR.constant(n, 1)).is_zero()
     odd = PolyR.r_power(n, 1) - PolyR.coordinate(n, 0)
@@ -140,7 +148,7 @@ def test_proportionality_exact_division():
     assert proportionality(shifted, g) is None
     # equivalent representations: r^2 * g vs (sum x_i^2) * g
     r2_version = g.mul_r_power(Fraction(2))
-    poly_version = g.scale_poly(PolyR.radius_squared(n))
+    poly_version = g.scale_poly(sum_of_squares(n))
     assert proportionality(r2_version, poly_version) == Fraction(1)
 
 
@@ -158,7 +166,7 @@ def test_normal_form_keeps_last_exponent_below_two():
     assert all(alpha[-1] <= 1 for alpha, _s in square.terms)
     assert (square - PolyR.r_power(n, 2) + PolyR.monomial(n, (2, 0, 0, 0))
             + PolyR.monomial(n, (0, 2, 0, 0)) + PolyR.monomial(n, (0, 0, 2, 0))).is_zero()
-    assert PolyR.radius_squared(n).terms == PolyR.r_power(n, 2).terms
+    assert sum_of_squares(n).terms == PolyR.r_power(n, 2).terms
     assert (xn * xn * xn).homogeneity() == Fraction(3)
 
 

@@ -95,7 +95,7 @@ def test_boxL_sphere_n4_values():
 
 
 def test_boxL_quotient_has_no_obata_drop():
-    table = boxL_spectrum(sphere_quotient_link(4, True))
+    table = boxL_spectrum(sphere_quotient_link(4))
     assert not any(e.drop_reason is DropReason.OBATA for e in table)
 
 
@@ -123,7 +123,7 @@ def test_boxL_non_sphere_at_obata_value_keeps_with_note(caplog):
 
 
 def test_every_drop_has_a_reason():
-    for link in (sphere_link(4), sphere_link(7), sphere_quotient_link(5, True)):
+    for link in (sphere_link(4), sphere_link(7), sphere_quotient_link(5)):
         for entry in box1_spectrum(link) + boxL_spectrum(link):
             assert entry.dropped == (entry.drop_reason is not None)
 
@@ -145,7 +145,7 @@ def test_indicial_sets_match_brute_force():
         }
         assert got_b == brute_bianchi_weights(n, kaps, mus, lams, round_sphere=True)
         # nontrivial quotient: lambda_1 absent, raw formulas apply
-        quotient = sphere_quotient_link(n, True, count=5)
+        quotient = sphere_quotient_link(n, count=5)
         qlams = [l for l in lams if l != n - 1]
         got_full = {
             (r.weight.real.value, r.weight.imag.value)
@@ -160,7 +160,7 @@ def test_indicial_sets_match_brute_force():
 
 
 def test_set_inclusions_and_specials():
-    for maker in (lambda: sphere_link(4), lambda: sphere_quotient_link(10, True)):
+    for maker in (lambda: sphere_link(4), lambda: sphere_quotient_link(10)):
         link = maker()
         wl = {(str(r.weight.real), str(r.weight.imag)) for r in indicial_set_full(link)}
         wb = {
@@ -226,7 +226,7 @@ def test_flat_link_contains_expected_roots():
 
 
 def test_essential_set_families_and_flags():
-    link = sphere_quotient_link(4, True)
+    link = sphere_quotient_link(4)
     roots = indicial_set_essential(link)
     assert roots
     for r in roots:

@@ -13,6 +13,7 @@ from conifold_spectra import (
     SchemaError,
     SpectrumMode,
     UnsupportedDimension,
+    builtin_link,
     load_spectrum,
     product_einstein_example,
     sphere_link,
@@ -56,7 +57,7 @@ def test_sphere_link_rejects_n3():
 
 
 def test_quotient_drops_obata_eigenvalue():
-    link = sphere_quotient_link(4, gamma_nontrivial=True)
+    link = sphere_quotient_link(4)
     values = [e.value for e in link.scalar.entries]
     assert Scalar(3) not in values
     assert values[0] == Scalar(0) and values[1] == Scalar(8)
@@ -66,14 +67,14 @@ def test_quotient_drops_obata_eigenvalue():
 
 
 def test_quotient_lambda_values_at_n10():
-    link = sphere_quotient_link(10, gamma_nontrivial=True)
+    link = sphere_quotient_link(10)
     values = [e.value for e in link.scalar.entries]
     assert Scalar(9) not in values
     assert Scalar(20) in values
 
 
 def test_trivial_quotient_is_the_sphere():
-    assert sphere_quotient_link(4, gamma_nontrivial=False) == sphere_link(4)
+    assert builtin_link("sphere-quotient", 4, gamma_nontrivial=False) == sphere_link(4)
 
 
 def test_product_einstein_fixture():
@@ -185,8 +186,6 @@ def test_load_spectrum_checks_invariants():
     ]
     with pytest.raises(InvariantViolation):
         load_spectrum(doc)  # Obata: lambda_1 >= n-1 = 3
-    link = load_spectrum(doc, validate_obata=False)
-    assert link.scalar.entries[1].value == Scalar(2)
     doc = _document()
     doc["coclosed_one_form"]["entries"] = [{"value": 1, "multiplicity": None}]
     with pytest.raises(InvariantViolation):

@@ -70,7 +70,7 @@ def synthetic_link(
 
 
 def test_e_plus_sphere_quotient_minimum():
-    link = sphere_quotient_link(4, True)
+    link = sphere_quotient_link(4)
     eplus = e_plus_set(link)
     assert eplus.minimum().value == Scalar(2)
     # brute-force value set agrees on the listed data
@@ -90,7 +90,7 @@ def test_e_plus_scaling_monotonicity():
 
 
 def test_e_minus_sphere_cases():
-    quotient = sphere_quotient_link(4, True)
+    quotient = sphere_quotient_link(4)
     assert e_minus_set(quotient).minimum().value == Scalar(4)
     trivial = sphere_link(4)
     assert e_minus_set(trivial).minimum().value == Scalar(3)
@@ -165,7 +165,7 @@ def test_stenzel_m3_dual_branch_dominates():
 
 
 def test_xi_rates_sphere_quotient():
-    rates = xi_rates(sphere_quotient_link(4, True))
+    rates = xi_rates(sphere_quotient_link(4))
     assert rates.xi_plus.value == Scalar(2)
     assert rates.xi_minus.value == Scalar(4)
     rates = xi_rates(sphere_link(4))
@@ -314,7 +314,7 @@ def test_minus_branch_elements_bounded_below():
 
 
 def test_end_orders_quotient_and_product():
-    quotient = sphere_quotient_link(4, True)
+    quotient = sphere_quotient_link(4)
     cs = end_order(quotient, EndKind.CS)
     assert cs.order == Scalar(2) and not cs.weak and cs.bound_only
     ac = end_order(quotient, EndKind.AC)

@@ -103,7 +103,7 @@ def test_fmt_helpers():
 
 
 def test_end_order_line_forms():
-    quotient = sphere_quotient_link(4, True)
+    quotient = sphere_quotient_link(4)
     report = build_report(quotient)
     lines = {end_order_line(r) for r in report.end_orders}
     assert lines == {"AC order >= 4", "CS order >= 2"}
@@ -113,7 +113,7 @@ def test_end_order_line_forms():
 
 
 def test_rates_witnesses_exposed():
-    report = build_report(sphere_quotient_link(6, True))
+    report = build_report(sphere_quotient_link(6))
     assert report.rates is not None
     xp = report.rates.xi_plus
     assert str(xp.value) == "2"

@@ -53,7 +53,7 @@ def test_boxL_table_matches_formulas_on_quotient():
     # exactly one zero from the mu-plus family
     for n in (4, 6):
         count = 4
-        link = sphere_quotient_link(n, True, count=count)
+        link = sphere_quotient_link(n, count=count)
         lams, mus, kaps = _sphere_data(n, count)
         lams = [l for l in lams if l != n - 1]
         expected = []
