@@ -356,27 +356,39 @@ def _surds_cmp(x, y) -> int:
     return 0
 
 
-def exact_sorted(items, key, surds) -> list:
+def is_double(x) -> bool:
+    """True when x, an int or a ``Fraction`` with up to 53 bits, is dyadic: a double, its own view.
+
+    A float here is the view of an irrational, never a value.
+    """
+    d = 3 if type(x) is float else x.denominator
+    return not d & (d - 1) and d.bit_length() <= 1075 and x.numerator.bit_length() <= 53
+
+
+def exact_sorted(items, key, surds, plain) -> list:
     """``items`` sorted by ``key``, then each run of equal views stably by exact value.
 
-    ``key(item)`` starts with the view, a correctly rounded double, and
-    ``surds(item)`` is a tuple of surds (c, s, q), compared
-    lexicographically, whose first one the view rounds.  Rounding is
-    monotone, so only a run of equal views can be out of exact order, and
-    equal values keep their ``key`` order.  A run whose surds are all
-    rational sorts on the rationals; ``surd_cmp`` runs only where a run
-    holds an irrational.
+    ``key(item)`` starts with the views, correctly rounded doubles, of the
+    surds (c, s, q) of ``surds(item)``, compared lexicographically.  Rounding
+    is monotone, so only a run of equal first views can be out of exact
+    order, and equal values keep their ``key`` order.  A run whose views are
+    all their exact values (``plain(item)``, see ``is_double``) holds equal
+    values and keeps its order without a surd computed.  Another run whose
+    surds are all rational sorts on the rationals; ``surd_cmp`` runs only
+    where a run holds an irrational.
     """
     out = []
     keyed = sorted([(key(item), item) for item in items], key=itemgetter(0))
     for _, group in groupby(keyed, lambda pair: pair[0][0]):
-        run = [(surds(item), item) for _, item in group]
-        if len(run) > 1:
-            if any(s for pair in run for _, s, _ in pair[0]):
-                run.sort(key=cmp_to_key(lambda x, y: _surds_cmp(x[0], y[0])))
+        run = [item for _, item in group]
+        if len(run) > 1 and not all(map(plain, run)):
+            pairs = [(surds(item), item) for item in run]
+            if any(s for pair in pairs for _, s, _ in pair[0]):
+                pairs.sort(key=cmp_to_key(lambda x, y: _surds_cmp(x[0], y[0])))
             else:
-                run.sort(key=lambda pair: [c for c, _, _ in pair[0]])
-        out += [item for _, item in run]
+                pairs.sort(key=lambda pair: [c for c, _, _ in pair[0]])
+            run = [item for _, item in pairs]
+        out += run
     return out
 
 

@@ -31,6 +31,7 @@ from .core import (
     check_dimension,
     eta,
     exact_sorted,
+    is_double,
     rational,
     xi_pair,
 )
@@ -297,7 +298,10 @@ def indicial_roots(table: List[TangentialEigenvalue]) -> List[IndicialRoot]:
     by exact value (``exact_sorted``).
     """
     roots = [root for entry in table if not entry.dropped for root in _roots_for(entry)]
-    return exact_sorted(roots, IndicialRoot.sort_key, lambda root: root.weight.surds())
+    return exact_sorted(
+        roots, IndicialRoot.sort_key, lambda root: root.weight.surds(),
+        lambda root: not root.weight.imaginary and is_double(root.weight.real.value),
+    )
 
 
 def indicial_set_full(link: LinkSpectrum, eps: float = DEFAULT_EPSILON) -> List[IndicialRoot]:

@@ -39,6 +39,7 @@ from .core import (
     Scalar,
     critical_eigenvalue,
     exact_sorted,
+    is_double,
     rational,
     real_surd,
     resonance_pair,
@@ -81,7 +82,8 @@ class RateElement(NamedTuple):
 
 def _by_value(elements: List[RateElement]) -> List[RateElement]:
     """Sort by exact value, then part: on the views, then each run of equal views exactly."""
-    return exact_sorted(elements, lambda el: (float(el.value), el.part), lambda el: (el.surd(),))
+    key, plain = (lambda el: (float(el.value), el.part)), (lambda el: is_double(el.value.value))
+    return exact_sorted(elements, key, lambda el: (el.surd(),), plain)
 
 
 class RateSet(Record):
@@ -241,7 +243,8 @@ class LinkAnalysis(Record):
 
         The paper filters the kappa branch by kappa > 0; filtering uniformly
         by Re > 0 is equivalent (xi_plus(kappa) > 0 iff kappa > 0, and
-        complex roots have negative real part).
+        complex roots have negative real part).  E is in exact order, so
+        its positive real roots are already in ``_by_value``'s order.
         """
         link = self.link
         candidates = [
@@ -249,7 +252,7 @@ class LinkAnalysis(Record):
             for root in self.essential
             if root.weight.is_real
         ]
-        elements = _by_value([el for el in candidates if el.sign() > 0])
+        elements = [el for el in candidates if el.sign() > 0]
         if elements:
             # an essential root has shift 0, so its source is its eigenvalue
             needed = elements[0].root.source_value

@@ -13,7 +13,9 @@ Rendering conventions, fixed for reproducibility:
 
 from __future__ import annotations
 
-from json.encoder import INFINITY, encode_basestring_ascii
+import json
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -127,25 +129,26 @@ def build_report(link: LinkSpectrum, options: Optional[ReportOptions] = None) ->
 
 
 def _root_sets(report: Report, entry) -> List[Tuple[int, list]]:
-    """(size, [entry(root) for each shown root]) for E_L, E_B and E, in order."""
+    """(size, [entry(root) for each shown root]) for E_L, E_B and E, in order.
+
+    One pass over E_L makes each root's entry once and lists it again in E_B
+    and E by the flags that ``LinkAnalysis.bianchi`` and ``.essential``
+    select on; ``max_roots`` cuts each set on its own.
+    """
     limit = report.options.max_roots
-    return [
-        (len(roots), [entry(root) for root in (roots if limit is None else roots[:limit])])
-        for roots in (report.roots_full, report.roots_bianchi, report.roots_essential)
-    ]
-
-
-def _once(entry):
-    """``entry`` memoized by root identity: E_B and E list E_L's root objects again."""
-    memo: Dict[int, object] = {}
-
-    def run(root):
-        row = memo.get(id(root))
-        if row is None:
-            row = memo[id(root)] = entry(root)
-        return row
-
-    return run
+    analysis = report.analysis
+    full, bianchi, essential = shown = ([], [], [])
+    for root in analysis.full:
+        row = entry(root)
+        full.append(row)
+        if root.bianchi_compatible:
+            bianchi.append(row)
+            if not root.lie_derivative:
+                essential.append(row)
+                if len(essential) == limit:
+                    break  # E lies in E_B and E_L, in their order: all three are full
+    sets = (analysis.full, analysis.bianchi, analysis.essential)
+    return [(len(roots), rows[:limit]) for roots, rows in zip(sets, shown)]
 
 
 def end_order_line(r: EndOrderReport) -> str:
@@ -203,7 +206,7 @@ def render_text(report: Report) -> str:
         lines.extend(_tangential_row(entry) for entry in table)
     for title, (count, rows) in zip(
         ("E_L (all indicial roots)", "E_B (Bianchi-gauge roots)", "E (essential roots)"),
-        _root_sets(report, _once(_root_row)),
+        _root_sets(report, _root_row),
     ):
         lines.append("")
         lines.append(f"{title}: {count} roots" + ("" if opts.max_roots is None else f" (showing {len(rows)})"))
@@ -275,12 +278,13 @@ def _root_json(root: IndicialRoot) -> Dict:
 
 
 def report_dict(report: Report) -> Dict:
-    return _report_tree(report, _once(_root_json), _tangential_json)
+    return _report_tree(report, _root_json, _tangential_json, _root_sets(report, _root_json))
 
 
-def _report_tree(report: Report, root_entry, tangential_entry) -> Dict:
-    """The JSON schema of a report; each indicial root is ``root_entry(root)``
-    and each tangential entry ``tangential_entry(entry)``."""
+def _report_tree(report: Report, root_entry, tangential_entry, sets) -> Dict:
+    """The JSON schema of a report; each witness root is ``root_entry(root)``,
+    each tangential entry ``tangential_entry(entry)``, and the indicial sets
+    are ``sets``, as ``_root_sets`` gives them."""
     link = report.link
     analysis = report.analysis
     rates_block = None
@@ -332,7 +336,7 @@ def _report_tree(report: Report, root_entry, tangential_entry) -> Dict:
         },
         "indicial_sets": {
             key: {"count": count, "roots": rows}
-            for key, (count, rows) in zip(("full", "bianchi", "essential"), _root_sets(report, root_entry))
+            for key, (count, rows) in zip(("full", "bianchi", "essential"), sets)
         },
         "rates": rates_block,
         "rate_error": report.rate_error,
@@ -354,74 +358,75 @@ def _report_tree(report: Report, root_entry, tangential_entry) -> Dict:
 def render_json(report: Report) -> str:
     """``json.dumps(report_dict(report), indent=2)`` plus a newline, byte for byte.
 
-    The stdlib encoder runs in pure Python when ``indent`` is set; here the
+    The stdlib encoder runs in pure Python when ``indent`` is set.  Here one
+    writer appends the fragments of the text to one list, joined once.  The
     report tree keeps its ``IndicialRoot`` and ``TangentialEigenvalue``
-    objects, each list of them is one join over row templates, and each
-    distinct root's row is formatted once per indent, however many sets
-    list it.
+    objects, each written from a row template, and each root of E_L is
+    written once for all three sets (``_SetRows``).
     """
-    return _json_text(_report_tree(report, _same, _same), "\n", {}) + "\n"
+    sets = [(count, _SetRows(rows)) for count, rows in _root_sets(report, _set_row)]
+    out: List[str] = []
+    _json_text(_report_tree(report, _same, _same, sets), "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _same(value):
     return value
 
 
-def _json_text(value, pad: str, rows: Dict) -> str:
-    """``json.dumps(value, indent=2)`` for a value nested at ``pad`` (newline
-    plus indentation); ``rows`` memoizes root rows by (id(root), pad)."""
+# the newline and indent of a root in the "roots" list of an indicial set
+_SET_PAD = "\n" + " " * 8
+
+
+class _SetRows(list):
+    """An indicial set's roots as JSON text, each row led by "," and ``_SET_PAD``."""
+
+
+def _set_row(root: IndicialRoot) -> str:
+    return "," + _SET_PAD + _root_json_row(root, _SET_PAD)
+
+
+def _json_text(value, pad: str, out: List[str]) -> None:
+    """Append ``json.dumps(value, indent=2)`` for a value nested at ``pad``
+    (newline plus indentation) to ``out``, as fragments."""
     inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner, rows)}" for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        # a list of entries or roots holds nothing else
-        if isinstance(value[0], TangentialEigenvalue):
-            items = [_tangential_json_row(entry, inner) for entry in value]
-        elif isinstance(value[0], IndicialRoot):
-            items = [_root_json_text(root, inner, rows) for root in value]
-        else:
-            items = [_json_text(v, inner, rows) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(value, IndicialRoot):
-        return _root_json_text(value, pad, rows)
-    return _json_leaf(value)
-
-
-def _json_leaf(value) -> str:
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if value != value:
-        return "NaN"
-    if value == INFINITY:
-        return "Infinity"
-    if value == -INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
+    if isinstance(value, dict) and value:
+        lead = "{" + inner
+        for k, v in value.items():
+            out.append(lead + encode_basestring_ascii(k) + ": ")
+            _json_text(v, inner, out)
+            lead = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, _SetRows) and value:  # rows written ahead at this indent
+        out.append("[" + value[0][1:])
+        out += islice(value, 1, None)
+        out.append(pad + "]")
+    elif isinstance(value, list) and value:
+        sep = "," + inner
+        out.append("[" + inner)
+        for v in value:
+            _json_text(v, inner, out)
+            out.append(sep)
+        out[-1] = pad + "]"
+    elif isinstance(value, TangentialEigenvalue):
+        out.append(_tangential_json_row(value, pad))
+    elif isinstance(value, IndicialRoot):
+        out.append(_root_json_row(value, pad))
+    else:  # a leaf or an empty container: the stdlib writes it alike with or without indent
+        out.append(json.dumps(value))
 
 
 _BOOL_JSON = ("false", "true")
 
 
 def _scalar_leaf(s: Scalar) -> str:
-    """``_json_leaf(scalar_json(s))``: an exact value's digits need no escaping."""
-    return f'"{s.value}"' if s.exact else _json_leaf(float(s.value))
+    """``json.dumps(scalar_json(s))``: an exact value's digits need no escaping, and a view is finite."""
+    return f'"{s.value}"' if s.exact else float.__repr__(float(s.value))
 
 
 def _tangential_json_row(entry: TangentialEigenvalue, pad: str) -> str:
-    """``_json_text(_tangential_json(entry), pad, ...)`` without building the dict."""
+    """``_json_text(_tangential_json(entry), pad, out)``'s text, without building the dict."""
     i = pad + "  "
     row = (
         f'{{{i}"value": {_scalar_leaf(entry.value)},'
@@ -437,16 +442,8 @@ def _tangential_json_row(entry: TangentialEigenvalue, pad: str) -> str:
     return row + pad + "}"
 
 
-def _root_json_text(root: IndicialRoot, pad: str, rows: Dict) -> str:
-    key = (id(root), pad)
-    row = rows.get(key)
-    if row is None:
-        row = rows[key] = _root_json_row(root, pad)
-    return row
-
-
 def _root_json_row(root: IndicialRoot, pad: str) -> str:
-    """``_json_text(_root_json(root), pad, ...)`` without building the dict."""
+    """``_json_text(_root_json(root), pad, out)``'s text, without building the dict."""
     i = pad + "  "
     w = i + "  "
     weight = root.weight
@@ -479,7 +476,7 @@ def render_csv(report: Report) -> str:
     for r in report.end_orders:
         rows.append(("end", r.end_kind.value, end_order_line(r)))
     out = [",".join(_csv_escape(cell) for cell in row) for row in rows]
-    for name, (_count, cells) in zip(("EL", "EB", "E"), _root_sets(report, _once(_root_cell))):
+    for name, (_count, cells) in zip(("EL", "EB", "E"), _root_sets(report, _root_cell)):
         out.extend(f"{name},{i},{cell}" for i, cell in enumerate(cells))
     return "\n".join(out) + "\n"
 

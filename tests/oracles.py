@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import mpmath
 
 
 def frac_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -38,6 +41,33 @@ def branch_pair(n: int, nu) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, 
 def eta_of(n: int, x) -> Fraction:
     x = Fraction(x)
     return x * (x + n - 2)
+
+
+def order_at_120_digits(n: int, weights: Sequence[Tuple], tie_keys: Sequence) -> List[int]:
+    """The indices of ``weights`` in the order of their exact values, then of ``tie_keys``.
+
+    A weight is (nu, branch, shift), meaning xi_branch(nu) + shift on the
+    cone of dimension n; it is evaluated at 120 digits and compared by real
+    part, then imaginary part.  Values within 10^-100 tie, which only equal
+    values do for inputs 10^-40 or more apart.
+    """
+    with mpmath.workdps(120):
+        tie = mpmath.mpf(10) ** -100
+        values = []
+        for nu, branch, shift in weights:
+            disc = Fraction((n - 2) ** 2, 4) + Fraction(nu)
+            radical = mpmath.sqrt(mpmath.mpf(abs(disc).numerator) / abs(disc).denominator)
+            sign = 1 if branch == "+" else -1
+            real = mpmath.mpf(2 - n) / 2 + shift
+            values.append((real, sign * radical) if disc < 0 else (real + sign * radical, mpmath.mpf(0)))
+
+        def cmp(i, j):
+            for x, y in zip(values[i], values[j]):
+                if abs(x - y) >= tie:
+                    return 1 if x > y else -1
+            return (tie_keys[i] > tie_keys[j]) - (tie_keys[i] < tie_keys[j])
+
+        return sorted(range(len(weights)), key=cmp_to_key(cmp))
 
 
 def sphere_lambda(n: int, i: int) -> Fraction:

@@ -3,7 +3,9 @@
 The digests pin text, JSON and CSV output for every builtin, for the
 float document of ``test_report`` and for an exact document whose radicals
 are irrational on both axes, two of them also with ``--max-roots`` 0 and 2,
-plus one ``plot-data`` sweep and three ``verify`` runs.  A refactor must
+for ``sphere_link(6, count=512)`` and for a 39-entry exact document whose
+discriminants are all squares, plus one ``plot-data`` sweep and three
+``verify`` runs.  A refactor must
 leave them unchanged; a deliberate output change updates them in the same
 commit and says why.
 """
@@ -12,10 +14,12 @@ import contextlib
 import hashlib
 import io
 import re
+from fractions import Fraction
+from itertools import cycle
 
 import pytest
 
-from conifold_spectra import builtin_link, cli, load_spectrum
+from conifold_spectra import builtin_link, cli, load_spectrum, sphere_link
 from conifold_spectra.report import ReportOptions, build_report, render_csv, render_json, render_text
 
 from test_report import _float_document
@@ -127,6 +131,16 @@ GOLDEN = {
         "25e18c9763eefe681b9737839e6f276fc4807fb364e17d4fc1db71b2f445c773",
         "566bf943ecc2ff51b908acdd2b13dcec804f926d7663c67b1c1d41ca11e95e36",
     ),
+    "sphere_link(6, count=512)": (
+        "dd4c6bbef0837aad5312c14b3fcf3508f209994f7cb9708ff1edc706b3d0f09f",
+        "619ae8d765ca27c5f27e4db9a45ed562ef7135ac9b087c3d791e1297681eadd3",
+        "2b04c2053153bc484e57b313b0c76546b33d1945bb945ecd7f5dd6359885e7de",
+    ),
+    "square-document": (
+        "6e4737b5665d76d6767946b27872a316d34436e4dff5f25df9f74af06df45737",
+        "be555f8aa2b5e4dcb50ea7d911a0c586886c4bd3c7506414e885817857ce260f",
+        "7cf538b9e8afaafd718b7b8e847ada595a5d1505f52c617d5dc98a0aa2a456b9",
+    ),
     "irrational-document max-roots=2": (
         "cc5f8e1ec72550f264c2b9c436cd3c05c8846b8cf65bb7f36a8c392cca42493d",
         "c07bf38f7c1c3d3317b9d370b504e1f6f081ad41457cdedef4a25ab88861498b",
@@ -161,6 +175,38 @@ def _irrational_document():
     }
 
 
+def _square_document():
+    """Exact n = 6 link, 39 entries per list, every discriminant a square.
+
+    Each eigenvalue is eta(x) = x(x + 4) for x on a walk of steps 1/2, 1
+    and 3/2, as in the large exact-square documents of the benchmark, so
+    every weight is an integer or a half-integer; kappa = -25/4 lies below
+    the window [-4, 0) and kappa = eta(-1/2) = -7/4 inside it.
+    """
+
+    def walk(start, count):
+        steps, out = cycle((Fraction(1, 2), Fraction(1), Fraction(3, 2))), [Fraction(start)]
+        while len(out) < count:
+            out.append(out[-1] + next(steps))
+        return [x * (x + 4) for x in out]
+
+    def block(values):
+        entries = [{"value": str(v), "multiplicity": None} for v in values]
+        return {"entries": entries, "complete_below": str(values[-1]), "mode": "exact"}
+
+    scalar = block([0] + walk(Fraction(3, 2), 38))
+    scalar["entries"][0]["multiplicity"] = 1
+    return {
+        "dim_cone": 6,
+        "name": "exact squares, 39 per list",
+        "scalar": scalar,
+        "coclosed_one_form": block([v - 1 for v in walk(1, 39)]),
+        "tt_einstein": block([Fraction(-25, 4), Fraction(-7, 4)] + walk(Fraction(1, 2), 37)),
+        "has_killing_fields": True,
+        "ends": [{"kind": "AC"}, {"kind": "CS"}],
+    }
+
+
 def _case(name):
     """The link and options of a golden case; a " max-roots=N" suffix truncates."""
     name, _, limit = name.partition(" max-roots=")
@@ -179,6 +225,10 @@ def _untruncated_case(name):
         return load_spectrum(_float_document(), eps=1e-9), ReportOptions(epsilon=1e-9)
     if name == "irrational-document":
         return load_spectrum(_irrational_document()), ReportOptions()
+    if name == "square-document":
+        return load_spectrum(_square_document()), ReportOptions()
+    if name == "sphere_link(6, count=512)":
+        return sphere_link(6, count=512), ReportOptions()
     return builtin_link(name), ReportOptions()
 
 

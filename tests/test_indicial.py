@@ -3,16 +3,17 @@
 from collections import Counter
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conifold_spectra import core
 from conifold_spectra import (
     Box1Family,
     BoxLFamily,
     DimensionTooSmall,
     DropReason,
     Scalar,
+    Weight,
     box1_spectrum,
     boxL_spectrum,
     eta,
@@ -24,7 +25,7 @@ from conifold_spectra import (
     xi_pair,
 )
 
-from oracles import branch_pair, brute_bianchi_weights, brute_full_weights, eta_of
+from oracles import branch_pair, brute_bianchi_weights, brute_full_weights, eta_of, order_at_120_digits
 from test_rates import synthetic_link
 
 
@@ -289,34 +290,61 @@ def near_tie_links(draw):
     return n, synthetic_link(n, sorted(kappas), mus=[Fraction(n - 2), Fraction(2 * n - 1)])
 
 
-def _oracle_weight(root, n):
-    """(Re, Im) of xi_branch(input) + shift at the working precision, from the provenance alone."""
-    nu = root.source_value.as_fraction()  # 0 for the special families
-    if root.family in (BoxLFamily.MU_PLUS, BoxLFamily.MU_MINUS):
-        nu += 1
-    disc = Fraction((n - 2) ** 2, 4) + nu
-    radical = mpmath.sqrt(mpmath.mpf(abs(disc).numerator) / abs(disc).denominator)
-    sign = 1 if root.branch == "+" else -1
-    real = mpmath.mpf(2 - n) / 2 + root.shift
-    return (real, sign * radical) if disc < 0 else (real + sign * radical, mpmath.mpf(0))
+def assert_in_exact_order(n, roots):
+    """E_L is ordered by exact weight (real part, then imaginary part), and
+    equal weights by family, source index and shift, as a 120-digit sort
+    from the provenance alone orders them."""
+    weights = []
+    for root in roots:
+        nu = root.source_value.as_fraction()  # 0 for the special families
+        if root.family in (BoxLFamily.MU_PLUS, BoxLFamily.MU_MINUS):
+            nu += 1
+        weights.append((nu, root.branch, root.shift))
+    ties = [(root.family.value, root.source_index, root.shift) for root in roots]
+    assert order_at_120_digits(n, weights, ties) == list(range(len(roots)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(near_tie_links())
 def test_root_order_matches_a_120_digit_sort(case):
-    # E_L is ordered by exact weight (real part, then imaginary part), and
-    # equal weights by family, source index and shift
     n, link = case
-    roots = indicial_set_full(link)
-    with mpmath.workdps(120):
-        tie = mpmath.mpf(10) ** -100
+    assert_in_exact_order(n, indicial_set_full(link))
 
-        def cmp(x, y):
-            return 0 if abs(x - y) < tie else (1 if x > y else -1)
 
-        for a, b in zip(roots, roots[1:]):
-            (ra, ia), (rb, ib) = _oracle_weight(a, n), _oracle_weight(b, n)
-            order = cmp(ra, rb) or cmp(ia, ib)
-            assert order < 0 or (
-                order == 0 and (a.family.value, a.source_index, a.shift) <= (b.family.value, b.source_index, b.shift)
-            ), (a, b)
+def _eta6(x):
+    return x * (x + 4)
+
+
+@pytest.mark.parametrize(
+    "kappas",
+    [
+        # xi_plus = 1 and 1 -+ 2^-60: rationals that round to the double 1
+        [_eta6(1 - Fraction(1, 2**60)), _eta6(1), _eta6(1 + Fraction(1, 2**60))],
+        # xi_plus = 1 and 1 -+ 10^-30: an int and non-dyadic rationals with its view
+        [_eta6(1 - Fraction(1, 10**30)), _eta6(1), _eta6(1 + Fraction(1, 10**30))],
+        # kappa = 5 -+ 10^-40: irrational weights about 1 -+ 10^-41, whose view is the int 1
+        [5 - Fraction(1, 10**40), 5, 5 + Fraction(1, 10**40)],
+    ],
+    ids=["rationals-round-alike", "int-and-non-dyadic", "irrational-with-int-view"],
+)
+def test_exact_order_where_a_view_hides_different_values(kappas):
+    # TT-kappa is the first family in key order, so each tie of views that
+    # hides different values must be broken exactly; mu = 4 adds the exact
+    # weight 1 of OneForm-mu-plus (shift -1) to the run.
+    roots = indicial_set_full(synthetic_link(6, kappas, mus=[Fraction(4), Fraction(11)]))
+    run = [root for root in roots if float(root.weight.real) == 1.0]
+    assert {root.family for root in run} >= {BoxLFamily.TT_KAPPA, BoxLFamily.MU_PLUS}
+    assert len([root for root in run if root.family is BoxLFamily.TT_KAPPA]) == 3
+    assert_in_exact_order(6, roots)
+
+
+def test_int_weights_need_no_exact_tie_break(monkeypatch):
+    # every weight of an even-dimensional sphere is an int, whose view is its
+    # value, so equal views are equal values and no surd is computed
+    calls = []
+    surds, surd_cmp = Weight.surds, core.surd_cmp
+    monkeypatch.setattr(Weight, "surds", lambda self: calls.append("surds") or surds(self))
+    monkeypatch.setattr(core, "surd_cmp", lambda x, y: calls.append("surd_cmp") or surd_cmp(x, y))
+    roots = indicial_set_full(sphere_link(6, count=64))
+    assert len(roots) > 700 and calls == []
+    assert_in_exact_order(6, roots)

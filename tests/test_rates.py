@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from conifold_spectra import (
     EigenvalueEntry,
@@ -15,6 +15,7 @@ from conifold_spectra import (
     LinkSpectrum,
     NonTerminating,
     Scalar,
+    SchemaError,
     SpectrumList,
     adm_mass_verdict,
     bootstrap_decay,
@@ -23,6 +24,7 @@ from conifold_spectra import (
     end_order,
     is_resonance_dominated,
     linear_stability,
+    load_spectrum,
     product_einstein_example,
     resonance_analysis,
     sphere_link,
@@ -30,6 +32,7 @@ from conifold_spectra import (
     xi_rates,
 )
 
+from conifold_spectra.rates import _by_value
 from oracles import bootstrap_sequence, brute_e_minus, brute_e_plus
 
 
@@ -430,3 +433,54 @@ def test_empty_rate_set():
     )
     with pytest.raises(EmptyRateSet):
         e_plus_set(link).minimum()
+
+
+@st.composite
+def spectrum_documents(draw):
+    """A document at n = 4..8 whose eigenvalues are eta(x) at half-integers x,
+    some moved by 10^-8, 10^-20 or 10^-40, exact or as floats: weights of
+    different families then tie on their views or sit a rounding apart."""
+    n = draw(st.integers(4, 8))
+    floats = draw(st.booleans())
+
+    def values(floor, size):
+        out = set()
+        for _ in range(size):
+            x = Fraction(draw(st.integers(-2 * n, 10)), 2)
+            k = draw(st.sampled_from((0, 8, 20, 40)))
+            v = x * (x + n - 2) + (draw(st.sampled_from((1, -1))) * Fraction(1, 10**k) if k else 0)
+            if v >= floor:
+                out.add(float(v) if floats else v)
+        return sorted(out)
+
+    lam = [0] + values(n - 1, draw(st.integers(1, 8)))
+    mu = values(n - 2, draw(st.integers(1, 6))) or [n - 2]
+    kappa = values(-((n - 2) ** 2) / 4 - 6, draw(st.integers(1, 8))) or [1]
+    top = max(lam + mu + kappa)
+
+    def block(vs):
+        entries = [{"value": v if floats else str(v), "multiplicity": None} for v in vs]
+        return {"entries": entries, "complete_below": top if floats else str(top), "mode": "exact"}
+
+    return {
+        "dim_cone": n,
+        "name": "near ties",
+        "scalar": block(lam),
+        "coclosed_one_form": block(mu),
+        "tt_einstein": block(kappa),
+        "has_killing_fields": mu[0] == n - 2,
+        "ends": [{"kind": "AC"}, {"kind": "CS"}],
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(spectrum_documents())
+def test_e_plus_is_in_exact_order_as_filtered_from_e(document):
+    # E is sorted by exact weight and every E_plus element has one part, so
+    # the positive real roots of E are already in _by_value's order
+    try:
+        link = load_spectrum(document)
+    except SchemaError:  # two floats snapped onto one threshold
+        reject()
+    elements = LinkAnalysis(link).e_plus.elements
+    assert elements == tuple(_by_value(list(elements)))

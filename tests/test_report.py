@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,9 @@ from conifold_spectra import (
 from conifold_spectra.report import (
     ReportOptions,
     _json_text,
+    _root_cell,
+    _root_json,
+    _root_row,
     build_report,
     end_order_line,
     fmt_weight,
@@ -193,7 +197,9 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=80, deadline=None)
 @given(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5) | _JSON_VALUES)
 def test_json_emitter_matches_the_stdlib_encoder(value):
-    assert _json_text(value, "\n", {}) == json.dumps(value, indent=2)
+    out = []
+    _json_text(value, "\n", out)
+    assert "".join(out) == json.dumps(value, indent=2)
 
 
 def _irrational_link():
@@ -224,3 +230,43 @@ def test_csv_reader_reads_every_row_back_as_three_cells(name):
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert all(len(row) == 3 for row in rows)
     assert rows[1] == ["link", "name", name]
+
+
+_SET_TITLES = ("E_L (all indicial roots)", "E_B (Bianchi-gauge roots)", "E (essential roots)")
+
+
+@pytest.mark.parametrize(
+    "make_link", [lambda: sphere_link(6, count=16), _irrational_link], ids=["sphere-16", "irrational-document"]
+)
+def test_max_roots_cuts_each_set_on_its_own(make_link):
+    link = make_link()
+    analysis = LinkAnalysis(link)
+    sets = (analysis.full, analysis.bianchi, analysis.essential)
+    sizes = [len(roots) for roots in sets]
+    assert sizes[0] > sizes[1] > sizes[2] > 2
+    for limit in (0, 1, 2, sizes[2], sizes[1], sizes[0], sizes[0] + 1):
+        report = build_report(link, ReportOptions(max_roots=limit))
+        tree = report_dict(report)
+        assert render_json(report) == json.dumps(tree, indent=2) + "\n"
+        text = render_text(report).splitlines()
+        cells = render_csv(report).splitlines()
+        for title, key, name, roots in zip(_SET_TITLES, ("full", "bianchi", "essential"), ("EL", "EB", "E"), sets):
+            shown = roots[:limit]
+            assert tree["indicial_sets"][key] == {"count": len(roots), "roots": [_root_json(r) for r in shown]}
+            at = text.index(f"{title}: {len(roots)} roots (showing {len(shown)})") + 1
+            assert text[at : at + len(shown) + 1] == [_root_row(r) for r in shown] + [""]
+            assert [c for c in cells if c.startswith(name + ",")] == [
+                f"{name},{i},{_root_cell(r)}" for i, r in enumerate(shown)
+            ]
+
+
+def test_render_json_peak_memory_stays_below_twice_its_output():
+    report = build_report(sphere_link(6, count=64))
+    render_json(report)  # fill the views each weight computes on first read
+    tracemalloc.start()
+    try:
+        text = render_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text), peak / len(text)
