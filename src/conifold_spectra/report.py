@@ -138,7 +138,8 @@ def _root_sets(report: Report, entry) -> List[Tuple[int, list]]:
     limit = report.options.max_roots
     analysis = report.analysis
     full, bianchi, essential = shown = ([], [], [])
-    for root in analysis.full:
+    # E lies in E_B and E_L, in their order: once E holds ``limit`` rows, all three do
+    for root in analysis.full if limit != 0 else ():
         row = entry(root)
         full.append(row)
         if root.bianchi_compatible:
@@ -146,7 +147,7 @@ def _root_sets(report: Report, entry) -> List[Tuple[int, list]]:
             if not root.lie_derivative:
                 essential.append(row)
                 if len(essential) == limit:
-                    break  # E lies in E_B and E_L, in their order: all three are full
+                    break
     sets = (analysis.full, analysis.bianchi, analysis.essential)
     return [(len(roots), rows[:limit]) for roots, rows in zip(sets, shown)]
 
