@@ -328,9 +328,9 @@ def _eta6(x):
     ids=["rationals-round-alike", "int-and-non-dyadic", "irrational-with-int-view"],
 )
 def test_exact_order_where_a_view_hides_different_values(kappas):
-    # TT-kappa is the first family in key order, so each tie of views that
-    # hides different values must be broken exactly; mu = 4 adds the exact
-    # weight 1 of OneForm-mu-plus (shift -1) to the run.
+    # the three TT-kappa roots xi_plus(kappa) share the view 1 with the exact
+    # weight 1 = xi_plus(12) - 1 of OneForm-mu-plus at mu = 11, which sorts
+    # before them by family: only the exact values can order this run.
     roots = indicial_set_full(synthetic_link(6, kappas, mus=[Fraction(4), Fraction(11)]))
     run = [root for root in roots if float(root.weight.real) == 1.0]
     assert {root.family for root in run} >= {BoxLFamily.TT_KAPPA, BoxLFamily.MU_PLUS}
@@ -339,8 +339,8 @@ def test_exact_order_where_a_view_hides_different_values(kappas):
 
 
 def test_int_weights_need_no_exact_tie_break(monkeypatch):
-    # every weight of an even-dimensional sphere is an int, whose view is its
-    # value, so equal views are equal values and no surd is computed
+    # every weight of sphere_link at n = 6 is an int, whose view is its value,
+    # so equal views are equal values and no surd is computed
     calls = []
     surds, surd_cmp = Weight.surds, core.surd_cmp
     monkeypatch.setattr(Weight, "surds", lambda self: calls.append("surds") or surds(self))
