@@ -22,14 +22,12 @@ is "~" and the 17 significant digits of its double, in tables and messages
 alike.  A single global epsilon (default 1e-12) snaps float eigenvalues
 onto their thresholds once (``links.snap_to_thresholds``).  Each shown
 value is rounded once, to the double nearest the exact value: ``float`` of
-a rational, ``round_surd`` of a surd.  Signs and order of a weight
-base + sign*sqrt(square) are decided exactly (``surd_sign``, ``surd_cmp``),
-not on its view.
+a rational, ``round_surd`` of a surd.  Signs and order of a weight are
+decided exactly on its surds (``surd_sign``, ``surd_cmp``), not on its view.
 
-A weight is one exact value, base + sign*sqrt(square) on the real or the
-imaginary axis: for every rational eigenvalue, irrational radicals
-included, eta, duality and the conjugate-pair sum and product are exact
-formulas on (base, square, sign).
+A weight is two exact surds, re + i*im, each (c, s, q) = c + s*sqrt(q):
+for every rational eigenvalue, irrational radicals included, eta, duality
+and the conjugate-pair sum and product are exact formulas on them.
 """
 
 from __future__ import annotations
@@ -218,106 +216,60 @@ class Scalar:
 
 
 ZERO = Scalar(0)
+_NIL = (0, 0, 0)  # the surd of zero
 
 
 class Weight:
-    """A possibly-complex indicial exponent: base + sign*sqrt(square).
+    """A possibly-complex indicial exponent, re + i*im, each part one surd.
 
-    The radical lies on the real axis, or on the imaginary axis when
-    ``imaginary`` is set.  ``base`` and ``square`` are ints or Fractions
-    (``rational``) and ``sign`` is -1, 0 or +1; ``root`` is sqrt(square)
-    when that is rational, else None.  ``exact`` is the provenance of the
-    source eigenvalue, one bit shared by a branch pair, its shifts and its
-    duals.  ``real`` and ``imag`` are the views, built as Scalars at the
-    boundary: a rational view is exact when ``exact`` is set, and an
-    irrational one is its correctly rounded double (``round_surd``), never
-    exact; ``real`` is computed on first read and cached.  ``log_factor``
-    marks the companion solution r^{-(n-2)/2} * log(r) at the resonance.
+    ``re`` and ``im`` are surds (c, s, q), meaning c + s*sqrt(q) with ints
+    or Fractions c and q >= 0 (``rational``) and s in {-1, 0, +1}, in
+    normal form: a rational radical is folded into c, so s = 0 exactly
+    when the part is rational, and then q = 0.  A real weight has im
+    (0, 0, 0); at most one part carries a radical.  ``exact`` is the
+    provenance of the source eigenvalue, one bit shared by a branch pair,
+    its shifts and its duals.  ``real`` and ``imag`` are the views, set
+    once as Scalars for the boundary: a rational part is exact when
+    ``exact`` is set, and an irrational one is its correctly rounded double
+    (``round_surd``), never exact.  ``log_factor`` marks the companion
+    solution r^{-(n-2)/2} * log(r) at the resonance.
 
-    ``Weight(real, imag, log_factor)`` builds a weight from its views.
-    Weights compare by exact value (``surds`` and ``log_factor``) and hash
-    by their views, which equal values share.
+    ``Weight(re, im, exact, log_factor)`` is the one constructor and takes
+    the parts in normal form.  Weights compare and hash by exact value
+    (``re``, ``im`` and ``log_factor``), which the normal form makes unique.
     """
 
-    __slots__ = ("base", "square", "sign", "imaginary", "root", "exact", "log_factor", "_real")
+    __slots__ = ("re", "im", "exact", "log_factor", "real", "imag")
 
-    def __init__(self, real: Scalar, imag: Scalar = ZERO, log_factor: bool = False):
-        self.base = rational(real.value)
-        self.imaginary = not imag.is_zero()
-        self.root = abs(rational(imag.value))
-        self.square = self.root * self.root
-        self.sign = (1 if imag > 0 else -1) if self.imaginary else 0
-        self.exact = real.exact and imag.exact
-        self.log_factor = log_factor
-        self._real = real
-
-    @staticmethod
-    def _surd(base, square, sign: int, imaginary: bool, root, exact: bool,
-              log_factor: bool = False) -> "Weight":
-        w = object.__new__(Weight)
-        w.base, w.square, w.sign, w.imaginary, w.root = base, square, sign, imaginary, root
-        w.exact, w.log_factor, w._real = exact, log_factor, None
-        return w
-
-    @property
-    def real(self) -> Scalar:
-        if self._real is None:
-            if self.imaginary:
-                self._real = _raw(self.base, self.exact)
-            elif self.root is None:
-                self._real = _raw(round_surd(self.base, self.sign, self.square), False)
-            else:
-                self._real = _raw(rational(self.base + self.sign * self.root), self.exact)
-        return self._real
-
-    @property
-    def imag(self) -> Scalar:
-        if not self.imaginary:
-            return ZERO
-        if self.root is None:
-            return _raw(round_surd(0, self.sign, self.square), False)
-        return _raw(self.sign * self.root, self.exact)
-
-    @property
-    def is_real(self) -> bool:
-        return not self.imaginary
-
-    def surds(self):
-        """(Re, Im) as surds (c, s, q), meaning c + s*sqrt(q); a rational radical folds into c."""
-        if not self.imaginary:
-            return real_surd(self), (0, 0, 0)
-        if self.root is None:
-            return (self.base, 0, 0), (0, self.sign, self.square)
-        return (self.base, 0, 0), (self.sign * self.root, 0, 0)
+    def __init__(self, re, im=_NIL, exact: bool = True, log_factor: bool = False):
+        self.re, self.im, self.exact, self.log_factor = re, im, exact, log_factor
+        self.real = _view(re, exact)
+        self.imag = ZERO if im == _NIL else _view(im, exact)
 
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
-        return self.surds() == other.surds() and self.log_factor == other.log_factor
+        return self.re == other.re and self.im == other.im and self.log_factor == other.log_factor
 
     def __hash__(self):
-        return hash((self.real, self.imag, self.log_factor))
+        return hash((self.re, self.im, self.log_factor))
 
     def __repr__(self) -> str:
         return f"Weight(real={self.real!r}, imag={self.imag!r}, log_factor={self.log_factor!r})"
 
-    def _shift(self, delta) -> "Weight":
-        """x + delta for an int or Fraction delta: the base moves and the radical stays."""
-        base = rational(self.base + rational(delta))
-        return Weight._surd(base, self.square, self.sign, self.imaginary, self.root, self.exact)
-
     def __sub__(self, other) -> "Weight":
-        return self._shift(-other)
+        return self + -other
 
     def __add__(self, other) -> "Weight":
-        return self._shift(other)
+        """x + delta for an int or Fraction delta: c moves and the radical stays."""
+        c, s, q = self.re
+        return Weight((rational(c + other), s, q), self.im, self.exact)
 
 
-def real_surd(w: Weight):
-    """Re(w) as (c, s, q), meaning c + s*sqrt(q) in exact rationals; a rational radical folds into c."""
-    if w.root is None and not w.imaginary:
-        return (w.base, w.sign, w.square)
-    return (rational(w.real.value), 0, 0)
+def _view(x, exact: bool) -> Scalar:
+    """The Scalar view of a surd: its rational value, or its rounded double."""
+    c, s, q = x
+    return _raw(round_surd(c, s, q), False) if s else _raw(c, exact)
 
 
 def _sign(x) -> int:
@@ -347,7 +299,7 @@ def surd_cmp(x, y) -> int:
     return left * surd_sign(d * d + s1 * s1 * q1 - s2 * s2 * q2, 2 * d * s1, q1)
 
 
-def _surds_cmp(x, y) -> int:
+def _lex_cmp(x, y) -> int:
     """``surd_cmp`` on tuples of surds, lexicographically."""
     for a, b in zip(x, y):
         c = surd_cmp(a, b)
@@ -357,11 +309,8 @@ def _surds_cmp(x, y) -> int:
 
 
 def is_double(x) -> bool:
-    """True when x, an int or a ``Fraction`` with up to 53 bits, is dyadic: a double, its own view.
-
-    A float here is the view of an irrational, never a value.
-    """
-    d = 3 if type(x) is float else x.denominator
+    """True when x, an int or a ``Fraction`` with up to 53 bits, is dyadic: a double, its own view."""
+    d = x.denominator
     return not d & (d - 1) and d.bit_length() <= 1075 and x.numerator.bit_length() <= 53
 
 
@@ -384,7 +333,7 @@ def exact_sorted(items, key, surds, plain) -> list:
         if len(run) > 1 and not all(map(plain, run)):
             pairs = [(surds(item), item) for item in run]
             if any(s for pair in pairs for _, s, _ in pair[0]):
-                pairs.sort(key=cmp_to_key(lambda x, y: _surds_cmp(x[0], y[0])))
+                pairs.sort(key=cmp_to_key(lambda x, y: _lex_cmp(x[0], y[0])))
             else:
                 pairs.sort(key=lambda pair: [c for c, _, _ in pair[0]])
             run = [item for _, item in pairs]
@@ -392,38 +341,28 @@ def exact_sorted(items, key, surds, plain) -> list:
     return out
 
 
-def _conjugates(a: Weight, b: Weight) -> bool:
-    return a.imaginary == b.imaginary and a.square == b.square and a.sign == -b.sign
-
-
 def weight_pair_sum(a: Weight, b: Weight) -> Scalar:
     """Exact sum of two conjugate branch weights (radicals cancel), or of two
     real weights with at most one irrational radical, its surd rounded once."""
-    exact = a.exact and b.exact
-    if _conjugates(a, b):
-        return _raw(rational(a.base + b.base), exact)
-    if a.is_real and b.is_real:
-        (c1, s1, q1), (c2, s2, q2) = real_surd(a), real_surd(b)
-        if not (s1 or s2):
-            return _raw(rational(c1 + c2), exact)
-        if not (s1 and s2):
-            return _raw(round_surd(c1 + c2, s1 or s2, q1 or q2), False)
-    raise ValueError("weights are not a conjugate pair")
+    (c1, s1, q1), (c2, s2, q2), (t, u, p) = a.re, b.re, a.im
+    if b.im != (-t, -u, p) or s1 and s2 and (s1 + s2 or q1 != q2):
+        raise ValueError("weights are not a conjugate pair")
+    c = rational(c1 + c2)
+    if s1 + s2:
+        return _raw(round_surd(c, s1 + s2, q1 or q2), False)
+    return _raw(c, a.exact and b.exact)
 
 
 def weight_pair_product(a: Weight, b: Weight) -> Scalar:
-    """Exact product of two conjugate branch weights.
+    """Exact product of two conjugate branch weights, or of two rational real weights.
 
     (c + t)(c - t) = c^2 - t^2 on the real axis and c^2 + t^2 on the
     imaginary axis, with t^2 carried exactly.
     """
-    exact = a.exact and b.exact
-    if _conjugates(a, b) and a.base == b.base:
-        square = a.square if a.imaginary else -a.square
-        return _raw(rational(a.base * a.base + square), exact)
-    if a.is_real and b.is_real and a.root is not None and b.root is not None:
-        return _raw(rational(real_surd(a)[0] * real_surd(b)[0]), exact)
-    raise ValueError("weights are not a conjugate pair")
+    (c1, s1, q1), (c2, s2, q2), (t, u, p) = a.re, b.re, a.im
+    if b.im != (-t, -u, p) or (s1 or s2 or t or u) and (c2, s2, q2) != (c1, -s1, q1):
+        raise ValueError("weights are not a conjugate pair")
+    return _raw(rational(c1 * c2 + s1 * s2 * q1 + t * t + p), a.exact and b.exact)
 
 
 def critical_eigenvalue(n: int) -> Scalar:
@@ -444,14 +383,17 @@ def xi_pair(n: int, nu) -> Tuple[Weight, Weight]:
     nu = Scalar.wrap(nu)
     half = rational(Fraction(2 - n, 2))
     disc = rational(half * half + rational(nu.value))
-    imaginary = disc < 0
-    square = -disc if imaginary else disc
-    root = rational_sqrt(square)
-    sign = 1 if disc else 0
-    return (
-        Weight._surd(half, square, sign, imaginary, root, nu.exact),
-        Weight._surd(half, square, -sign, imaginary, root, nu.exact),
-    )
+    q = abs(disc)
+    root = rational_sqrt(q)
+    if disc < 0:
+        re, up, down = (half, 0, 0), (0, 1, q), (0, -1, q)
+        if root is not None:
+            up, down = (root, 0, 0), (-root, 0, 0)
+        return Weight(re, up, nu.exact), Weight(re, down, nu.exact)
+    if root is None:
+        return Weight((half, 1, q), _NIL, nu.exact), Weight((half, -1, q), _NIL, nu.exact)
+    return (Weight((rational(half + root), 0, 0), _NIL, nu.exact),
+            Weight((rational(half - root), 0, 0), _NIL, nu.exact))
 
 
 def eta(n: int, x):
@@ -459,32 +401,30 @@ def eta(n: int, x):
 
     Accepts a Weight or a bare scalar-like value.  Returns a Scalar when the
     result is real, otherwise a (real, imag) pair of Scalars, each exact
-    when x is of exact provenance and the value is rational.  On a branch
-    weight a = base, eta = a(a+n-2) -+ square + sign*sqrt(square)*(2a+n-2),
+    when x is of exact provenance and the value is rational.  For x =
+    (a + s*sqrt(q)) + i*(t + u*sqrt(p)) with at most one radical,
+    eta = a(a+n-2) + q - t^2 - p + (s*sqrt(q) + i*(t + u*sqrt(p)))*(2a+n-2),
     so the round trip eta(xi_pm(nu)) == nu is exact for every rational nu,
     including irrational and imaginary radicals.  An irrational part is
     the surd rounded once.
     """
     check_dimension(n)
     if not isinstance(x, Weight):
-        x = Weight(Scalar.wrap(x))
-    a, exact = x.base, x.exact
-    if not x.imaginary and x.root is not None:
-        r = a + x.sign * x.root
-        return _raw(rational(r * (r + n - 2)), exact)
-    cross = a + a + n - 2
-    sign = x.sign if cross > 0 else -x.sign
-    if x.imaginary:
-        re = _raw(rational(a * (a + n - 2) - x.square), exact)
+        x = Scalar.wrap(x)
+        x = Weight((rational(x.value), 0, 0), exact=x.exact)
+    (a, s, q), (t, u, p), exact = x.re, x.im, x.exact
+    cross, c = a + a + n - 2, a * (a + n - 2)
+    if t or u:
+        re = _raw(rational(c - (t * t if t else p)), exact)
         if not cross:
             return re
-        if x.root is None:
-            return re, _raw(round_surd(0, sign, x.square * cross * cross), False)
-        return re, _raw(rational(x.sign * x.root * cross), exact)
-    c = rational(a * (a + n - 2) + x.square)
-    if not cross:
+        if u:
+            return re, _raw(round_surd(0, u if cross > 0 else -u, p * cross * cross), False)
+        return re, _raw(rational(t * cross), exact)
+    c = rational(c + q if s else c)
+    if not s or not cross:
         return _raw(c, exact)
-    return _raw(round_surd(c, sign, x.square * cross * cross), False)
+    return _raw(round_surd(c, s if cross > 0 else -s, q * cross * cross), False)
 
 
 def dual_weight(n: int, x: Weight) -> Weight:
@@ -494,14 +434,15 @@ def dual_weight(n: int, x: Weight) -> Weight:
     The dual shares the radical of x with the opposite sign.
     """
     check_dimension(n)
-    return Weight._surd(2 - n - x.base, x.square, -x.sign, x.imaginary, x.root, x.exact, x.log_factor)
+    (c, s, q), (t, u, p) = x.re, x.im
+    return Weight((2 - n - c, -s, q), (-t, -u, p), x.exact, x.log_factor)
 
 
 def resonance_pair(n: int) -> Tuple[Weight, Weight]:
     """The solution pair at nu = -(n-2)^2/4: r^{-(n-2)/2} and its log companion."""
     check_dimension(n)
-    half = Scalar(Fraction(-(n - 2), 2))
-    return (Weight(half), Weight(half, ZERO, True))
+    half = (rational(Fraction(2 - n, 2)), 0, 0)
+    return (Weight(half), Weight(half, log_factor=True))
 
 
 class Record:

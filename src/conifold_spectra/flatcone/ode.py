@@ -120,7 +120,7 @@ def _profile(n: int, nu: Fraction, branch: str) -> Tuple[Fraction, RadialLogPoly
         a = plus.real.as_fraction()
         return a, RadialLogPoly.power(a, log_power=1)
     weight = plus if branch == "plus" else minus
-    if not weight.is_real or not weight.real.exact:
+    if not weight.imag.is_zero() or not weight.real.exact:
         raise UnsupportedCase(
             "symbolic check requires a rational exponent (perfect-square "
             "discriminant)"

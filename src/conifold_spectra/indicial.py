@@ -299,8 +299,8 @@ def indicial_roots(table: List[TangentialEigenvalue]) -> List[IndicialRoot]:
     """
     roots = [root for entry in table if not entry.dropped for root in _roots_for(entry)]
     return exact_sorted(
-        roots, IndicialRoot.sort_key, lambda root: root.weight.surds(),
-        lambda root: not root.weight.imaginary and is_double(root.weight.real.value),
+        roots, IndicialRoot.sort_key, lambda root: (root.weight.re, root.weight.im),
+        lambda root: root.weight.imag.is_zero() and not root.weight.re[1] and is_double(root.weight.re[0]),
     )
 
 

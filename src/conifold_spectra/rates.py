@@ -41,7 +41,6 @@ from .core import (
     exact_sorted,
     is_double,
     rational,
-    real_surd,
     resonance_pair,
     surd_sign,
 )
@@ -73,7 +72,7 @@ class RateElement(NamedTuple):
         """
         if self.part == "below-window":
             return (self.value.value, 0, 0)
-        c, s, q = real_surd(self.root.weight)
+        c, s, q = self.root.weight.re
         return (c, s, q) if self.part == "xi-plus" else (-c, -s, q)
 
     def sign(self) -> int:
@@ -82,8 +81,12 @@ class RateElement(NamedTuple):
 
 def _by_value(elements: List[RateElement]) -> List[RateElement]:
     """Sort by exact value, then part: on the views, then each run of equal views exactly."""
-    key, plain = (lambda el: (float(el.value), el.part)), (lambda el: is_double(el.value.value))
-    return exact_sorted(elements, key, lambda el: (el.surd(),), plain)
+    return exact_sorted(elements, lambda el: (float(el.value), el.part), lambda el: (el.surd(),), _plain)
+
+
+def _plain(el: RateElement) -> bool:
+    c, s, _ = el.surd()
+    return not s and is_double(c)
 
 
 class RateSet(Record):
@@ -250,7 +253,7 @@ class LinkAnalysis(Record):
         candidates = [
             RateElement(root.weight.real, "xi-plus", root)
             for root in self.essential
-            if root.weight.is_real
+            if root.weight.imag.is_zero()
         ]
         elements = [el for el in candidates if el.sign() > 0]
         if elements:

@@ -28,7 +28,7 @@ from .rates import EndOrderReport, LinkAnalysis, Rates
 
 def fmt_weight(w: Weight) -> str:
     body = str(w.real)
-    if not w.is_real:
+    if not w.imag.is_zero():
         sign, im = ("-", -w.imag) if w.imag < 0 else ("+", w.imag)
         body = f"({body}{sign}{im}i)"
     if w.log_factor:

@@ -20,7 +20,7 @@ from conifold_spectra import (
     xi_pair,
 )
 
-from conifold_spectra.core import rational_sqrt, real_surd, round_surd, surd_cmp, surd_sign
+from conifold_spectra.core import rational, rational_sqrt, round_surd, surd_cmp, surd_sign
 from conifold_spectra.links import EigenvalueEntry, LinkSpectrum, SpectrumList, snap_to_thresholds
 from oracles import branch_pair, eta_of
 
@@ -36,7 +36,7 @@ def test_xi_pair_basic():
     assert plus.real == Scalar(0) and minus.real == Scalar(-2)
     plus, minus = xi_pair(4, Scalar(8))
     assert plus.real == Scalar(2) and minus.real == Scalar(-4)
-    assert plus.is_real and minus.is_real
+    assert plus.imag.is_zero() and minus.imag.is_zero()
 
 
 def test_xi_pair_complex_convention():
@@ -48,13 +48,13 @@ def test_xi_pair_complex_convention():
 def test_xi_pair_double_root():
     plus, minus = xi_pair(10, Scalar(-16))
     assert plus.real == minus.real == Scalar(-4)
-    assert plus.is_real and not plus.log_factor and not minus.log_factor
+    assert plus.imag.is_zero() and not plus.log_factor and not minus.log_factor
 
 
 def test_eta_examples():
-    assert eta(4, Weight(Scalar(2))) == Scalar(8)
+    assert eta(4, Weight((2, 0, 0))) == Scalar(8)
     assert eta(4, Scalar(0)) == Scalar(0)
-    assert eta(4, Weight(Scalar(-4))) == Scalar(8)
+    assert eta(4, Weight((-4, 0, 0))) == Scalar(8)
     assert eta(7, 0) == Scalar(0)
 
 
@@ -70,10 +70,10 @@ def test_eta_on_general_complex_weight_returns_pair():
 
 
 def test_dual_weight():
-    assert dual_weight(4, Weight(Scalar(0))).real == Scalar(-2)
-    fixed = dual_weight(10, Weight(Scalar(-4)))
+    assert dual_weight(4, Weight((0, 0, 0))).real == Scalar(-2)
+    fixed = dual_weight(10, Weight((-4, 0, 0)))
     assert fixed.real == Scalar(-4)
-    assert dual_weight(4, Weight(Scalar(2))).real == Scalar(-4)
+    assert dual_weight(4, Weight((2, 0, 0))).real == Scalar(-4)
 
 
 def test_resonance_pair():
@@ -120,16 +120,39 @@ def test_a_real_pair_with_one_irrational_radical_sums_with_one_rounding():
         weight_pair_sum(root7, xi_pair(6, Scalar(4))[0])  # -2 + sqrt(8): two irrational radicals
 
 
+def test_pairs_that_leave_a_radical_or_an_imaginary_part_are_refused():
+    # at n = 6: xi(-20) = -2 +- 4i, xi(-5) = -2 +- i, xi(3) = -2 +- sqrt(7), xi_plus(5) = 1
+    up, down = xi_pair(6, Scalar(-20))
+    root7, minus7 = xi_pair(6, Scalar(3))
+    one = xi_pair(6, Scalar(5))[0]
+    refused = [
+        (weight_pair_sum, one, up),  # real + imaginary
+        (weight_pair_sum, down, one),
+        (weight_pair_product, one, up),
+        (weight_pair_sum, up, up),  # imaginary parts 4 + 4
+        (weight_pair_sum, up, xi_pair(6, Scalar(-5))[1]),  # imaginary parts 4 - 1
+        (weight_pair_product, root7, one),  # irrational times rational
+        (weight_pair_product, one, minus7),
+        (weight_pair_product, root7, minus7 + 1),  # conjugate radicals, c = -2 and -1
+        (weight_pair_product, up, down - 1),
+    ]
+    for pair, a, b in refused:
+        with pytest.raises(ValueError):
+            pair(a, b)
+    assert weight_pair_sum(up, down) == -4 and weight_pair_product(up, down) == 20
+    assert weight_pair_sum(root7, minus7 + 1) == -3 and weight_pair_product(root7, minus7) == -3
+
+
 def test_weights_compare_by_their_exact_values():
     # xi_minus(10^-30) at n = 6 is -4 - 2.5e-31, whose view is the double -4.0
     tiny = xi_pair(6, Scalar(Fraction(1, 10**30)))[1]
-    assert float(tiny.real) == -4.0 and tiny != Weight(Scalar(-4))
+    assert float(tiny.real) == -4.0 and tiny != Weight((-4, 0, 0))
     # a rational radical folds into the base: xi_plus(12) = -2 + 4
-    assert xi_pair(6, Scalar(12))[0] == Weight(Scalar(2))
-    assert xi_pair(6, Scalar(-20))[0] == Weight(Scalar(-2), Scalar(4))
+    assert xi_pair(6, Scalar(12))[0] == Weight((2, 0, 0))
+    assert xi_pair(6, Scalar(-20))[0] == Weight((-2, 0, 0), (4, 0, 0))
     # the view of -2 + sqrt(2)i is a double whose square is not 2
     plus = xi_pair(6, Scalar(-6))[0]
-    assert plus != Weight(plus.real, plus.imag)
+    assert plus.im == (0, 1, 2) and plus != Weight(plus.re, (rational(plus.imag.value), 0, 0))
     assert resonance_pair(6)[0] != resonance_pair(6)[1]
 
 
@@ -192,9 +215,9 @@ def test_discriminant_root_paths():
     # the square root of a discriminant is taken once: a rational root is
     # kept exactly, an irrational one is None and its views are rounded once
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2) and rational_sqrt(2) is None
-    assert xi_pair(4, Scalar(Fraction(5, 4)))[0].root == Fraction(3, 2)  # disc = 9/4
+    assert xi_pair(4, Scalar(Fraction(5, 4)))[0].re == (Fraction(1, 2), 0, 0)  # -1 + sqrt(9/4)
     irr = xi_pair(4, Scalar(1))[0]  # disc = 2
-    assert irr.root is None and not irr.real.exact
+    assert irr.re == (-1, 1, 2) and not irr.real.exact
     assert round_surd(0, 1, Fraction(9, 4)) == 1.5
     with pytest.raises(ValueError):
         round_surd(0, 1, -1)
@@ -222,14 +245,13 @@ def test_float_views_are_double_precision():
 
 
 def test_shifted_view_is_the_view_plus_the_shift():
-    # x + d moves the base by d and keeps the radical; its float view is the
+    # x + d moves c by d and keeps the radical; its float view is the
     # exact value x + d rounded once.  For this weight the double sum
     # view(x) + d is one ulp off.
     _, minus = xi_pair(10, Scalar(Fraction(319, 27)))
     shifted = minus + 2
-    assert shifted.base == minus.base + 2
-    radical = ("square", "sign", "root", "exact")
-    assert [getattr(shifted, a) for a in radical] == [getattr(minus, a) for a in radical]
+    assert minus.re == (-4, -1, Fraction(751, 27)) and shifted.re == (-2, -1, Fraction(751, 27))
+    assert (shifted.im, shifted.exact) == (minus.im, minus.exact)
     assert _nearest_double_to_surd(shifted.real.value, -2, -1, Fraction(751, 27))
     assert shifted.real.value - (Fraction(minus.real.value) + 2) == math.ulp(shifted.real.value)
     # eta(x) = x(x + 8) = -12 + q - 4*sqrt(q) for x = -2 - sqrt(q), q = 751/27,
@@ -247,7 +269,7 @@ def test_a_float_with_a_square_discriminant_keeps_the_exact_formulas():
     assert type(plus.real.value) is int and not plus.real.exact
     value = eta(6, plus + 1)  # 2 * (2 + 4)
     assert value == 12 and type(value.value) is int and not value.exact
-    assert real_surd(minus) == (-5, 0, 0)
+    assert minus.re == (-5, 0, 0)
     assert weight_pair_product(plus, xi_pair(6, Scalar(12))[0]) == 2
     assert str(plus.real) == "~1" and repr(plus.real) == "Scalar(1.0, float)"
 
@@ -268,7 +290,7 @@ def _assert_normal(value):
 
 
 def test_integral_exact_values_are_ints():
-    half = Weight(Scalar(Fraction(1, 2)))
+    half = Weight((Fraction(1, 2), 0, 0))
     values = [
         Scalar(Fraction(4, 2)),
         Scalar(True),
@@ -277,7 +299,7 @@ def test_integral_exact_values_are_ints():
         Scalar.parse("1/3"),
         (half + Fraction(1, 2)).real,
         weight_pair_sum(half, half),
-        weight_pair_product(half, Weight(Scalar(4))),
+        weight_pair_product(half, Weight((4, 0, 0))),
         eta(5, half - Fraction(1, 2)),
         xi_pair(4, Scalar(8))[0].real,
         xi_pair(4, Scalar(Fraction(5, 4)))[0].real,
@@ -288,7 +310,7 @@ def test_integral_exact_values_are_ints():
         _assert_normal(s.value)
     assert weight_pair_sum(half, half).value == 1
     for plus, minus in (xi_pair(6, Scalar(12)), xi_pair(5, Scalar(4)), xi_pair(4, Scalar(Fraction(5, 4)))):
-        for value in (plus.real.value, minus.real.value, plus.base, plus.square, plus.root):
+        for value in (plus.real.value, minus.real.value, *plus.re, *plus.im):
             _assert_normal(value)
 
 
@@ -338,12 +360,12 @@ def test_exact_sign_of_a_cancelling_weight():
     tiny = Fraction(1, 10**30)
     plus, minus = xi_pair(6, Scalar(tiny))
     assert plus.real.value == 2.5e-31
-    assert surd_sign(*real_surd(plus)) == 1 and surd_sign(*real_surd(minus)) == -1
+    assert surd_sign(*plus.re) == 1 and surd_sign(*minus.re) == -1
     plus_neg, _ = xi_pair(6, Scalar(-tiny))
-    assert surd_sign(*real_surd(plus_neg)) == -1
-    assert surd_cmp(real_surd(plus), real_surd(plus_neg)) == 1
+    assert surd_sign(*plus_neg.re) == -1
+    assert surd_cmp(plus.re, plus_neg.re) == 1
     # a rational weight is its own value, also from a float input; a float
     # input is its exact binary rational, so its weight has an exact surd
-    assert real_surd(xi_pair(6, Scalar(12))[0]) == (2, 0, 0)
-    assert real_surd(xi_pair(6, Scalar(12.0))[0]) == (2, 0, 0)
-    assert real_surd(xi_pair(6, Scalar(0.5))[0]) == (-2, 1, Fraction(9, 2))
+    assert xi_pair(6, Scalar(12))[0].re == (2, 0, 0)
+    assert xi_pair(6, Scalar(12.0))[0].re == (2, 0, 0)
+    assert xi_pair(6, Scalar(0.5))[0].re == (-2, 1, Fraction(9, 2))

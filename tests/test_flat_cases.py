@@ -22,9 +22,11 @@ from conifold_spectra.flatcone import (
     identity_trace_commutes,
     laplacian,
     proportionality,
+    radial_contraction,
     radial_form,
     rotational_form,
     sym_gradient,
+    sym_product,
     trace,
     verify_case,
 )
@@ -267,8 +269,9 @@ def test_cases_without_a_degree_ignore_it():
 
 # The sphere entry each verifier case models at degree d: (family, index).
 # The sphere's TT-kappa family has no case, since a general link TT tensor
-# has no polynomial model; case (i) builds flat TT tensors, which on the
-# sphere belong to the doubly shifted scalar family like (iv).
+# has no polynomial model (the sphere's has one: see the test after these);
+# case (i) builds flat TT tensors, which on the sphere belong to the doubly
+# shifted scalar family like (iv).
 _ENTRY_OF_CASE = {
     "ii": (BoxLFamily.MU_PLUS, lambda d: d - 1),
     "iii": (BoxLFamily.MU_MINUS, lambda d: d - 1),
@@ -291,7 +294,7 @@ def test_root_table_matches_the_verifier_homogeneities(n):
 
     listed = {}
     for root in indicial_set_full(sphere_link(n)):
-        assert root.weight.is_real
+        assert root.weight.imag.is_zero()
         listed.setdefault((root.family, root.source_index), []).append(root)
     vanishing, unlisted = set(), set()
     for case_id, (family, index_of) in _ENTRY_OF_CASE.items():
@@ -371,3 +374,47 @@ def test_lie_derivative_roots_have_a_generating_one_form(n):
                 assert c is not None and c != 0, where
                 checked.add(case_id)
     assert checked == set(_LIE_GENERATOR)
+
+
+def _omega(n, a, b):
+    """The rotation 1-form x_a dx_b - x_b dx_a (coordinates from 0)."""
+    out = FieldExpr(n, 1)
+    out.set_component((b,), PolyR.coordinate(n, a))
+    out.set_component((a,), -PolyR.coordinate(n, b))
+    return out
+
+
+def _tt_model(n, k):
+    """omega_12 (.) omega_34 * Re(x5 + i x6)^(k-2): tangential, TT and harmonic, degree k."""
+    re, im = PolyR.constant(n, 1), PolyR(n)
+    x5, x6 = (PolyR.coordinate(n, i) if i < n else PolyR(n) for i in (4, 5))
+    for _ in range(k - 2):
+        re, im = re * x5 - im * x6, re * x6 + im * x5
+    return sym_product(_omega(n, 0, 1), _omega(n, 2, 3)).scale_poly(re)
+
+
+# degree 2 at n = 4, 2..3 at n = 5 and 2..5 at n = 6..8; higher degrees at
+# n = 4 and 5 need another generator than the disjoint-plane product
+_TT_DEGREES = [(4, 2), (5, 2), (5, 3)] + [(n, k) for n in (6, 7, 8) for k in range(2, 6)]
+
+
+@pytest.mark.parametrize("n,k", _TT_DEGREES)
+def test_sphere_tt_kappa_roots_match_a_polynomial_model(n, k):
+    # the sphere's TT eigentensor of degree k and its Kelvin transform
+    # r^(2-n-2k) h solve the flat gauge-fixed equations, so their
+    # homogeneities k and 2-n-k are the two TT-kappa roots at kappa_(k-1),
+    # both gauge-compatible and neither a Lie derivative
+    h = _tt_model(n, k)
+    assert not h.is_zero()
+    for tensor in (h, h.mul_r_power(2 - n - 2 * k)):
+        for op in (trace, divergence, radial_contraction, laplacian, bianchi_op):
+            assert op(tensor).is_zero(), (n, k, op.__name__)
+    roots = [
+        root for root in indicial_set_full(sphere_link(n, count=k + 1))
+        if root.family is BoxLFamily.TT_KAPPA and root.source_index == k - 1
+    ]
+    weights = sorted(root.weight.real for root in roots)
+    assert weights == [2 - n - k, k] == sorted(
+        t.homogeneity() for t in (h, h.mul_r_power(2 - n - 2 * k))
+    )
+    assert all(root.bianchi_compatible and not root.lie_derivative for root in roots)

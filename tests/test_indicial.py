@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conifold_spectra import core
+from conifold_spectra import core, indicial
 from conifold_spectra import (
     Box1Family,
     BoxLFamily,
     DimensionTooSmall,
     DropReason,
     Scalar,
-    Weight,
     box1_spectrum,
     boxL_spectrum,
     eta,
@@ -208,11 +207,11 @@ def test_full_set_duality_with_complex_roots():
 
     link = synthetic_link(6, kappas=[Fraction(-7), Fraction(5)], kappa_complete=5)
     full = indicial_set_full(link)
-    complex_roots = [r for r in full if not r.weight.is_real]
+    complex_roots = [r for r in full if not r.weight.imag.is_zero()]
     assert len(complex_roots) == 2  # the kappa below the window
     for r in complex_roots:
         assert r.weight.real == Scalar(-2)  # -(n-2)/2
-        assert r.weight.square == Scalar(3)  # |disc| = 3, irrational radical
+        assert r.weight.im in ((0, 1, 3), (0, -1, 3))  # |disc| = 3, irrational radical
         assert not r.weight.imag.exact
     reals = Counter(r.weight.real.value for r in full)
     assert reals == Counter(Fraction(2 - 6) - v for v in reals.elements())
@@ -342,8 +341,12 @@ def test_int_weights_need_no_exact_tie_break(monkeypatch):
     # every weight of sphere_link at n = 6 is an int, whose view is its value,
     # so equal views are equal values and no surd is computed
     calls = []
-    surds, surd_cmp = Weight.surds, core.surd_cmp
-    monkeypatch.setattr(Weight, "surds", lambda self: calls.append("surds") or surds(self))
+    exact_sorted, surd_cmp = indicial.exact_sorted, core.surd_cmp
+
+    def spy(items, key, surds, plain):
+        return exact_sorted(items, key, lambda item: calls.append("surds") or surds(item), plain)
+
+    monkeypatch.setattr(indicial, "exact_sorted", spy)
     monkeypatch.setattr(core, "surd_cmp", lambda x, y: calls.append("surd_cmp") or surd_cmp(x, y))
     roots = indicial_set_full(sphere_link(6, count=64))
     assert len(roots) > 700 and calls == []

@@ -137,9 +137,9 @@ def _verdicts(analysis):
         analysis.stability.stable,
         len(analysis.stability.boundary),
         [(el.part, float(el.value)) for el in minus.elements],
-        [el.root.weight.is_real for el in minus.elements if el.root is not None],
-        [el.root.weight.is_real for el in analysis.e_plus.elements],
-        analysis.rates.xi_minus.root.weight.is_real,
+        [el.root.weight.imag.is_zero() for el in minus.elements if el.root is not None],
+        [el.root.weight.imag.is_zero() for el in analysis.e_plus.elements],
+        analysis.rates.xi_minus.root.weight.imag.is_zero(),
         analysis.end_order("AC").weak,
     )
 

@@ -36,7 +36,7 @@ from conifold_spectra import (
     xi_rates,
 )
 
-from conifold_spectra.core import real_surd
+from conifold_spectra.core import rational
 from oracles import brute_e_minus, brute_e_plus
 from test_rates import synthetic_link
 
@@ -146,14 +146,14 @@ def test_branch_algebra_is_exact(n, nu):
 @PROPERTY_SETTINGS
 @given(st.integers(3, 12), rationals, st.integers(-3, 3), st.integers(0, 6))
 def test_equal_weights_hash_alike(n, nu, k, j):
-    # one value reached by shifts, duals, float provenance and views
+    # one value reached by shifts, duals, float provenance and the constructor
     dyadic = Fraction(round(nu * 2**j), 2**j)
     weights = []
     for value in (Scalar(nu), Scalar(dyadic), Scalar(float(dyadic), exact=False)):
         plus, minus = xi_pair(n, value)
         assert (plus + k) - k == plus and dual_weight(n, minus) == plus
         weights += [plus, minus, (plus + k) - k, dual_weight(n, minus), dual_weight(n, minus + k)]
-        weights += [Weight(plus.real, plus.imag), Weight(minus.real) + k]
+        weights += [Weight(plus.re, plus.im, value.exact), Weight(minus.re) + k]
     for a in weights:
         for b in weights:
             if a == b:
@@ -171,6 +171,36 @@ def sources(draw):
 
 def _is_square(q):
     return all(math.isqrt(m) ** 2 == m for m in (q.numerator, q.denominator))
+
+
+def _mp_part(surd):
+    c, s, q = surd
+    return _mp(Fraction(c)) + s * mpmath.sqrt(_mp(Fraction(q)))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(3, 12), rationals, rationals, st.integers(-3, 3))
+def test_weights_are_in_normal_form(n, nu, x, k):
+    # each part is c + s*sqrt(q) with a rational radical folded into c, at
+    # most one part carries a radical, and one value has one form: weights
+    # within 10^-40 of each other at 60 digits are equal and hash alike
+    weights = [Weight((rational(x), 0, 0))]
+    for source in (nu, x * (x + n - 2)):  # eta(x) has a square discriminant
+        plus, minus = xi_pair(n, Scalar(source))
+        weights += [plus, minus, plus + k, minus - k, dual_weight(n, plus), dual_weight(n, minus + k)]
+    for weight in weights:
+        assert not (weight.re[1] and weight.im[1])
+        for c, s, q in (weight.re, weight.im):
+            assert type(c) is int or type(c) is Fraction and c.denominator != 1
+            assert type(q) is int or type(q) is Fraction and q.denominator != 1
+            assert s in (-1, 0, 1) and q >= 0
+            assert (s != 0) == (not _is_square(Fraction(q))) and (s != 0 or q == 0)
+    with mpmath.workdps(60):
+        values = [mpmath.mpc(_mp_part(w.re), _mp_part(w.im)) for w in weights]
+        for a, va in zip(weights, values):
+            for b, vb in zip(weights, values):
+                if abs(va - vb) < mpmath.mpf(10) ** -40:
+                    assert (a.re, a.im) == (b.re, b.im) and a == b and hash(a) == hash(b)
 
 
 @PROPERTY_SETTINGS
@@ -210,7 +240,7 @@ def test_float_path_agrees_with_exact_path_away_from_thresholds(n, nu):
     exact = xi_pair(n, Scalar(nu))
     floats = xi_pair(n, Scalar(float(nu), exact=False))
     for e, f in zip(exact, floats):
-        assert f.is_real == e.is_real
+        assert f.imag.is_zero() == e.imag.is_zero()
         for part in ("real", "imag"):
             ev, fv = _exact_value(getattr(e, part)), _exact_value(getattr(f, part))
             assert abs(fv - ev) <= 1e-12 * abs(ev)
@@ -308,5 +338,4 @@ def test_dyadic_float_document_matches_the_rational_document(case):
     for e, f in zip(exact.full, floats.full):
         assert (f.family, f.source_index, f.branch, f.shift) == (e.family, e.source_index, e.branch, e.shift)
         assert (f.weight.real, f.weight.imag, f.tangential_value) == (e.weight.real, e.weight.imag, e.tangential_value)
-        if f.weight.is_real:
-            assert real_surd(f.weight) == real_surd(e.weight)
+        assert (f.weight.re, f.weight.im) == (e.weight.re, e.weight.im)
