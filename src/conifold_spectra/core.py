@@ -261,9 +261,9 @@ class Weight:
         return self + -other
 
     def __add__(self, other) -> "Weight":
-        """x + delta for an int or Fraction delta: c moves and the radical stays."""
+        """x + delta for an int or Fraction delta: c moves; the radical and the log flag stay."""
         c, s, q = self.re
-        return Weight((rational(c + other), s, q), self.im, self.exact)
+        return Weight((rational(c + other), s, q), self.im, self.exact, self.log_factor)
 
 
 def _view(x, exact: bool) -> Scalar:

@@ -146,6 +146,9 @@ def _tt(n: int, d: int, seed: int) -> Branches:
 
     A general link TT-tensor has no polynomial model, so there is no
     decaying branch; degrees 0 and 1 give a constant trace-free tensor.
+    The round sphere's do: see
+    ``tests/test_flat_cases.py::test_sphere_tt_kappa_roots_match_a_polynomial_model``,
+    kept out of the case rows so that ``verify all`` prints the same.
     """
     if d >= 2:
         return [("+", _hessian(harmonic_polynomial(n, d, seed)), None)]

@@ -21,9 +21,11 @@ Sign conventions match the geometric ones used throughout the package:
     bianchi(h)     = divergence(h) + d(trace h) / 2
 
 On the flat cone the Lichnerowicz Laplacian is the componentwise scalar
-Laplacian, so no curvature terms appear anywhere.  The first-order
-operators add k * d_i of each stored component into accumulators in place
-(``PolyR._accumulate``) and halve once at the end.
+Laplacian, so no curvature terms appear anywhere.  A field operator reads
+the field's common denominator D and r-power denominator q once, runs one
+derivative kernel (``_deriv_into``, also behind ``PolyR.diff``) over every
+component's numerators over D into plain dicts, and reduces each output
+component once.  The scalar and field Laplacians share one loop.
 
 Normal form.  Every PolyR is kept reduced modulo r^2 = sum_i x_i^2: the
 exponent of the last coordinate x_n is always 0 or 1, by the rewrite
@@ -43,15 +45,16 @@ two fields are equal exactly when their terms agree one by one:
     independent over polynomials, since r is positive and irrational over
     the rational function field.
 
-The rewrite is applied at the single point where a term enters a
-dictionary (``PolyR._add_term``), so every constructor, product and
-derivative returns the normal form.  The Laplacian uses sum_i x_i^2 = r^2
-in closed form and maps normal form to normal form.
+The rewrite (``_add_term``) runs wherever an exponent of x_n can reach 2,
+so every operation returns the normal form; in the derivative kernel that
+is only the raised term of d_n.  The Laplacian uses sum_i x_i^2 = r^2 in
+closed form, and its exponents only fall.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -75,8 +78,9 @@ class PolyR:
         if terms:
             self.den = lcm(*(rational(c).denominator for c in terms.values()))
             for (alpha, s), c in terms.items():
-                self._add_term((alpha, rational(s)), int(rational(c) * self.den))
-            self._reduce()
+                _add_term(self.num, (alpha, rational(s)), int(rational(c) * self.den))
+            reduced = _poly(n, self.num, self.den)
+            self.num, self.den = reduced.num, reduced.den
 
     # -- constructors ---------------------------------------------------
 
@@ -98,12 +102,6 @@ class PolyR:
     def r_power(n: int, s) -> "PolyR":
         return PolyR(n, {((0,) * n, s): 1})
 
-    def copy(self) -> "PolyR":
-        out = PolyR(self.n)
-        out.num = dict(self.num)
-        out.den = self.den
-        return out
-
     @property
     def terms(self) -> Mapping[TermKey, Rational]:
         """The coefficients as ``core.rational`` values, read-only."""
@@ -111,60 +109,10 @@ class PolyR:
 
     # -- ring operations -------------------------------------------------
 
-    def _add_term(self, key: TermKey, coeff: int) -> None:
-        """Add one numerator, rewriting x_n^2 -> r^2 - sum_{i<n} x_i^2 first."""
-        alpha, s = key
-        if alpha[-1] >= 2:
-            lowered = alpha[:-1] + (alpha[-1] - 2,)
-            self._add_term((lowered, s + 2), coeff)
-            for i in range(self.n - 1):
-                raised = lowered[:i] + (lowered[i] + 2,) + lowered[i + 1:]
-                self._add_term((raised, s), -coeff)
-            return
-        new = self.num.get(key, 0) + coeff
-        if new:
-            self.num[key] = new
-        else:
-            self.num.pop(key, None)
-
-    def _reduce(self, divisor: int = 1) -> "PolyR":
-        """Divide by ``divisor``, then numerators and denominator by their gcd; zero is 0/1."""
-        self.den *= divisor
-        g = gcd(self.den, *self.num.values()) if self.den != 1 else 1
-        if g != 1:
-            self.den //= g
-            for key in self.num:
-                self.num[key] //= g
-        return self
-
-    def _accumulate(self, p: "PolyR", k: int, i: Optional[int] = None) -> None:
-        """Add k * p, or k * d_i p, into self in place, unreduced; a derivative
-        brings in the r-power denominators q of p (d_i r^s = s x_i r^{s-2})."""
-        q = 1 if i is None else lcm(*(s.denominator for _alpha, s in p.num))
-        e = p.den * q
-        den = lcm(self.den, e)
-        if den != self.den:
-            self.num = {key: c * (den // self.den) for key, c in self.num.items()}
-            self.den = den
-        k *= den // e
-        add = self._add_term
-        if i is None:
-            for key, c in p.num.items():
-                add(key, c * k)
-            return
-        for (alpha, s), c in p.num.items():
-            c *= k
-            a = alpha[i]
-            if a:
-                add((alpha[:i] + (a - 1,) + alpha[i + 1:], s), c * a * q)
-            if s:
-                sq = s.numerator * (q // s.denominator)
-                add((alpha[:i] + (a + 1,) + alpha[i + 1:], s - 2), c * sq)
-
     def __add__(self, other: "PolyR") -> "PolyR":
-        out = self.copy()
-        out._accumulate(other, 1)
-        return out._reduce()
+        den = lcm(self.den, other.den)
+        num = dict(self.num) if den == self.den else _add_into({}, self.num.items(), den // self.den)
+        return _poly(self.n, _add_into(num, other.num.items(), den // other.den), den)
 
     def __neg__(self) -> "PolyR":
         return self * -1
@@ -173,19 +121,15 @@ class PolyR:
         return self + (-other)
 
     def __mul__(self, other) -> "PolyR":
-        out = PolyR(self.n)
         if isinstance(other, PolyR):
+            num: Dict[TermKey, int] = {}
             for (a1, s1), c1 in self.num.items():
                 for (a2, s2), c2 in other.num.items():
                     alpha = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
-                    out._add_term((alpha, rational(s1 + s2)), c1 * c2)
-            out.den = self.den * other.den
-            return out._reduce()
+                    _add_term(num, (alpha, rational(s1 + s2)), c1 * c2)
+            return _poly(self.n, num, self.den * other.den)
         c = Fraction(other)
-        if c:
-            out.num = {k: v * c.numerator for k, v in self.num.items()}
-            out.den = self.den * c.denominator
-        return out._reduce()
+        return _poly(self.n, {k: v * c.numerator for k, v in self.num.items()}, self.den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -199,30 +143,13 @@ class PolyR:
     # -- calculus ---------------------------------------------------------
 
     def diff(self, i: int) -> "PolyR":
-        out = PolyR(self.n)
-        out._accumulate(self, 1, i)
-        return out._reduce()
+        den, q, (items,) = _common((self,))
+        return _poly(self.n, _deriv_into({}, self.n, items, i, 1, q), den * q)
 
     def laplacian(self) -> "PolyR":
-        """-sum_i d_i d_i in closed form, using sum_i x_i^2 = r^2.
-
-        Delta(c x^alpha r^s) = -c [sum_i alpha_i (alpha_i - 1) x^{alpha - 2e_i} r^s
-                                   + s (2|alpha| + n + s - 2) x^alpha r^{s-2}];
-        every exponent only falls, so normal form maps to normal form.  With
-        q the r-power denominator, the numerators are scaled by q^2.
-        """
-        q = lcm(*(s.denominator for _alpha, s in self.num))
-        out = PolyR(self.n)
-        out.den = self.den * q * q
-        for (alpha, s), c in self.num.items():
-            for i, e in enumerate(alpha):
-                if e >= 2:
-                    lowered = alpha[:i] + (e - 2,) + alpha[i + 1:]
-                    out._add_term((lowered, s), -c * e * (e - 1) * q * q)
-            if s:
-                sq = s.numerator * (q // s.denominator)
-                out._add_term((alpha, s - 2), -c * sq * (q * (2 * sum(alpha) + self.n - 2) + sq))
-        return out._reduce()
+        """-sum_i d_i d_i in closed form, using sum_i x_i^2 = r^2 (``_laplacian_into``)."""
+        den, q, (items,) = _common((self,))
+        return _poly(self.n, _laplacian_into({}, self.n, items, q), den * q * q)
 
     # -- structure --------------------------------------------------------
 
@@ -252,6 +179,88 @@ class PolyR:
                 piece.append(f"r^{s}")
             bits.append("*".join(piece))
         return " + ".join(bits)
+
+
+def _add_term(num: Dict[TermKey, int], key: TermKey, coeff: int) -> None:
+    """Add one numerator, rewriting x_n^2 -> r^2 - sum_{i<n} x_i^2 first."""
+    alpha, s = key
+    if alpha[-1] >= 2:
+        lowered = alpha[:-1] + (alpha[-1] - 2,)
+        _add_term(num, (lowered, s + 2), coeff)
+        for i in range(len(alpha) - 1):
+            _add_term(num, (lowered[:i] + (lowered[i] + 2,) + lowered[i + 1:], s), -coeff)
+        return
+    num[key] = num.get(key, 0) + coeff
+
+
+def _add_into(num: Dict[TermKey, int], items, k: int = 1) -> Dict[TermKey, int]:
+    """Add k times the numerators ``items`` into ``num``; zeros stay until ``_poly``."""
+    get = num.get
+    for key, c in items:
+        num[key] = get(key, 0) + c * k
+    return num
+
+
+def _deriv_into(num: Dict[TermKey, int], n: int, items, i: int, k: int, q: int) -> Dict[TermKey, int]:
+    """Add k * q * d_i of the numerators ``items`` (in normal form) into ``num``:
+    d_i (x^alpha r^s) = alpha_i x^{alpha - e_i} r^s + s x^{alpha + e_i} r^{s-2},
+    q a multiple of every r-power denominator.  Only the raised term of
+    d_{n-1} can square x_n, so only it goes through the rewrite."""
+    get = num.get
+    kq = k * q
+    last = i == n - 1
+    for (alpha, s), c in items:
+        a = alpha[i]
+        head, tail = alpha[:i], alpha[i + 1:]
+        if a:
+            key = (head + (a - 1,) + tail, s)
+            num[key] = get(key, 0) + c * a * kq
+        if s:
+            c *= k * s.numerator * (q // s.denominator)
+            if last and a:
+                _add_term(num, (head + (2,), s - 2), c)
+            else:
+                key = (head + (a + 1,) + tail, s - 2)
+                num[key] = get(key, 0) + c
+    return num
+
+
+def _laplacian_into(num: Dict[TermKey, int], n: int, items, q: int) -> Dict[TermKey, int]:
+    """Add q^2 * Delta of the numerators ``items`` into ``num``, Delta = -sum_i d_i d_i:
+    Delta(c x^alpha r^s) = -c [sum_i alpha_i (alpha_i - 1) x^{alpha - 2e_i} r^s
+                               + s (2|alpha| + n + s - 2) x^alpha r^{s-2}];
+    every exponent only falls, so normal form maps to normal form."""
+    get = num.get
+    qq = q * q
+    for (alpha, s), c in items:
+        for i, e in enumerate(alpha):
+            if e >= 2:
+                key = (alpha[:i] + (e - 2,) + alpha[i + 1:], s)
+                num[key] = get(key, 0) - c * e * (e - 1) * qq
+        if s:
+            sq = s.numerator * (q // s.denominator)
+            key = (alpha, s - 2)
+            num[key] = get(key, 0) - c * sq * (q * (2 * sum(alpha) + n - 2) + sq)
+    return num
+
+
+def _poly(n: int, num: Dict[TermKey, int], den: int) -> PolyR:
+    """num / den with zero numerators dropped, then all divided by their gcd; zero is 0/1."""
+    if 0 in num.values():
+        num = {key: c for key, c in num.items() if c}
+    g = gcd(den, *num.values()) if den != 1 else 1
+    out = PolyR.__new__(PolyR)
+    out.n, out.num, out.den = n, {key: c // g for key, c in num.items()} if g != 1 else num, den // g
+    return out
+
+
+def _common(polys):
+    """(D, q, items): D the lcm of the denominators of ``polys``, q that of
+    their r-powers, and the numerator items of each over D."""
+    den = lcm(*(p.den for p in polys))
+    q = lcm(*{s.denominator for p in polys for _alpha, s in p.num})
+    scaled = [p.num.items() if p.den == den else [(t, c * (den // p.den)) for t, c in p.num.items()] for p in polys]
+    return den, q, scaled
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +318,9 @@ class FieldExpr:
         """Apply a componentwise map that sends zero to zero."""
         out = FieldExpr(self.n, self.rank)
         for key, poly in self.comps.items():
-            out.set_component(key, fn(poly))
+            poly = fn(poly)
+            if poly.num:
+                out.comps[key] = poly
         return out
 
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
@@ -361,88 +372,98 @@ class FieldExpr:
 # ---------------------------------------------------------------------------
 
 
+def _field(n: int, rank: int, nums: Dict[Tuple[int, ...], Dict[TermKey, int]], den: int) -> FieldExpr:
+    """The field whose components are nums[key] / den, each reduced once."""
+    out = FieldExpr(n, rank)
+    for key, num in nums.items():
+        if any(num.values()):
+            out.comps[key] = _poly(n, num, den)
+    return out
+
+
+def _slots(key: Tuple[int, ...]):
+    """(i, the key without i) for each distinct index i of a component key."""
+    i, j = key[0], key[-1]
+    return ((i, key[1:]),) if i == j else ((i, key[1:]), (j, key[:-1]))
+
+
 def laplacian(f: FieldExpr) -> FieldExpr:
-    """Geometer's Laplacian -sum_i d_i d_i, componentwise."""
-    return f.map_components(PolyR.laplacian)
+    """Geometer's Laplacian -sum_i d_i d_i, componentwise with one q; the
+    components do not mix, so each keeps its own denominator."""
+    den, q, items = _common(f.comps.values())
+    nums = {key: _laplacian_into({}, f.n, terms, q) for key, terms in zip(f.comps, items)}
+    return _field(f.n, f.rank, nums, den * q * q)
 
 
 def gradient(f: FieldExpr) -> FieldExpr:
     """Exterior derivative of a scalar, as a 1-form."""
     if f.rank != 0:
         raise ValueError("gradient expects a scalar field")
-    out = FieldExpr(f.n, 1)
-    poly = f.component()
-    for i in range(f.n):
-        out.set_component((i,), poly.diff(i))
-    return out
+    den, q, (items,) = _common((f.component(),))
+    return _field(f.n, 1, {(i,): _deriv_into({}, f.n, items, i, 1, q) for i in range(f.n)}, den * q)
 
 
 def divergence(f: FieldExpr) -> FieldExpr:
     """delta with the geometric sign: -trace of the covariant derivative."""
-    if f.rank == 1:
-        acc = PolyR(f.n)
-        for (i,), p in f.comps.items():
-            acc._accumulate(p, -1, i)
-        return FieldExpr.scalar(acc._reduce())
-    if f.rank == 2:
-        accs = [PolyR(f.n) for _k in range(f.n)]
-        for (i, j), p in f.comps.items():
-            accs[j]._accumulate(p, -1, i)
-            if i != j:
-                accs[i]._accumulate(p, -1, j)
-        return FieldExpr(f.n, 1, {(k,): acc._reduce() for k, acc in enumerate(accs)})
-    raise ValueError("divergence expects rank 1 or 2")
+    if f.rank not in (1, 2):
+        raise ValueError("divergence expects rank 1 or 2")
+    den, q, items = _common(f.comps.values())
+    accs = {key: {} for key in FieldExpr(f.n, f.rank - 1).keys()}
+    for key, terms in zip(f.comps, items):
+        for i, rest in _slots(key):
+            _deriv_into(accs[rest], f.n, terms, i, -1, q)
+    return _field(f.n, f.rank - 1, accs, den * q)
 
 
 def sym_gradient(w: FieldExpr) -> FieldExpr:
     """delta^*: the symmetrized covariant derivative with the 1/2 factor."""
     if w.rank != 1:
         raise ValueError("sym_gradient expects a 1-form")
-    accs = {(i, j): PolyR(w.n) for i in range(w.n) for j in range(i, w.n)}
-    for (j,), p in w.comps.items():
+    den, q, items = _common(w.comps.values())
+    accs = {(i, j): {} for i in range(w.n) for j in range(i, w.n)}
+    for (j,), terms in zip(w.comps, items):
         for i in range(w.n):
-            accs[(i, j) if i <= j else (j, i)]._accumulate(p, 2 if i == j else 1, i)
-    return FieldExpr(w.n, 2, {key: acc._reduce(2) for key, acc in accs.items()})
+            _deriv_into(accs[(i, j) if i <= j else (j, i)], w.n, terms, i, 2 if i == j else 1, q)
+    return _field(w.n, 2, accs, den * q * 2)
 
 
 def trace(h: FieldExpr) -> FieldExpr:
     if h.rank != 2:
         raise ValueError("trace expects a symmetric 2-tensor")
-    acc = PolyR(h.n)
-    for i in range(h.n):
-        acc._accumulate(h.component(i, i), 1)
-    return FieldExpr.scalar(acc._reduce())
+    den, _q, items = _common([p for (i, j), p in h.comps.items() if i == j])
+    return _field(h.n, 0, {(): _add_into({}, chain.from_iterable(items))}, den)
 
 
 def bianchi_op(h: FieldExpr) -> FieldExpr:
     """B = delta + d(trace)/2 on symmetric 2-tensors, as (2 delta h + d tr h) / 2."""
     if h.rank != 2:
         raise ValueError("bianchi_op expects a symmetric 2-tensor")
-    accs = [PolyR(h.n) for _k in range(h.n)]
-    tr = PolyR(h.n)
-    for (i, j), p in h.comps.items():
-        accs[j]._accumulate(p, -2, i)
+    den, q, items = _common(h.comps.values())
+    accs = {(k,): {} for k in range(h.n)}
+    tr: Dict[TermKey, int] = {}
+    for (i, j), terms in zip(h.comps, items):
+        _deriv_into(accs[(j,)], h.n, terms, i, -2, q)
         if i != j:
-            accs[i]._accumulate(p, -2, j)
+            _deriv_into(accs[(i,)], h.n, terms, j, -2, q)
         else:
-            tr._accumulate(p, 1)
-    tr._reduce()
-    for k, acc in enumerate(accs):
-        acc._accumulate(tr, 1, k)
-    return FieldExpr(h.n, 1, {(k,): acc._reduce(2) for k, acc in enumerate(accs)})
+            _add_into(tr, terms)
+    tr_terms = [(t, c) for t, c in tr.items() if c]  # often zero: trace-free input
+    for (k,), acc in accs.items():
+        _deriv_into(acc, h.n, tr_terms, k, 1, q)
+    return _field(h.n, 1, accs, den * q * 2)
 
 
 def radial_contraction(h: FieldExpr) -> FieldExpr:
     """h(d_r, .) = sum_i (x_i / r) h_{i.}, one rank lower."""
     if h.rank not in (1, 2):
         raise ValueError("radial contraction expects rank 1 or 2")
-    out = FieldExpr(h.n, h.rank - 1)
-    for key in out.keys():
-        acc = PolyR(h.n)
-        for i in range(h.n):
-            acc._accumulate(PolyR.coordinate(h.n, i) * h.component(i, *key), 1)
-        out.set_component(key, acc._reduce().mul_r_power(-1))
-    return out
+    den, _q, items = _common(h.comps.values())
+    accs = {key: {} for key in FieldExpr(h.n, h.rank - 1).keys()}
+    for key, terms in zip(h.comps, items):
+        for i, rest in _slots(key):
+            for (alpha, s), c in terms:
+                _add_term(accs[rest], (alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], s - 1), c)
+    return _field(h.n, h.rank - 1, accs, den)
 
 
 def euclidean_metric(n: int) -> FieldExpr:

@@ -84,6 +84,14 @@ def test_resonance_pair():
         assert logged.imag.is_zero()
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_shifts_keep_the_log_companion(n):
+    logged = resonance_pair(n)[1]
+    assert logged + 0 == logged and logged - 0 == logged
+    for k in (1, -3, Fraction(1, 2)):
+        assert (logged + k) - k == logged and (logged + k).log_factor
+
+
 def test_round_trip_against_oracle_on_square_discriminants():
     cases = [(4, Fraction(0)), (4, Fraction(8)), (4, Fraction(3)), (10, Fraction(-16)),
              (10, Fraction(-20)), (5, Fraction(18)), (6, Fraction(-3))]

@@ -337,10 +337,12 @@ def agrees(n, value, reference):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_fused_operators_match_their_textbook_definitions(data):
-    # divergence, sym_gradient, trace and bianchi_op accumulate integer
-    # numerators in place; the reference differentiates and sums the raw
-    # rational terms one operator at a time, on odd n and fractional powers
-    n = data.draw(st.sampled_from((3, 5, 7)))
+    # divergence, sym_gradient, trace and bianchi_op run one derivative
+    # kernel over every component's numerators, on one denominator per
+    # field; the reference differentiates and sums the raw rational terms
+    # one operator at a time, on fractional powers and every n the
+    # verifier runs at
+    n = data.draw(st.integers(3, 8))
     w_raw, h_raw = data.draw(raw_fields(n, 1)), data.draw(raw_fields(n, 2))
     w, h = FieldExpr(n, 1), FieldExpr(n, 2)
     for field, raw in ((w, w_raw), (h, h_raw)):
@@ -371,3 +373,27 @@ def test_fused_operators_match_their_textbook_definitions(data):
     assert agrees(n, laplacian(h), {key: second_derivative_laplacian(n, t) for key, t in h_raw.items()})
     composed = divergence(h) + gradient(trace(h)).scale(Fraction(1, 2))
     assert (bianchi_op(h) - composed).is_zero()
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_field_operators_match_the_polynomial_ones(data):
+    # the field Laplacian takes one r-power denominator q for all components,
+    # which carry different denominators and r-powers; each component still
+    # reduces to exactly what the component alone gives, and so does the
+    # gradient of the sum of the components against PolyR.diff
+    n = data.draw(st.integers(3, 8))
+    f = FieldExpr(n, data.draw(st.sampled_from((1, 2))))
+    for key, terms in data.draw(raw_fields(n, f.rank)).items():
+        f.set_component(key, PolyR(n, terms))
+    value = laplacian(f)
+    for key in f.keys():
+        got, expected = value.component(*key), f.component(*key).laplacian()
+        assert (got.num, got.den) == (expected.num, expected.den), key
+    total = PolyR(n)
+    for poly in f.comps.values():
+        total = total + poly
+    grad = gradient(FieldExpr.scalar(total))
+    for i in range(n):
+        got, expected = grad.component(i), total.diff(i)
+        assert (got.num, got.den) == (expected.num, expected.den), i
