@@ -56,6 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import add
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -122,12 +123,7 @@ class PolyR:
 
     def __mul__(self, other) -> "PolyR":
         if isinstance(other, PolyR):
-            num: Dict[TermKey, int] = {}
-            for (a1, s1), c1 in self.num.items():
-                for (a2, s2), c2 in other.num.items():
-                    alpha = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
-                    _add_term(num, (alpha, rational(s1 + s2)), c1 * c2)
-            return _poly(self.n, num, self.den * other.den)
+            return _poly(self.n, _mul_into({}, self.num.items(), other.num.items()), self.den * other.den)
         c = Fraction(other)
         return _poly(self.n, {k: v * c.numerator for k, v in self.num.items()}, self.den * c.denominator)
 
@@ -198,6 +194,14 @@ def _add_into(num: Dict[TermKey, int], items, k: int = 1) -> Dict[TermKey, int]:
     get = num.get
     for key, c in items:
         num[key] = get(key, 0) + c * k
+    return num
+
+
+def _mul_into(num: Dict[TermKey, int], mine, theirs, k: int = 1) -> Dict[TermKey, int]:
+    """Add k times the product of the numerators ``mine`` and ``theirs`` into ``num``."""
+    for (a1, s1), c1 in mine:
+        for (a2, s2), c2 in theirs:
+            _add_term(num, (tuple(map(add, a1, a2)), rational(s1 + s2)), c1 * c2 * k)
     return num
 
 
@@ -485,12 +489,13 @@ def sym_product(w: FieldExpr, v: FieldExpr) -> FieldExpr:
     """Symmetric product w (x) v + v (x) w of two 1-forms."""
     if w.rank != 1 or v.rank != 1:
         raise ValueError("sym_product expects two 1-forms")
-    out = FieldExpr(w.n, 2)
-    for i in range(w.n):
-        for j in range(i, w.n):
-            poly = w.component(i) * v.component(j) + w.component(j) * v.component(i)
-            out.set_component((i, j), poly)
-    return out
+    dw, _q, ws = _common(w.comps.values())
+    dv, _q, vs = _common(v.comps.values())
+    nums = {(i, j): {} for i in range(w.n) for j in range(i, w.n)}
+    for (i,), mine in zip(w.comps, ws):
+        for (j,), theirs in zip(v.comps, vs):
+            _mul_into(nums[(i, j) if i <= j else (j, i)], mine, theirs, 2 if i == j else 1)
+    return _field(w.n, 2, nums, dw * dv)
 
 
 def proportionality(f: FieldExpr, g: FieldExpr):

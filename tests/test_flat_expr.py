@@ -18,6 +18,7 @@ from conifold_spectra.flatcone import (
     radial_contraction,
     radial_form,
     sym_gradient,
+    sym_product,
     trace,
 )
 from oracles import add_terms, diff_terms, expand_is_zero, second_derivative_laplacian
@@ -323,6 +324,15 @@ def raw_fields(draw, n, rank):
     return {key: draw(radial_terms(n, max_terms=2, denominators=(1, 2, 3, 6))) for key in chosen}
 
 
+def mul_terms(p, q):
+    """The product of two raw term sums, unreduced."""
+    out = {}
+    for (a1, s1), c1 in p.items():
+        for (a2, s2), c2 in q.items():
+            out = add_terms(out, {(tuple(x + y for x, y in zip(a1, a2)), s1 + s2): c1 * c2})
+    return out
+
+
 def agrees(n, value, reference):
     """Each component of ``value`` is reduced, in normal form and equal to
     the raw reference terms, by expansion."""
@@ -337,20 +347,24 @@ def agrees(n, value, reference):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_fused_operators_match_their_textbook_definitions(data):
-    # divergence, sym_gradient, trace and bianchi_op run one derivative
+    # divergence, sym_gradient, trace, bianchi_op and sym_product run one
     # kernel over every component's numerators, on one denominator per
-    # field; the reference differentiates and sums the raw rational terms
-    # one operator at a time, on fractional powers and every n the
-    # verifier runs at
+    # field; the reference differentiates, multiplies and sums the raw
+    # rational terms one operator at a time, on fractional powers and every
+    # n the verifier runs at
     n = data.draw(st.integers(3, 8))
-    w_raw, h_raw = data.draw(raw_fields(n, 1)), data.draw(raw_fields(n, 2))
-    w, h = FieldExpr(n, 1), FieldExpr(n, 2)
-    for field, raw in ((w, w_raw), (h, h_raw)):
+    w_raw, v_raw = data.draw(raw_fields(n, 1)), data.draw(raw_fields(n, 1))
+    h_raw = data.draw(raw_fields(n, 2))
+    w, v, h = FieldExpr(n, 1), FieldExpr(n, 1), FieldExpr(n, 2)
+    for field, raw in ((w, w_raw), (v, v_raw), (h, h_raw)):
         for key, terms in raw.items():
             field.set_component(key, PolyR(n, terms))
 
     def w_at(i):
         return w_raw.get((i,), {})
+
+    def v_at(i):
+        return v_raw.get((i,), {})
 
     def h_at(i, j):
         return h_raw.get((min(i, j), max(i, j)), {})
@@ -368,6 +382,12 @@ def test_fused_operators_match_their_textbook_definitions(data):
     assert agrees(n, divergence(h), {(k,): div_h[k] for k in range(n)})
     assert agrees(n, trace(h), {(): tr})
     assert agrees(n, sym_gradient(w), sym)
+    product = {
+        (i, j): add_terms(mul_terms(w_at(i), v_at(j)), mul_terms(w_at(j), v_at(i)))
+        for i in range(n)
+        for j in range(i, n)
+    }
+    assert agrees(n, sym_product(w, v), product)
     bianchi = {(k,): add_terms(div_h[k], diff_terms(tr, k), scale=[1, Fraction(1, 2)]) for k in range(n)}
     assert agrees(n, bianchi_op(h), bianchi)
     assert agrees(n, laplacian(h), {key: second_derivative_laplacian(n, t) for key, t in h_raw.items()})
